@@ -16,13 +16,13 @@ Run:  python examples/batch_suite.py
 import tempfile
 import time
 
-from repro.models import load_case
 from repro.service import (
     MappingService,
     MappingSpec,
     compile_suite,
     fingerprint_request,
 )
+from repro.sources import build_case
 
 CASES = ["LiH_sto3g", "NH_sto3g", "hubbard:2x3", "neutrino:3x2F"]
 
@@ -31,14 +31,14 @@ def fingerprints_key_the_physics() -> None:
     print("=" * 64)
     print("Fingerprints: content-addressed, order-invariant, config-aware")
     print("=" * 64)
-    h = load_case("hubbard:2x2")
+    h = build_case("hubbard:2x2")
     fp_hatt = fingerprint_request(h, MappingSpec(kind="hatt"))
     fp_jw = fingerprint_request(h, MappingSpec(kind="jw"))
     print(f"  hubbard:2x2 x hatt -> {fp_hatt[:16]}…")
     print(f"  hubbard:2x2 x jw   -> {fp_jw[:16]}…  (config forks the key)")
     # Static mappings depend only on the mode count, so any other 8-mode
     # problem reuses the identical JW artifact.
-    other = load_case("hubbard:1x4")
+    other = build_case("hubbard:1x4")
     assert fingerprint_request(other, MappingSpec(kind="jw")) == fp_jw
     print("  hubbard:1x4 x jw   -> same key (static kinds share artifacts)\n")
 
@@ -47,7 +47,7 @@ def get_or_compile_tiers(cache_dir: str) -> None:
     print("=" * 64)
     print("MappingService: compile once, hit forever")
     print("=" * 64)
-    h = load_case("LiH_sto3g")
+    h = build_case("LiH_sto3g")
     spec = MappingSpec(kind="hatt")
     service = MappingService(cache_dir=cache_dir)
     for label in ("cold", "warm"):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backends import BackendConfig
 from ..circuits import to_cx_u3, trotter_circuit
 from ..mappings import FermionQubitMapping
 from ..models.electronic import ElectronicHamiltonian
@@ -44,19 +43,14 @@ def noisy_energy_experiment(
     seed: int = 0,
     backend: str = "batched",
     chunk: int | None = None,
-    backends: BackendConfig | None = None,
 ) -> EnergyExperiment:
     """Run the paper's noisy-energy protocol for one mapping and noise point.
 
     ``backend``/``chunk`` are forwarded to
     :func:`repro.sim.noisy_expectations`: ``"batched"`` (default) runs the
     vectorized trajectory engine with bounded-memory chunking, ``"scalar"``
-    the bit-identical per-trajectory reference.  ``backends`` (a
-    :class:`repro.backends.BackendConfig`) is the unified form of the same
-    choice and wins over ``backend`` when given.
+    the bit-identical per-trajectory reference.
     """
-    if backends is not None:
-        backend = backends.sim
     hq = mapping.map(case.hamiltonian)
     prep = occupation_state_circuit(mapping, case.hf_occupation)
     evolution = trotter_circuit(hq, time=trotter_time)

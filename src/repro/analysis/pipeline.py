@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backends import BackendConfig
 from ..circuits import grouped_evolution_circuit, to_cx_u3, trotter_circuit
 from ..fermion import FermionOperator, MajoranaOperator
 from ..hatt import hatt_mapping
@@ -143,19 +142,12 @@ def compare_mappings(
     compile_circuit: bool = True,
     synthesis: str = "naive",
     include_unopt: bool = False,
-    hatt_backend: str = "vector",
     service: "object | None" = None,
     term_order: str = "lexicographic",
-    backends: BackendConfig | None = None,
     arch: str | None = None,
     arch_weight: float | None = None,
 ) -> dict[str, MappingReport]:
     """Evaluate JW/BK/BTT/HATT (and optionally HATT-unopt) on one Hamiltonian.
-
-    ``hatt_backend`` selects the HATT construction engine (``"vector"`` /
-    ``"scalar"``); both produce identical mappings, only compile time differs.
-    ``backends`` (a :class:`repro.backends.BackendConfig`) is the unified
-    form of the same choice and wins over ``hatt_backend`` when given.
 
     ``arch`` (an architecture name from :mod:`repro.circuits.architectures`)
     adds a ``HATT-arch`` row: the tree grown with candidate selection biased
@@ -169,8 +161,6 @@ def compare_mappings(
     the next caller.  Reports are identical either way (cached mappings are
     bit-identical to fresh compiles).
     """
-    if backends is not None:
-        hatt_backend = backends.hatt
     if arch is None and arch_weight is not None:
         raise ValueError("arch_weight needs an arch")
     if service is not None:
@@ -180,16 +170,12 @@ def compare_mappings(
         if include_unopt:
             names["HATT-unopt"] = "hatt-unopt"
         specs = {
-            name: MappingSpec(kind=kind, n_modes=n_modes, hatt_backend=hatt_backend)
+            name: MappingSpec(kind=kind, n_modes=n_modes)
             for name, kind in names.items()
         }
         if arch is not None:
             specs["HATT-arch"] = MappingSpec(
-                kind="hatt-arch",
-                n_modes=n_modes,
-                hatt_backend=hatt_backend,
-                arch=arch,
-                arch_weight=arch_weight,
+                kind="hatt-arch", n_modes=n_modes, arch=arch, arch_weight=arch_weight
             )
         mappings = {
             name: service.get_or_compile(hamiltonian, spec).mapping
@@ -197,22 +183,19 @@ def compare_mappings(
         }
     else:
         mappings = standard_mappings(n_modes)
-        mappings["HATT"] = hatt_mapping(
-            hamiltonian, n_modes=n_modes, backend=hatt_backend
-        )
+        mappings["HATT"] = hatt_mapping(hamiltonian, n_modes=n_modes)
         if arch is not None:
             from ..circuits.architectures import architecture
 
             mappings["HATT-arch"] = hatt_mapping(
                 hamiltonian,
                 n_modes=n_modes,
-                backend=hatt_backend,
                 graph=architecture(arch),
                 arch_weight=arch_weight,
             )
         if include_unopt:
             mappings["HATT-unopt"] = hatt_mapping(
-                hamiltonian, n_modes=n_modes, vacuum=False, backend=hatt_backend
+                hamiltonian, n_modes=n_modes, vacuum=False
             )
     return {
         name: evaluate_mapping(

@@ -22,13 +22,11 @@ Conventions
 * **JSON envelope** — every ``--json`` path emits the same versioned wrapper
   the HTTP API speaks: ``{"schema": "repro/v1", "command": ..., "result":
   ...}`` (see :mod:`repro.serve.schema`).
-* **Engines** — ``--backend`` selects every subsystem's engine in one flag
-  (``vector`` / ``scalar`` shorthand, or ``hatt=...,router=...,sim=...``
-  pairs; see :class:`repro.backends.BackendConfig`).  The historical
-  ``--hatt-backend`` / ``--router-backend`` flags still work as deprecated
-  aliases that override the unified value; they warn once per run with the
-  exact ``--backend`` replacement string and are scheduled for removal in
-  repro 1.1.
+* **Engines** — there is no engine flag: every command runs the fast
+  kernels.  Their bit-identical reference engines are test oracles, reached
+  only through the kernels' own ``backend=`` parameters (the
+  ``--backend`` / ``--hatt-backend`` / ``--router-backend`` flags were
+  removed in repro 1.1).
 * **Cases** — every ``case`` argument is a Hamiltonian source spec resolved
   through the :mod:`repro.sources` registry: built-in generators
   (``hubbard:2x3``, ``neutrino:3x2F``, electronic names), files
@@ -50,9 +48,6 @@ import sys
 import time
 
 from .analysis import compare_mappings, format_table
-from .backends import BackendConfig
-from .circuits.routing import ROUTER_BACKENDS
-from .hatt.construction import BACKENDS as HATT_BACKENDS
 from .mappings.io import save_mapping
 from .serve.schema import envelope
 from .sources import build_case, source_catalog
@@ -69,11 +64,6 @@ from .service.store import NAMESPACES
 __all__ = ["main"]
 
 
-def _load_case(spec: str):
-    """Resolve a case spec (kept for backward import compatibility)."""
-    return build_case(spec)
-
-
 def _emit_json(command: str, result, **extra) -> None:
     """Print one versioned envelope — the only JSON emitter in the CLI."""
     print(json.dumps(envelope(command, result, **extra), indent=2, sort_keys=True))
@@ -82,63 +72,11 @@ def _emit_json(command: str, result, **extra) -> None:
 # ----------------------------------------------------------------------
 # Shared parent parsers (defined once, inherited by every subcommand)
 # ----------------------------------------------------------------------
-_warned_deprecated: set[str] = set()
-
-_ALIAS_FIELD = {"--hatt-backend": "hatt", "--router-backend": "router"}
-
-#: The release that drops the legacy per-subsystem flags (README "Deprecation
-#: schedule" documents the same date); values given this run accumulate so
-#: the warning always shows the exact combined ``--backend`` replacement.
-_ALIAS_REMOVAL = "repro 1.1"
-_alias_seen: dict[str, str] = {}
-
-
-class _DeprecatedBackendAction(argparse.Action):
-    """Store a legacy per-subsystem engine flag, warning once per run.
-
-    The warning names the removal release and prints the literal
-    ``--backend hatt=...,router=...`` string that replaces every legacy
-    flag seen so far, ready to paste.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        field = _ALIAS_FIELD.get(option_string, "?")
-        _alias_seen[field] = values
-        if option_string not in _warned_deprecated:
-            _warned_deprecated.add(option_string)
-            replacement = ",".join(
-                f"{f}={v}" for f, v in sorted(_alias_seen.items())
-            )
-            print(
-                f"repro: warning: {option_string} is deprecated and will be "
-                f"removed in {_ALIAS_REMOVAL}; use --backend {replacement}",
-                file=sys.stderr,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def _json_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true",
                    help="emit a versioned JSON envelope "
                         '({"schema": "repro/v1", ...}) instead of text')
-    return p
-
-
-def _engine_parent(router: bool = False) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--backend", metavar="SPEC", default=None,
-                   help="engine selection for every subsystem: 'vector' (fast "
-                        "kernels, default), 'scalar' (reference kernels), or "
-                        "field=engine pairs like 'hatt=scalar,router=vector' "
-                        "(identical artifacts either way)")
-    p.add_argument("--hatt-backend", choices=HATT_BACKENDS, default=None,
-                   action=_DeprecatedBackendAction,
-                   help="deprecated alias for --backend hatt=ENGINE")
-    if router:
-        p.add_argument("--router-backend", choices=ROUTER_BACKENDS, default=None,
-                       action=_DeprecatedBackendAction,
-                       help="deprecated alias for --backend router=ENGINE")
     return p
 
 
@@ -171,19 +109,6 @@ def _arch_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_backends(args: argparse.Namespace) -> BackendConfig:
-    """Merge ``--backend`` with any deprecated per-subsystem aliases."""
-    base = (
-        BackendConfig.parse(args.backend)
-        if getattr(args, "backend", None)
-        else BackendConfig()
-    )
-    return base.with_overrides(
-        hatt=getattr(args, "hatt_backend", None),
-        router=getattr(args, "router_backend", None),
-    )
-
-
 def _resolve_cache_dir(args: argparse.Namespace, opt_in: bool) -> str | None:
     """The cache root for this invocation, or ``None`` when caching is off."""
     if args.no_cache:
@@ -200,13 +125,12 @@ def _make_service(cache_dir: str | None) -> MappingService | None:
 
 
 def _prewarm(args: argparse.Namespace, cache_dir: str | None,
-             cases: list[str], kinds: list[str], hatt_backend: str,
+             cases: list[str], kinds: list[str],
              arch: str | None = None, arch_weight: float | None = None) -> None:
     """Fan the compiles of an impending serial step across worker processes."""
     if args.jobs > 1 and cache_dir is not None:
         compile_suite(cases, kinds, jobs=args.jobs, cache_dir=cache_dir,
-                      hatt_backend=hatt_backend, evaluate=False,
-                      arch=arch, arch_weight=arch_weight)
+                      evaluate=False, arch=arch, arch_weight=arch_weight)
 
 
 def _check_arch_flags(prog: str, args: argparse.Namespace,
@@ -243,12 +167,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     h = build_case(args.case)
     n = h.n_modes
-    backends = _resolve_backends(args)
     cache_dir = _resolve_cache_dir(args, opt_in=True)
     kinds = list(COMPARE_KINDS.values()) + (["hatt-unopt"] if args.unopt else [])
     if args.arch is not None:
         kinds.append("hatt-arch")
-    _prewarm(args, cache_dir, [args.case], kinds, backends.hatt,
+    _prewarm(args, cache_dir, [args.case], kinds,
              arch=args.arch, arch_weight=args.arch_weight)
     service = _make_service(cache_dir)
     reports = compare_mappings(
@@ -257,7 +180,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         compile_circuit=not args.no_circuit,
         include_unopt=args.unopt,
         service=service,
-        backends=backends,
         arch=args.arch,
         arch_weight=args.arch_weight,
     )
@@ -293,18 +215,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return 2
     h = build_case(args.case)
     n = h.n_modes
-    backends = _resolve_backends(args)
     spec = MappingSpec(
         kind=args.mapping,
         n_modes=n,
-        hatt_backend=backends.hatt,
         arch=args.arch if is_arch else None,
         arch_weight=args.arch_weight if is_arch else None,
     )
     cache_dir = _resolve_cache_dir(args, opt_in=True)
     # One task, so --jobs adds no parallelism here, but routing it through
     # the orchestrator keeps the flag honest (and warms the shared cache).
-    _prewarm(args, cache_dir, [args.case], [args.mapping], backends.hatt,
+    _prewarm(args, cache_dir, [args.case], [args.mapping],
              arch=args.arch, arch_weight=args.arch_weight)
     service = _make_service(cache_dir)
     fingerprint = source = None
@@ -377,13 +297,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
               "--mappings includes hatt-arch", file=sys.stderr)
         return 2
     h = build_case(args.case)
-    backends = _resolve_backends(args)
     cache_dir = _resolve_cache_dir(args, opt_in=True)
     # hatt-arch mappings are per-architecture; the mapping prewarm can only
     # target one graph, so it covers that kind only on single-arch runs
     # (the sweep itself fills the cache for the rest).
     prewarm_kinds = [k for k in kinds if k != "hatt-arch" or len(archs) == 1]
-    _prewarm(args, cache_dir, [args.case], prewarm_kinds, backends.hatt,
+    _prewarm(args, cache_dir, [args.case], prewarm_kinds,
              arch=archs[0] if len(archs) == 1 else None,
              arch_weight=args.arch_weight)
     service = _make_service(cache_dir)
@@ -393,7 +312,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     pipeline = CompilationPipeline(
         service=service,
         options=CompileOptions(**opt_kwargs),
-        backends=backends,
         arch_weight=args.arch_weight,
     )
     from .obs.trace import TraceContext, activate
@@ -443,7 +361,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    backends = _resolve_backends(args)
     cache_dir = _resolve_cache_dir(args, opt_in=False)
     progress = None
     if not args.json:
@@ -457,7 +374,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=cache_dir,
         use_cache=cache_dir is not None,
-        hatt_backend=backends.hatt,
         evaluate=not args.no_eval,
         progress=progress,
         arch=args.arch,
@@ -674,15 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     json_parent = _json_parent()
-    engine_parent = _engine_parent()
-    engine_router_parent = _engine_parent(router=True)
     cache_opt_in = _cache_parent(opt_in=True)
     cache_default = _cache_parent(opt_in=False)
     arch_parent = _arch_parent()
 
     p_compare = sub.add_parser(
         "compare", help="evaluate all mappings on a case",
-        parents=[json_parent, engine_parent, cache_opt_in, arch_parent],
+        parents=[json_parent, cache_opt_in, arch_parent],
     )
     p_compare.add_argument("case", help="e.g. H2_sto3g, hubbard:2x3, neutrino:3x2F")
     p_compare.add_argument("--no-circuit", action="store_true",
@@ -693,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser(
         "map", help="compile one mapping",
-        parents=[json_parent, engine_parent, cache_opt_in, arch_parent],
+        parents=[json_parent, cache_opt_in, arch_parent],
     )
     p_map.add_argument("case")
     p_map.add_argument("--mapping", choices=sorted(MAPPING_KINDS),
@@ -705,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser(
         "compile",
         help="route a Trotter step onto hardware architectures (Table IV)",
-        parents=[json_parent, engine_router_parent, cache_opt_in],
+        parents=[json_parent, cache_opt_in],
     )
     p_compile.add_argument("case", help="e.g. H2_sto3g, hubbard:2x3")
     p_compile.add_argument("--arch", default="all", metavar="NAME",
@@ -728,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch",
         help="compile a suite of cases × mappings through the service",
-        parents=[json_parent, engine_parent, cache_default, arch_parent],
+        parents=[json_parent, cache_default, arch_parent],
     )
     p_batch.add_argument("cases", nargs="+",
                          help="case specs (see `repro cases`)")

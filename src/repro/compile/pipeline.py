@@ -14,9 +14,9 @@ full sweeps fast:
   ``circuits/`` namespace, keyed by mapping fingerprint × architecture ×
   compile options — a repeated sweep never re-routes.
 
-The router backend is deliberately **excluded** from the cache key: the
-vector and scalar engines are bit-identical (enforced by the property suite
-and the Table IV bench), so they must hit the same artifact.
+Routing always runs the router's default (vector) engine; its bit-identical
+scalar reference is a test oracle (``test_routing.py``, the Table IV bench),
+not a pipeline option.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from ..analysis.tables import format_table
-from ..backends import BackendConfig
 from ..circuits import architecture, route_circuit, to_cx_u3, trotter_circuit
 from ..circuits.evolution import TERM_ORDERS
-from ..circuits.routing import DEFAULT_LOOKAHEAD, ROUTER_BACKENDS
+from ..circuits.routing import DEFAULT_LOOKAHEAD
 from ..fermion import FermionOperator, MajoranaOperator
 from ..obs.trace import StageTimings, current_trace_id
 from ..service import (
@@ -62,31 +61,23 @@ CIRCUIT_SCHEMA = 1
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Synthesis + routing configuration (cache-key material except for the
-    router backend, which selects between bit-identical engines)."""
+    """Synthesis + routing configuration (every field is cache-key material)."""
 
     term_order: str = "mutual"
     lookahead: int = DEFAULT_LOOKAHEAD
     trotter_time: float = 1.0
     trotter_steps: int = 1
     suzuki_order: int = 1
-    router_backend: str = "vector"
 
     def __post_init__(self):
         if self.term_order not in TERM_ORDERS:
             raise ValueError(
                 f"unknown term order {self.term_order!r}; expected one of {TERM_ORDERS}"
             )
-        if self.router_backend not in ROUTER_BACKENDS:
-            raise ValueError(
-                f"unknown router backend {self.router_backend!r}; "
-                f"expected one of {ROUTER_BACKENDS}"
-            )
 
     def cache_payload(self) -> dict:
-        """The fingerprint-relevant half of the options."""
+        """The options as fingerprint payload."""
         payload = asdict(self)
-        payload.pop("router_backend")  # bit-identical engines share artifacts
         payload["trotter_time"] = repr(self.trotter_time)
         return payload
 
@@ -240,14 +231,6 @@ class CompilationPipeline:
         fresh, keep nothing.
     options:
         Synthesis/routing configuration shared by every compile.
-    hatt_backend:
-        HATT construction engine (identical output; forwarded to the
-        mapping compile).
-    backends:
-        Unified engine selection (:class:`repro.backends.BackendConfig`);
-        when given it wins over ``hatt_backend`` and over the options'
-        ``router_backend`` — artifacts are identical either way, only
-        compile/route wall time differs.
     arch_weight:
         Distance-penalty blend forwarded to any ``hatt-arch`` compile; the
         target architecture itself comes from ``compile_one``'s ``arch``
@@ -258,17 +241,11 @@ class CompilationPipeline:
         self,
         service=None,
         options: CompileOptions | None = None,
-        hatt_backend: str = "vector",
-        backends: BackendConfig | None = None,
         arch_weight: float | None = None,
     ):
         self.service = service
         self.options = options if options is not None else CompileOptions()
-        self.hatt_backend = hatt_backend
         self.arch_weight = arch_weight
-        if backends is not None:
-            self.hatt_backend = backends.hatt
-            self.options = replace(self.options, router_backend=backends.router)
         self._graphs: dict[str, object] = {}
         self.stats = {"routed": 0, "circuit_hits": 0}
         #: Cumulative per-stage wall time across every compile this pipeline
@@ -310,7 +287,6 @@ class CompilationPipeline:
         spec = MappingSpec(
             kind=kind,
             n_modes=n_modes if n_modes is not None else hamiltonian.n_modes,
-            hatt_backend=self.hatt_backend,
             arch=arch if kind == "hatt-arch" else None,
             arch_weight=self.arch_weight if kind == "hatt-arch" else None,
         )
@@ -349,9 +325,7 @@ class CompilationPipeline:
             )
         graph = self.graph(arch)
         with self.timings.time("routing"):
-            routed = route_circuit(
-                logical, graph, lookahead=opts.lookahead, backend=opts.router_backend
-            )
+            routed = route_circuit(logical, graph, lookahead=opts.lookahead)
             final = to_cx_u3(routed.circuit)
         metrics = RoutedMetrics(
             kind=kind,
@@ -437,7 +411,6 @@ class CompilationPipeline:
         clone = CompilationPipeline(
             service=self.service,
             options=replace(self.options, **overrides),
-            hatt_backend=self.hatt_backend,
             arch_weight=self.arch_weight,
         )
         clone._graphs = self._graphs

@@ -140,9 +140,8 @@ def map_fermion_operator(
     op: FermionOperator,
     strings: "list[PauliString] | PauliTable",
     n_qubits: int,
-    backend: str = "table",
 ) -> QubitOperator:
     """Convenience wrapper: expand to Majoranas (paper Eq. 2) then map."""
     return map_majorana_operator(
-        MajoranaOperator.from_fermion_operator(op), strings, n_qubits, backend=backend
+        MajoranaOperator.from_fermion_operator(op), strings, n_qubits
     )

@@ -9,35 +9,4 @@ __all__ = [
     "lattice_edges",
     "collective_neutrino",
     "neutrino_case",
-    "load_case",
 ]
-
-
-_load_case_warned = False
-
-
-def load_case(spec: str):
-    """Deprecated: use :func:`repro.sources.build_case`.
-
-    The historical entry point for the shared spec grammar; it now
-    delegates to the :mod:`repro.sources` registry, so every spec string
-    it ever accepted (``hubbard:<AxB>``, ``neutrino:<NxFF>``, bare
-    electronic names) still resolves to the identical Hamiltonian — plus
-    every newer registered form (``npz:``, ``fcidump:``, ``random:``).
-    Emits a one-time :class:`DeprecationWarning`; scheduled for removal
-    in repro 1.1.
-    """
-    global _load_case_warned
-    if not _load_case_warned:
-        _load_case_warned = True
-        import warnings
-
-        warnings.warn(
-            "repro.models.load_case is deprecated and will be removed in "
-            "repro 1.1; use repro.sources.build_case(spec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    from ..sources import build_case
-
-    return build_case(spec)

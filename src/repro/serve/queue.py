@@ -6,7 +6,7 @@ follower still blocks a thread for the whole compile.  :class:`JobQueue`
 generalizes that into request-level coalescing for a served system:
 
 * every submission is keyed by :meth:`CompileRequest.coalesce_key`
-  (engine hints excluded);
+  (the deadline excluded);
 * the first submission of a key creates a :class:`~repro.serve.schema
   .JobRecord` and dispatches exactly one executor task;
 * any submission arriving while that job is still pending/running is
@@ -265,7 +265,6 @@ def _run_request_traced(request: CompileRequest, service: MappingService) -> dic
     pipeline = CompilationPipeline(
         service=service,
         options=request.options(),
-        hatt_backend=request.hatt_backend,
         arch_weight=request.arch_weight,
     )
     metrics = pipeline.compile_one(h, request.kind, request.arch)

@@ -11,10 +11,10 @@ Three layers:
 * :class:`CompileRequest` — a validated, immutable job description
   (``"map"`` → compile one fermion-to-qubit mapping; ``"compile"`` → route a
   Trotter step onto one architecture).  Its :meth:`~CompileRequest
-  .coalesce_key` is the cross-client request-coalescing key: engine hints
-  (``hatt_backend`` / ``router_backend``) are *excluded*, the same exclusion
-  the cache fingerprints make, so clients asking for the same physics on
-  different engines still share one compile.
+  .coalesce_key` is the cross-client request-coalescing key: every field
+  that names the work, so clients asking for the same physics share one
+  compile.  Requests carry no engine choice — the service always runs the
+  fast kernels, whose bit-identical references are test oracles.
 * :class:`JobRecord` — the lifecycle of one submitted job
   (:class:`JobStatus` state machine, timestamps, result payload).
 * :func:`envelope` — the versioned JSON response wrapper
@@ -32,9 +32,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from ..circuits.evolution import TERM_ORDERS
-from ..circuits.routing import ROUTER_BACKENDS
 from ..compile.pipeline import ARCHITECTURES, CompileOptions
-from ..hatt.construction import BACKENDS as HATT_BACKENDS
 from ..service import MAPPING_KINDS, MappingSpec
 
 __all__ = [
@@ -91,9 +89,6 @@ class JobError(RuntimeError):
 class CompileRequest:
     """One validated compilation job, identical across every entry point.
 
-    ``hatt_backend`` / ``router_backend`` are engine *hints*: they select
-    between bit-identical kernels, so they are excluded from
-    :meth:`coalesce_key` (and from the underlying cache fingerprints).
     ``term_order``/``lookahead`` only apply to ``job="compile"``.  ``arch``
     names the routing target for ``compile`` jobs and — for
     ``kind="hatt-arch"`` only — the coupling graph the tree is grown
@@ -102,10 +97,10 @@ class CompileRequest:
     blend and is rejected for every other kind.
 
     ``deadline`` is a per-attempt execution budget in seconds enforced by
-    the queue (it overrides the server's ``--job-timeout`` default).  Like
-    the engine hints it is *excluded* from :meth:`coalesce_key` — it shapes
-    how the work runs, not what the work is — so when identical requests
-    coalesce, the first submitter's deadline governs the shared job.
+    the queue (it overrides the server's ``--job-timeout`` default).  It is
+    the one field *excluded* from :meth:`coalesce_key` — it shapes how the
+    work runs, not what the work is — so when identical requests coalesce,
+    the first submitter's deadline governs the shared job.
     """
 
     case: str
@@ -116,13 +111,6 @@ class CompileRequest:
     term_order: str = "mutual"
     lookahead: int | None = None
     deadline: float | None = None
-    hatt_backend: str = "vector"
-    router_backend: str = "vector"
-
-    #: Fields that identify the *work* (everything but the engine hints).
-    _KEY_FIELDS = (
-        "job", "case", "kind", "arch", "arch_weight", "term_order", "lookahead"
-    )
 
     def __post_init__(self):
         if not self.case or not isinstance(self.case, str):
@@ -132,16 +120,6 @@ class CompileRequest:
         if self.kind not in MAPPING_KINDS:
             raise ValueError(
                 f"unknown mapping kind {self.kind!r}; expected one of {MAPPING_KINDS}"
-            )
-        if self.hatt_backend not in HATT_BACKENDS:
-            raise ValueError(
-                f"unknown hatt backend {self.hatt_backend!r}; "
-                f"expected one of {HATT_BACKENDS}"
-            )
-        if self.router_backend not in ROUTER_BACKENDS:
-            raise ValueError(
-                f"unknown router backend {self.router_backend!r}; "
-                f"expected one of {ROUTER_BACKENDS}"
             )
         if self.term_order not in TERM_ORDERS:
             raise ValueError(
@@ -188,19 +166,13 @@ class CompileRequest:
         """The mapping-compile half of the request."""
         if self.kind == "hatt-arch":
             return MappingSpec(
-                kind=self.kind,
-                hatt_backend=self.hatt_backend,
-                arch=self.arch,
-                arch_weight=self.arch_weight,
+                kind=self.kind, arch=self.arch, arch_weight=self.arch_weight
             )
-        return MappingSpec(kind=self.kind, hatt_backend=self.hatt_backend)
+        return MappingSpec(kind=self.kind)
 
     def options(self) -> CompileOptions:
         """The synthesis/routing half (``job="compile"`` only)."""
-        kwargs: dict = {
-            "term_order": self.term_order,
-            "router_backend": self.router_backend,
-        }
+        kwargs: dict = {"term_order": self.term_order}
         if self.lookahead is not None:
             kwargs["lookahead"] = self.lookahead
         return CompileOptions(**kwargs)
@@ -209,7 +181,7 @@ class CompileRequest:
     # Wire form
     # ------------------------------------------------------------------
     def coalesce_key(self) -> str:
-        """Cross-client coalescing key: the work, minus the engine hints.
+        """Cross-client coalescing key: the work, minus the deadline.
 
         The case spec is canonicalized through the source registry (best
         effort — an unresolvable case keeps its raw string and fails at
@@ -219,12 +191,13 @@ class CompileRequest:
         """
         from ..sources import canonical_spec
 
-        values = {name: getattr(self, name) for name in self._KEY_FIELDS}
+        values = self.to_dict()
+        del values["deadline"]
         try:
             values["case"] = canonical_spec(self.case)
         except ValueError:
             pass
-        return "|".join(f"{name}={values[name]!r}" for name in self._KEY_FIELDS)
+        return "|".join(f"{name}={value!r}" for name, value in values.items())
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

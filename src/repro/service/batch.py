@@ -195,15 +195,11 @@ def expand_tasks(
     return out
 
 
-def _spec_for(
-    kind: str, hatt_backend: str, arch: str | None, arch_weight: float | None
-) -> MappingSpec:
+def _spec_for(kind: str, arch: str | None, arch_weight: float | None) -> MappingSpec:
     """Per-kind spec builder: arch config attaches only to ``hatt-arch``."""
     if kind == "hatt-arch":
-        return MappingSpec(
-            kind=kind, hatt_backend=hatt_backend, arch=arch, arch_weight=arch_weight
-        )
-    return MappingSpec(kind=kind, hatt_backend=hatt_backend)
+        return MappingSpec(kind=kind, arch=arch, arch_weight=arch_weight)
+    return MappingSpec(kind=kind)
 
 
 # ----------------------------------------------------------------------
@@ -227,13 +223,13 @@ def _compile_worker(
     path, so the cross-check against the service's in-memory fingerprint
     is a live bit-identity assertion between the two canonicalizations.
     """
-    (payload, kind, hatt_backend, arch, arch_weight, cache_dir, use_disk,
-     expected_fp, evaluate) = args
+    (payload, kind, arch, arch_weight, cache_dir, use_disk, expected_fp,
+     evaluate) = args
     trace_ctx = TraceContext()
     try:
         mode, value = payload
         h = value if mode == "op" else resolve_source(value).build()
-        spec = _spec_for(kind, hatt_backend, arch, arch_weight)
+        spec = _spec_for(kind, arch, arch_weight)
         service = MappingService(cache_dir=cache_dir, use_disk=use_disk)
         with activate(trace_ctx):
             result = service.get_or_compile(h, spec)
@@ -269,7 +265,6 @@ def _compile_worker(
 # ----------------------------------------------------------------------
 def _plan(
     tasks: Iterable[BatchTask],
-    hatt_backend: str,
     arch: str | None = None,
     arch_weight: float | None = None,
 ) -> tuple[
@@ -306,7 +301,7 @@ def _plan(
             )
             continue
         try:
-            spec = _spec_for(task.kind, hatt_backend, arch, arch_weight)
+            spec = _spec_for(task.kind, arch, arch_weight)
             if src.file_backed:
                 resolved = replace(spec, n_modes=src.n_modes)
                 terms = None
@@ -362,7 +357,6 @@ def iter_compile_suite(
     jobs: int = 1,
     cache_dir: str | None = None,
     use_cache: bool = True,
-    hatt_backend: str = "vector",
     arch: str | None = None,
     arch_weight: float | None = None,
     evaluate: bool = True,
@@ -378,7 +372,7 @@ def iter_compile_suite(
     compile — worker spans included.
     """
     tasks = expand_tasks(cases, kinds)
-    srcs, hams, by_fp, errors = _plan(tasks, hatt_backend, arch, arch_weight)
+    srcs, hams, by_fp, errors = _plan(tasks, arch, arch_weight)
     yield from errors
 
     def ham_for(case: str) -> FermionOperator:
@@ -391,7 +385,7 @@ def iter_compile_suite(
     if jobs <= 1 or len(by_fp) <= 1:
         service = MappingService(cache_dir=cache_dir, use_disk=use_cache)
         for fp, fp_tasks in by_fp.items():
-            spec = _spec_for(fp_tasks[0].kind, hatt_backend, arch, arch_weight)
+            spec = _spec_for(fp_tasks[0].kind, arch, arch_weight)
             trace_ctx = TraceContext()
             try:
                 h = ham_for(fp_tasks[0].case)
@@ -430,8 +424,8 @@ def iter_compile_suite(
         futures = {
             pool.submit(
                 _compile_worker,
-                (worker_payload(fp_tasks[0].case), fp_tasks[0].kind, hatt_backend,
-                 arch, arch_weight, cache_dir, use_cache, fp, evaluate),
+                (worker_payload(fp_tasks[0].case), fp_tasks[0].kind, arch,
+                 arch_weight, cache_dir, use_cache, fp, evaluate),
             ): fp
             for fp, fp_tasks in by_fp.items()
         }
@@ -468,7 +462,6 @@ def compile_suite(
     jobs: int = 1,
     cache_dir: str | None = None,
     use_cache: bool = True,
-    hatt_backend: str = "vector",
     arch: str | None = None,
     arch_weight: float | None = None,
     evaluate: bool = True,
@@ -487,7 +480,6 @@ def compile_suite(
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        hatt_backend=hatt_backend,
         arch=arch,
         arch_weight=arch_weight,
         evaluate=evaluate,

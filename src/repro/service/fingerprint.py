@@ -14,9 +14,9 @@ those invariances:
   ``tol`` (default ``1e-12``, the algebra's own coefficient tolerance) and
   terms whose real and imaginary parts both snap to zero are dropped, so
   accumulation dust cannot fork the key;
-* **backend-independent** — the HATT ``backend``/``cached`` engine switches
-  are excluded from the config payload (both engines produce bit-identical
-  trees; the property suite enforces this);
+* **engine-free** — a spec names no construction engine: the kernel's
+  reference engines produce bit-identical trees (the property suite
+  enforces this), so they are test oracles, never cache-key material;
 * **process-stable** — the digest is SHA-256 over a canonical JSON document,
   never Python's salted ``hash()``, so keys agree across interpreter runs
   and machines.
@@ -87,18 +87,14 @@ MAPPING_KINDS = ("jw", "bk", "btt", "parity", "hatt", "hatt-unopt", "hatt-arch")
 class MappingSpec:
     """A compile request's configuration half (the Hamiltonian is the other).
 
-    ``kind``/``n_modes`` are cache-key material — plus ``arch`` and the
-    quantized ``arch_weight`` for the architecture-adaptive ``hatt-arch``
-    kind; ``hatt_backend`` and ``cached`` select equivalent construction
-    engines and are deliberately *not* (see module docstring).
-    ``n_modes=None`` means "infer from the Hamiltonian" — call
-    :meth:`resolve` before fingerprinting or compiling.
+    Every field is cache-key material: ``kind``/``n_modes``, plus ``arch``
+    and the quantized ``arch_weight`` for the architecture-adaptive
+    ``hatt-arch`` kind.  ``n_modes=None`` means "infer from the
+    Hamiltonian" — call :meth:`resolve` before fingerprinting or compiling.
     """
 
     kind: str
     n_modes: int | None = None
-    hatt_backend: str = "vector"
-    cached: bool = True
     arch: str | None = None
     arch_weight: float | None = None
 

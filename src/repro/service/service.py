@@ -61,25 +61,18 @@ def compile_mapping(
         return balanced_ternary_tree(n)
     if spec.kind == "parity":
         return parity_mapping(n)
+    # hatt / hatt-unopt / hatt-arch
+    graph = None
     if spec.kind == "hatt-arch":
         from ..circuits.architectures import architecture
 
-        return hatt_mapping(
-            hamiltonian,
-            n_modes=n,
-            vacuum=True,
-            cached=spec.cached,
-            backend=spec.hatt_backend,
-            graph=architecture(spec.arch),
-            arch_weight=spec.arch_weight,
-        )
-    # hatt / hatt-unopt
+        graph = architecture(spec.arch)
     return hatt_mapping(
         hamiltonian,
         n_modes=n,
         vacuum=spec.vacuum,
-        cached=spec.cached,
-        backend=spec.hatt_backend,
+        graph=graph,
+        arch_weight=spec.arch_weight,
     )
 
 

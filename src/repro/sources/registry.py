@@ -2,8 +2,7 @@
 
 A spec is ``<prefix>:<rest>`` (``hubbard:2x3``, ``fcidump:path.fcid``,
 ``random:syk:n=24,seed=7``) or a bare electronic case name
-(``H2_sto3g``), kept as a back-compat alias for the original
-``models.load_case`` grammar.  Third parties extend the grammar with
+(``H2_sto3g``), an alias for ``electronic:<name>``.  Third parties extend the grammar with
 :func:`register_source` — see ``examples/custom_source.py``.
 """
 
@@ -132,7 +131,7 @@ def canonical_spec(spec: str) -> str:
 
 
 def build_case(spec: str) -> FermionOperator:
-    """Resolve ``spec`` and build its operator (the ``load_case`` successor)."""
+    """Resolve ``spec`` and build its operator."""
     return resolve(spec).build()
 
 

@@ -246,6 +246,10 @@ class TestParser:
         ["map", "hubbard:1x2", "--mapping", "bogus"],
         ["cache", "bogus"],
         ["cache", "stats", "--namespace", "bogus"],
+        # Engine flags were removed in 1.1.
+        ["map", "hubbard:1x2", "--backend", "scalar"],
+        ["map", "hubbard:1x2", "--hatt-backend", "scalar"],
+        ["compile", "H2_sto3g", "--router-backend", "scalar"],
     ])
     def test_invalid_choices_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -259,36 +263,6 @@ class TestParser:
     ])
     def test_every_json_path_emits_the_envelope(self, command, argv, capsys):
         run_json(capsys, argv, command=command)
-
-    def test_deprecated_backend_alias_warns_once(self, capsys):
-        import repro.cli as cli
-
-        cli._warned_deprecated.clear()
-        assert main(["map", "hubbard:1x2", "--hatt-backend", "scalar"]) == 0
-        assert "--hatt-backend is deprecated" in capsys.readouterr().err
-        assert main(["map", "hubbard:1x2", "--hatt-backend", "scalar"]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-
-    def test_deprecated_alias_warning_gives_exact_replacement(self, capsys):
-        import repro.cli as cli
-
-        cli._warned_deprecated.clear()
-        cli._alias_seen.clear()
-        assert main(["map", "hubbard:1x2", "--hatt-backend", "scalar"]) == 0
-        err = capsys.readouterr().err
-        assert "removed in repro 1.1" in err
-        assert "use --backend hatt=scalar" in err
-
-    def test_unified_backend_flag_matches_default(self, capsys):
-        fast = run_json(capsys, ["map", "hubbard:2x2", "--json"])
-        slow = run_json(capsys, ["map", "hubbard:2x2", "--json",
-                                 "--backend", "scalar"])
-        assert fast["pauli_weight"] == slow["pauli_weight"]
-        assert fast["n_qubits"] == slow["n_qubits"]
-
-    def test_bad_backend_spec_rejected(self, capsys):
-        with pytest.raises(ValueError):
-            main(["map", "hubbard:1x2", "--backend", "bogus"])
 
 
 class TestCompile:
@@ -336,13 +310,6 @@ class TestCompile:
 
     def test_bad_mappings_rejected(self, capsys):
         assert main(["compile", "H2_sto3g", "--mappings", "qiskit"]) == 2
-
-    def test_scalar_router_matches_vector(self, capsys):
-        base = ["compile", "H2_sto3g", "--arch", "montreal", "--json",
-                "--mappings", "jw"]
-        vec = run_json(capsys, base + ["--router-backend", "vector"])
-        sca = run_json(capsys, base + ["--router-backend", "scalar"])
-        assert vec["metrics"] == sca["metrics"]
 
     def test_lexicographic_order_flag(self, capsys):
         mut = run_json(capsys, ["compile", "LiH_sto3g_frz", "--arch",

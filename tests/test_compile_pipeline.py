@@ -10,35 +10,23 @@ from repro.compile import (
     RoutedMetrics,
     circuit_fingerprint,
 )
-from repro.models import load_case
 from repro.service import MappingService
+from repro.sources import build_case
 
 
 @pytest.fixture(scope="module")
 def h2():
-    return load_case("H2_sto3g")
+    return build_case("H2_sto3g")
 
 
 class TestCompileOptions:
     def test_defaults(self):
         opts = CompileOptions()
         assert opts.term_order == "mutual"
-        assert opts.router_backend == "vector"
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             CompileOptions(term_order="alphabetical")
-
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError):
-            CompileOptions(router_backend="gpu")
-
-    def test_router_backend_not_cache_material(self):
-        vec = CompileOptions(router_backend="vector")
-        sca = CompileOptions(router_backend="scalar")
-        assert circuit_fingerprint("ef" * 32, "ab" * 32, "montreal", vec) == (
-            circuit_fingerprint("ef" * 32, "ab" * 32, "montreal", sca)
-        )
 
     def test_options_fork_fingerprint(self):
         base = CompileOptions()
@@ -72,13 +60,6 @@ class TestCompileOne:
         m = CompilationPipeline().compile_one(h2, "jw", "ionq_forte")
         assert m.routed_swaps == 0
         assert m.routed_cx == m.logical_cx
-
-    def test_router_backends_agree(self, h2):
-        vec = CompilationPipeline(options=CompileOptions(router_backend="vector"))
-        sca = CompilationPipeline(options=CompileOptions(router_backend="scalar"))
-        mv = vec.compile_one(h2, "jw", "sycamore")
-        ms = sca.compile_one(h2, "jw", "sycamore")
-        assert mv.to_dict() == ms.to_dict()
 
     def test_graph_shared_across_pipeline(self, h2):
         pipeline = CompilationPipeline()
@@ -129,17 +110,6 @@ class TestCircuitCache:
         assert fresh.stats["routed"] == 0
         assert warm.artifact() == cold.artifact()
 
-    def test_scalar_backend_hits_vector_artifact(self, h2, tmp_path):
-        service = MappingService(cache_dir=str(tmp_path))
-        CompilationPipeline(
-            service=service, options=CompileOptions(router_backend="vector")
-        ).compile_one(h2, "jw", "montreal")
-        sca = CompilationPipeline(
-            service=service, options=CompileOptions(router_backend="scalar")
-        )
-        m = sca.compile_one(h2, "jw", "montreal")
-        assert m.source == "cache" and sca.stats["routed"] == 0
-
     def test_option_change_misses(self, h2, tmp_path):
         service = MappingService(cache_dir=str(tmp_path))
         CompilationPipeline(service=service).compile_one(h2, "jw", "montreal")
@@ -175,7 +145,7 @@ class TestCircuitCache:
         service = MappingService(cache_dir=str(tmp_path))
         pipeline = CompilationPipeline(service=service)
         m_h2 = pipeline.compile_one(h2, "jw", "montreal")
-        other = load_case("hubbard:1x2")  # also 4 modes
+        other = build_case("hubbard:1x2")  # also 4 modes
         m_hub = pipeline.compile_one(other, "jw", "montreal")
         assert m_hub.source == "computed"
         assert m_hub.fingerprint != m_h2.fingerprint

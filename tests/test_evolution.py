@@ -294,11 +294,11 @@ class TestMutualSupportOrdering:
 
     def test_mutual_never_worse_on_benchmarks(self):
         from repro.mappings import bravyi_kitaev, jordan_wigner
-        from repro.models import load_case
+        from repro.sources import build_case
 
         strict_win = False
         for case in ("H2_sto3g", "hubbard:1x2", "hubbard:2x2"):
-            ham = load_case(case)
+            ham = build_case(case)
             for mapping in (jordan_wigner(ham.n_modes), bravyi_kitaev(ham.n_modes)):
                 hq = mapping.map(ham)
                 lex = to_cx_u3(trotter_circuit(hq)).cx_count

@@ -164,3 +164,14 @@ class TestCrossMappingInvariants:
             hq = mapping.map(h)
             values.append(hq.expectation_basis_state(0).real)
         assert max(values) - min(values) < 1e-9
+
+
+def test_package_version_matches_pyproject():
+    import tomllib
+    from pathlib import Path
+
+    import repro
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == repro.__version__

@@ -399,13 +399,13 @@ class TestLogging:
         try:
             set_slow_compile_threshold(0.0)  # every compile is "slow"
             service = MappingService(cache_dir=tmp_path / "cache")
-            from repro.models import load_case
             from repro.service import MappingSpec
+            from repro.sources import build_case
 
             ctx = TraceContext("f00dd00d")
             with activate(ctx):
                 service.get_or_compile(
-                    load_case("hubbard:1x2"), MappingSpec(kind="jw"))
+                    build_case("hubbard:1x2"), MappingSpec(kind="jw"))
         finally:
             set_slow_compile_threshold(None)
             logger.removeHandler(handler)

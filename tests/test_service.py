@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermion import FermionOperator, MajoranaOperator
-from repro.models import load_case
 from repro.service import (
     ArtifactStore,
     MappingService,
@@ -25,6 +24,7 @@ from repro.service import (
     fingerprint_request,
     iter_compile_suite,
 )
+from repro.sources import build_case
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -91,7 +91,7 @@ class TestFingerprint:
         assert fingerprint_operator(a) != fingerprint_operator(b)
 
     def test_kind_and_modes_fork(self):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         fps = {
             fingerprint_request(h, MappingSpec(kind=k)) for k in ("hatt", "jw", "bk")
         }
@@ -100,20 +100,41 @@ class TestFingerprint:
             fingerprint_request(h, MappingSpec(kind="jw", n_modes=6))
 
     def test_vacuum_flag_forks(self):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         assert fingerprint_request(h, MappingSpec(kind="hatt")) != \
             fingerprint_request(h, MappingSpec(kind="hatt-unopt"))
 
-    def test_backend_and_cached_do_not_fork(self):
-        h = load_case("hubbard:1x2")
-        base = fingerprint_request(h, MappingSpec(kind="hatt"))
-        for backend in ("vector", "scalar"):
-            for cached in (True, False):
-                spec = MappingSpec(kind="hatt", hatt_backend=backend, cached=cached)
-                assert fingerprint_request(h, spec) == base
+    def test_golden_digests_pin_existing_caches(self):
+        """Digests recorded before the engine fields left ``MappingSpec`` and
+        ``CompileOptions``: stored ``mappings/`` and ``circuits/`` artifacts
+        must stay reachable."""
+        from repro.compile import CompileOptions, circuit_fingerprint
+
+        h = build_case("H2_sto3g")
+        mapping_fps = {
+            kind: fingerprint_request(h, MappingSpec(kind).resolve(h))
+            for kind in ("hatt", "jw")
+        }
+        assert mapping_fps == {
+            "hatt": "af8d001dbe56362a096ed26cafab3c4ee67b7c743539452a2dbd8ee1d05eaa39",
+            "jw": "34e470cc20895494bae3a5d233ddaf3237f3296c984f57cf2131d5b587b4048f",
+        }
+        arch_spec = MappingSpec("hatt-arch", arch="sycamore").resolve(h)
+        assert fingerprint_request(h, arch_spec) == (
+            "7581e46b5a2287c20bb34faa7dfa862ea080b1ba068ec39dd36b3e5df80a1c0b"
+        )
+        op_fp = fingerprint_operator(h)
+        circuit_fps = {
+            kind: circuit_fingerprint(op_fp, fp, "sycamore", CompileOptions())
+            for kind, fp in mapping_fps.items()
+        }
+        assert circuit_fps == {
+            "hatt": "3e6c0bec69a74d673c001d92c9f7e2ce491ada1ae40b98c6eab79d22f74df346",
+            "jw": "8c499b08dbfc6b5bb523e751a75fef1ab28600bd2174caab1b8e580be8757226",
+        }
 
     def test_static_kinds_ignore_hamiltonian(self):
-        a, b = load_case("hubbard:1x2"), load_case("H2_sto3g")
+        a, b = build_case("hubbard:1x2"), build_case("H2_sto3g")
         assert a.n_modes == b.n_modes == 4
         spec = MappingSpec(kind="jw")
         assert fingerprint_request(a, spec) == fingerprint_request(b, spec)
@@ -121,16 +142,16 @@ class TestFingerprint:
             fingerprint_request(b, MappingSpec(kind="hatt"))
 
     def test_majorana_form_supported(self):
-        h = MajoranaOperator.from_fermion_operator(load_case("hubbard:1x2"))
+        h = MajoranaOperator.from_fermion_operator(build_case("hubbard:1x2"))
         fp = fingerprint_request(h, MappingSpec(kind="hatt"))
         assert len(fp) == 64 and fp == fingerprint_request(h, MappingSpec(kind="hatt"))
 
     def test_stable_across_processes(self):
         """SHA-256 over canonical JSON — immune to interpreter hash salting."""
         code = (
-            "from repro.models import load_case\n"
+            "from repro.sources import build_case\n"
             "from repro.service import MappingSpec, fingerprint_request\n"
-            "print(fingerprint_request(load_case('hubbard:2x2'), "
+            "print(fingerprint_request(build_case('hubbard:2x2'), "
             "MappingSpec(kind='hatt')))\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="12345")
@@ -139,7 +160,7 @@ class TestFingerprint:
             env=env, check=True,
         ).stdout.strip()
         expected = fingerprint_request(
-            load_case("hubbard:2x2"), MappingSpec(kind="hatt")
+            build_case("hubbard:2x2"), MappingSpec(kind="hatt")
         )
         assert out == expected
 
@@ -149,7 +170,7 @@ class TestFingerprint:
 
     def test_memo_invalidated_on_mutation(self):
         """The per-operator canonical-form memo must never serve stale keys."""
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         spec = MappingSpec(kind="hatt")
         fp1 = fingerprint_request(h, spec)
         assert fingerprint_request(h, spec) == fp1  # memoized path
@@ -160,14 +181,14 @@ class TestFingerprint:
         assert fingerprint_request(h, spec) == fp1
 
     def test_memo_respects_tolerance(self):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         a = fingerprint_operator(h, tol=1e-12)
         b = fingerprint_operator(h, tol=1e-6)
         assert a != b  # tol is part of the payload, memo keyed on it
         assert fingerprint_operator(h, tol=1e-12) == a
 
     def test_majorana_memo_invalidated_on_mutation(self):
-        m = MajoranaOperator.from_fermion_operator(load_case("hubbard:1x2"))
+        m = MajoranaOperator.from_fermion_operator(build_case("hubbard:1x2"))
         fp1 = fingerprint_operator(m)
         m.add_term((0, 1), 0.5)
         assert fingerprint_operator(m) != fp1
@@ -175,7 +196,7 @@ class TestFingerprint:
 
 class TestArtifactStore:
     def test_roundtrip_bit_identical(self, tmp_path):
-        h = load_case("hubbard:2x2")
+        h = build_case("hubbard:2x2")
         mapping = compile_mapping(h, MappingSpec(kind="hatt").resolve(h))
         store = ArtifactStore(tmp_path)
         fp = fingerprint_request(h, MappingSpec(kind="hatt"))
@@ -191,7 +212,7 @@ class TestArtifactStore:
         assert ArtifactStore(tmp_path).get_mapping("ab" * 32) is None
 
     def test_corrupt_mapping_is_a_miss_and_quarantined(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path)
         fp = "cd" * 32
@@ -206,7 +227,7 @@ class TestArtifactStore:
 
     def test_unreadable_file_is_a_miss_but_not_quarantined(self, tmp_path):
         """Transient I/O errors must not delete a valid, expensive artifact."""
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path)
         fp = "ab" * 32
@@ -232,7 +253,7 @@ class TestArtifactStore:
         assert store.stats()["corrupt_dropped"] == 1
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path)
         fp = "12" * 32
@@ -248,7 +269,7 @@ class TestArtifactStore:
         assert store.get_report(fp) == {"pauli_weight": 76}
 
     def test_remove_and_clear(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path)
         for fp in ("ab" * 32, "cd" * 32):
@@ -276,7 +297,7 @@ class TestStoreFailurePaths:
     def test_enospc_write_error_leaves_no_partials(self, tmp_path, monkeypatch):
         from repro.serve import faults
 
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path / "store")
         fp = "ab" * 32
@@ -302,7 +323,7 @@ class TestStoreFailurePaths:
     def test_torn_read_under_concurrent_eviction_is_a_miss(self, tmp_path):
         """A corrupted artifact read while the LRU evictor churns the same
         namespace must return None (and quarantine), never raise."""
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path, max_bytes={"mappings": 4000})
         fp_bad = "0d" * 32
@@ -338,7 +359,7 @@ class TestStoreFailurePaths:
 
 class TestMappingService:
     def test_cold_miss_then_memory_then_disk(self, tmp_path):
-        h = load_case("hubbard:2x2")
+        h = build_case("hubbard:2x2")
         spec = MappingSpec(kind="hatt")
         svc = MappingService(cache_dir=tmp_path)
         r1 = svc.get_or_compile(h, spec)
@@ -354,7 +375,7 @@ class TestMappingService:
     def test_warm_mapping_bit_identical_to_fresh_compile(self, tmp_path):
         """Acceptance: warm hits return Majorana strings bit-identical to a
         fresh compile."""
-        h = load_case("LiH_sto3g")
+        h = build_case("LiH_sto3g")
         spec = MappingSpec(kind="hatt")
         MappingService(cache_dir=tmp_path).get_or_compile(h, spec)
         warm = MappingService(cache_dir=tmp_path).get_or_compile(h, spec)
@@ -365,7 +386,7 @@ class TestMappingService:
             [s.phase for s in fresh.strings]
 
     def test_provenance_written(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         svc = MappingService(cache_dir=tmp_path)
         r = svc.get_or_compile(h, MappingSpec(kind="hatt"))
         prov = svc.store.provenance(r.fingerprint)
@@ -375,7 +396,7 @@ class TestMappingService:
 
     def test_lru_eviction_falls_back_to_disk(self, tmp_path):
         svc = MappingService(cache_dir=tmp_path, memory_capacity=1)
-        h1, h2 = load_case("hubbard:1x2"), load_case("hubbard:2x2")
+        h1, h2 = build_case("hubbard:1x2"), build_case("hubbard:2x2")
         spec = MappingSpec(kind="hatt")
         svc.get_or_compile(h1, spec)
         svc.get_or_compile(h2, spec)  # evicts h1 from memory
@@ -384,7 +405,7 @@ class TestMappingService:
 
     def test_memory_only_service(self, tmp_path):
         svc = MappingService(use_disk=False)
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         spec = MappingSpec(kind="hatt")
         assert svc.get_or_compile(h, spec).source == "compiled"
         assert svc.get_or_compile(h, spec).source == "memory"
@@ -392,7 +413,7 @@ class TestMappingService:
 
     def test_single_flight_compiles_once(self, tmp_path):
         """A thundering herd of identical requests costs one compile."""
-        h = load_case("hubbard:2x3")
+        h = build_case("hubbard:2x3")
         spec = MappingSpec(kind="hatt")
         svc = MappingService(cache_dir=tmp_path)
         barrier = threading.Barrier(6)
@@ -415,7 +436,7 @@ class TestMappingService:
         assert all(r.mapping.strings == ref for r in results)
 
     def test_corrupt_disk_entry_recompiles(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         spec = MappingSpec(kind="hatt")
         svc = MappingService(cache_dir=tmp_path)
         r = svc.get_or_compile(h, spec)
@@ -442,7 +463,7 @@ class TestBatch:
         # share a fingerprint: 5 unique compiles for 6 tasks.
         assert report.n_unique == 5
         weights = {(t.case, t.kind): t.pauli_weight for t in report.tasks}
-        h = load_case("hubbard:2x2")
+        h = build_case("hubbard:2x2")
         expected = compile_mapping(h, MappingSpec(kind="hatt").resolve(h))
         assert weights[("hubbard:2x2", "hatt")] == expected.map(h).pauli_weight()
 
@@ -497,7 +518,7 @@ class TestPipelineIntegration:
     def test_compare_mappings_with_service_matches_direct(self, tmp_path):
         from repro.analysis import compare_mappings
 
-        h = load_case("hubbard:2x2")
+        h = build_case("hubbard:2x2")
         svc = MappingService(cache_dir=tmp_path)
         direct = compare_mappings(h, 8, compile_circuit=False)
         via_service = compare_mappings(h, 8, compile_circuit=False, service=svc)
@@ -601,7 +622,7 @@ class TestLruCaps:
 
     def test_caps_are_per_namespace(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes={"circuits": 10})
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         spec = MappingSpec(kind="jw", n_modes=4)
         fp = fingerprint_request(h, spec)
         store.put_mapping(fp, compile_mapping(h, spec))
@@ -624,7 +645,7 @@ class TestLruCaps:
 
     def test_service_forwards_max_bytes(self, tmp_path):
         svc = MappingService(cache_dir=tmp_path, max_bytes=10)
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         svc.get_or_compile(h, MappingSpec(kind="jw", n_modes=4))
         # The artifact was written, then immediately evicted by the tiny cap.
         assert svc.store.fingerprints() == []
@@ -632,7 +653,7 @@ class TestLruCaps:
 
     def test_memory_metrics_exposed(self, tmp_path):
         svc = MappingService(cache_dir=tmp_path, memory_capacity=1)
-        h4, h8 = load_case("hubbard:1x2"), load_case("hubbard:2x2")
+        h4, h8 = build_case("hubbard:1x2"), build_case("hubbard:2x2")
         svc.get_or_compile(h4, MappingSpec(kind="jw", n_modes=4))
         svc.get_or_compile(h8, MappingSpec(kind="jw", n_modes=8))  # evicts
         svc.get_or_compile(h4, MappingSpec(kind="jw", n_modes=4))  # disk hit
@@ -646,7 +667,7 @@ class TestArchFingerprint:
     """hatt-arch requests must key mappings/v1 on the coupling graph too."""
 
     def test_distinct_archs_fork(self):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         fps = {
             fingerprint_request(h, MappingSpec(kind="hatt-arch", arch=a))
             for a in ("montreal", "sycamore", "ionq_forte")
@@ -654,7 +675,7 @@ class TestArchFingerprint:
         assert len(fps) == 3
 
     def test_arch_forks_from_plain_hatt(self):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         plain = fingerprint_request(h, MappingSpec(kind="hatt"))
         arch = fingerprint_request(h, MappingSpec(kind="hatt-arch", arch="montreal"))
         assert plain != arch
@@ -662,7 +683,7 @@ class TestArchFingerprint:
     def test_weight_quantization(self):
         """Weights are fingerprinted at 1/64 resolution: the default weight
         and an explicit equal weight collide; distinct weights fork."""
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         from repro.hatt import DEFAULT_ARCH_WEIGHT
 
         base = MappingSpec(kind="hatt-arch", arch="montreal")
@@ -686,7 +707,7 @@ class TestArchFingerprint:
             MappingSpec(kind="jw", arch_weight=0.5)
 
     def test_service_roundtrip_with_provenance(self, tmp_path):
-        h = load_case("hubbard:1x2")
+        h = build_case("hubbard:1x2")
         svc = MappingService(cache_dir=tmp_path)
         spec = MappingSpec(kind="hatt-arch", arch="sycamore", arch_weight=0.5)
         cold = svc.get_or_compile(h, spec)

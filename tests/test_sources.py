@@ -1,21 +1,18 @@
 """Tests for the pluggable HamiltonianSource API (repro.sources).
 
 Covers the registry (every spec form, canonicalization, the satellite
-error contract), the back-compat ``load_case`` shim, streamed
-fingerprinting bit-identity, ``.npz``/FCIDUMP round-trips (property-based
+error contract), streamed fingerprinting bit-identity, ``.npz``/FCIDUMP round-trips (property-based
 via Hypothesis), the SYK ensemble, and the batch/serve integration.
 """
 
 import json
 import random
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.models as models
 from repro.fermion import FermionOperator, MajoranaOperator
 from repro.models.electronic import case_integrals, fermion_hamiltonian_from_integrals
 from repro.service import MappingService, MappingSpec, compile_suite
@@ -164,33 +161,6 @@ class TestRegistry:
                 "prefix", "description", "grammar", "examples", "file_backed"
             }
             json.dumps(entry)  # must be JSON-serializable for `cases --json`
-
-
-class TestLoadCaseShim:
-    def test_load_case_still_resolves_and_warns_once(self):
-        models._load_case_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            h = models.load_case("hubbard:1x2")
-            models.load_case("hubbard:1x2")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.sources.build_case" in str(deprecations[0].message)
-        assert fingerprint_operator(h) == \
-            fingerprint_operator(build_case("hubbard:1x2"))
-
-    def test_load_case_accepts_new_spec_forms(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = models.load_case("random:syk:n=4,seed=1")
-        assert h.n_modes <= 4
-
-    def test_load_case_unknown_spec_is_value_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError):
-                models.load_case("hubard:2x3")
 
 
 # ----------------------------------------------------------------------
