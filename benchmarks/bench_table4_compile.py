@@ -27,12 +27,18 @@ floor is asserted at the deep-horizon configuration (lookahead=1024) on
 the largest case, where that structural difference is the measurement —
 both engines emit bit-identical circuits at every horizon.
 
+Peephole scaling guard: ``to_cx_u3`` runs each pass as one sweep, so its
+time on nested palindromes (``w·w⁻¹``, which cancel from the middle out)
+grows linearly with the gate count; repeated whole-circuit sweeps would
+peel one layer per sweep and grow quadratically.
+
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke step) for a toy-size run that
 still exercises every assertion.  Results are written to the committed
 repo-root ``BENCH_table4.json`` on canonical runs.
 """
 
 import os
+import random
 import time
 from pathlib import Path
 
@@ -40,7 +46,7 @@ import pytest
 
 from conftest import full_run
 from repro.analysis import write_bench_json, write_result
-from repro.circuits import route_circuit, to_cx_u3, trotter_circuit
+from repro.circuits import Circuit, route_circuit, to_cx_u3, trotter_circuit
 from repro.compile import ARCHITECTURES, CompilationPipeline, CompileOptions
 from repro.sources import build_case
 from repro.service import MappingSpec, compile_mapping
@@ -80,6 +86,12 @@ DEEP_LOOKAHEAD = 1024
 ELECTRONIC_AGGREGATE = 1.15
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_table4.json"
+
+#: Peephole scaling guard: ``to_cx_u3`` time on nested palindromes of 4n
+#: gates over n gates must stay below this ratio (linear is ~4x, repeated
+#: whole-circuit sweeps ~16x).
+PALINDROME_GATES = 4000
+MAX_PEEPHOLE_SCALING = 8.0
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +258,36 @@ def test_table4_json_written(bench_json):
     if not SMOKE:
         # Canonical runs also refresh the committed repo-root artifact.
         assert JSON_PATH.exists()
+
+
+def _nested_palindrome(n_gates: int, n_qubits: int = 4, seed: int = 7) -> Circuit:
+    """``w·w⁻¹`` for a random ``w`` of ``n_gates / 2`` gates."""
+    rng = random.Random(seed)
+    names = ["h", "x", "s", "sdg", "t", "tdg", "rz", "cx", "cz", "swap"]
+    half = Circuit(n_qubits)
+    for _ in range(n_gates // 2):
+        name = rng.choice(names)
+        if name in ("cx", "cz", "swap"):
+            half.add(name, *rng.sample(range(n_qubits), 2))
+        elif name == "rz":
+            half.add(name, rng.randrange(n_qubits), params=(rng.uniform(-3, 3),))
+        else:
+            half.add(name, rng.randrange(n_qubits))
+    return half.compose(half.inverse())
+
+
+def test_peephole_scales_linearly():
+    times = []
+    for n_gates in (PALINDROME_GATES, 4 * PALINDROME_GATES):
+        circuit = _nested_palindrome(n_gates)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            out = to_cx_u3(circuit)
+            best = min(best, time.perf_counter() - start)
+        assert len(out) == 0, n_gates
+        times.append(best)
+    assert times[1] / times[0] < MAX_PEEPHOLE_SCALING, times
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)

@@ -26,6 +26,17 @@ class Circuit:
         for g in gates:
             self.append(g)
 
+    @classmethod
+    def trusted(cls, n_qubits: int, gates: list[Gate]) -> "Circuit":
+        """Wrap ``gates`` as-is, skipping the per-gate qubit-range check.
+
+        For passes whose gates all act on qubits of an already-validated
+        circuit of the same width; the list is adopted, not copied.
+        """
+        out = cls(n_qubits)
+        out.gates = gates
+        return out
+
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------

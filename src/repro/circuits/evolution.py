@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from ..paulis import PauliString, QubitOperator
 from .circuit import Circuit
+from .gates import Gate
 
 __all__ = [
     "evolution_term_circuit",
@@ -41,18 +42,40 @@ __all__ = [
 TERM_ORDERS = ("lexicographic", "mutual", "given")
 
 
-def _basis_change(circuit: Circuit, string: PauliString, inverse: bool) -> None:
-    for q, op in string.ops():
+class _GateCache(dict):
+    """One shared parameter-free :class:`Gate` per ``(name, qubits)`` key —
+    gates are immutable, so a circuit may repeat the same instance."""
+
+    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> Gate:
+        gate = self[key] = Gate(*key)
+        return gate
+
+
+def _emit_term(
+    out: list[Gate],
+    string: PauliString,
+    angle: float,
+    chain: list[int],
+    gates: _GateCache,
+) -> None:
+    """Append the gates of ``exp(-i·angle/2·P)`` with parity chain ``chain``."""
+    ops = list(string.ops())
+    for q, op in ops:
         if op == "X":
-            circuit.add("h", q)
+            out.append(gates["h", (q,)])
         elif op == "Y":
             # Map Y -> Z:  (S† then H); inverse is (H then S).
-            if not inverse:
-                circuit.add("sdg", q)
-                circuit.add("h", q)
-            else:
-                circuit.add("h", q)
-                circuit.add("s", q)
+            out += (gates["sdg", (q,)], gates["h", (q,)])
+    for i in range(len(chain) - 1):
+        out.append(gates["cx", (chain[i], chain[i + 1])])
+    out.append(Gate("rz", (chain[-1],), (angle,)))
+    for i in range(len(chain) - 2, -1, -1):
+        out.append(gates["cx", (chain[i], chain[i + 1])])
+    for q, op in ops:
+        if op == "X":
+            out.append(gates["h", (q,)])
+        elif op == "Y":
+            out += (gates["h", (q,)], gates["s", (q,)])
 
 
 def evolution_term_circuit(
@@ -69,22 +92,16 @@ def evolution_term_circuit(
     in the paper's Fig. 2 example (q0).
     """
     n = n_qubits if n_qubits is not None else string.n
-    circuit = Circuit(n)
     support = list(string.support)
     if not support:
-        return circuit  # global phase only — no gates (paper: weight 0)
+        return Circuit(n)  # global phase only — no gates (paper: weight 0)
     if chain is None:
         chain = sorted(support, reverse=True)
     elif sorted(chain) != support:
         raise ValueError("chain must be a permutation of the support")
-    _basis_change(circuit, string, inverse=False)
-    for i in range(len(chain) - 1):
-        circuit.add("cx", chain[i], chain[i + 1])
-    circuit.add("rz", chain[-1], params=(angle,))
-    for i in range(len(chain) - 2, -1, -1):
-        circuit.add("cx", chain[i], chain[i + 1])
-    _basis_change(circuit, string, inverse=True)
-    return circuit
+    gates: list[Gate] = []
+    _emit_term(gates, string, angle, chain, _GateCache())
+    return Circuit(n, gates)
 
 
 def order_terms_lexicographic(
@@ -186,7 +203,6 @@ def trotter_circuit(
     else:
         raise ValueError(f"unknown term order {order!r}; expected one of {TERM_ORDERS}")
     align = order == "mutual"
-    circuit = Circuit(hamiltonian.n)
     dt = time / steps
     if suzuki_order == 1:
         per_step = terms
@@ -195,15 +211,20 @@ def trotter_circuit(
         per_step = half + half[::-1]
     sequence = per_step * steps
 
+    # Every qubit index comes from a string on hamiltonian.n qubits, so the
+    # gate list is wrapped once at the end without a per-gate range check.
+    out: list[Gate] = []
+    shared = _GateCache()
     prev_chain: list[int] | None = None
     prev_string: PauliString | None = None
     for i, (string, coeff) in enumerate(sequence):
-        chain = None
-        if align and string.weight > 0:
+        if string.weight == 0:
+            continue  # global phase only
+        if align:
             nxt = sequence[i + 1][0] if i + 1 < len(sequence) else None
             chain = mutual_support_chain(prev_chain, prev_string, string, nxt)
             prev_chain, prev_string = chain, string
-        circuit.extend(
-            evolution_term_circuit(string, 2.0 * coeff * dt, hamiltonian.n, chain).gates
-        )
-    return circuit
+        else:
+            chain = sorted(string.support, reverse=True)
+        _emit_term(out, string, 2.0 * coeff * dt, chain, shared)
+    return Circuit.trusted(hamiltonian.n, out)

@@ -3,11 +3,15 @@
 Passes:
 
 * :func:`cancel_adjacent` — remove DAG-adjacent inverse pairs (H·H, CX·CX,
-  S·S†, …) and merge adjacent Rz rotations.
+  S·S†, …) and merge adjacent rotations about the same axis.
 * :func:`fuse_single_qubit` — collapse maximal runs of single-qubit gates
   into one ``u3`` via ZYZ decomposition (identity runs vanish).
 * :func:`optimize` / :func:`to_cx_u3` — the full pipeline; ``to_cx_u3``
   additionally rewrites cz/swap into the {CX, U3} basis the paper compiles to.
+
+Every pass is one sweep over a plain gate list, linear in the gate count
+(cancellation re-examines only the gates a cancellation made newly
+adjacent), and the pipelines build their :class:`Circuit` once at the end.
 """
 
 from __future__ import annotations
@@ -32,47 +36,134 @@ _ROTATIONS = {"rx", "ry", "rz"}
 
 _ANGLE_EPS = 1e-12
 
+#: A fused run is dropped as the identity when, after removing the global
+#: phase, its off-diagonal entries are within the absolute tolerance and its
+#: second diagonal entry within the absolute plus relative one.  The relative
+#: term also drops lone rotations below about 1e-5 rad; routed counts pinned
+#: by the benchmark's recorded figures depend on that, so it stays for now.
+_IDENTITY_ATOL = 1e-9
+_IDENTITY_RTOL = 1e-5
+
+
+def _cancel(gates: list[Gate]) -> list[Gate]:
+    """Fixed point of the left-to-right cancellation sweep.
+
+    One sweep compares each gate with the latest surviving gate on its
+    qubits; after a cancellation that wire is *blocked* until the next gate
+    on it passes, and the sweep repeats until nothing changes.  Only a gate
+    that was blocked can change anything in the following sweep (every
+    other gate meets the same neighbour as before), so each repeat visits
+    just those gates, in circuit order, along per-wire neighbour links.
+    Every cancellation blocks at most two gates, so the total work is
+    linear in the gate count, and the result (merged angles included) is
+    the one the repeated full sweeps give.
+    """
+    gates = list(gates)
+    # Wire links per slot 2*i + k (the k-th qubit of gate i): the slot of the
+    # neighbouring surviving gate on that same wire, or -1.
+    before = [-1] * (2 * len(gates))
+    after = [-1] * (2 * len(gates))
+    last: dict[int, int] = {}
+    for i, gate in enumerate(gates):
+        slot = 2 * i
+        for q in gate.qubits:
+            p = last.get(q, -1)
+            if p >= 0:
+                after[p] = slot
+                before[slot] = p
+            last[q] = slot
+            slot += 1
+
+    def unlink(i: int) -> None:
+        gates[i] = None
+        for slot in (2 * i, 2 * i + 1):
+            p, n = before[slot], after[slot]
+            if p >= 0:
+                after[p] = n
+            if n >= 0:
+                before[n] = p
+
+    todo = range(len(gates))
+    while todo:
+        blocked: set[int] = set()
+        for i in todo:
+            gate = gates[i]
+            if gate is None or i in blocked:
+                continue
+            p = before[2 * i]
+            if p < 0:
+                continue
+            j = p >> 1
+            prev = gates[j]
+            # Same qubits in the same order, and j is also i's neighbour on
+            # the second wire of a two-qubit pair.
+            if prev.qubits != gate.qubits or (
+                len(gate.qubits) == 2 and before[2 * i + 1] != p + 1
+            ):
+                continue
+            if (prev.name, gate.name) in _INVERSE_PAIRS and prev.params == ():
+                merged = None
+            elif prev.name == gate.name and gate.name in _ROTATIONS:
+                angle = prev.params[0] + gate.params[0]
+                merged = None if abs(angle) < _ANGLE_EPS else angle
+            else:
+                continue
+            nexts = (after[2 * i], after[2 * i + 1])
+            unlink(i)
+            if merged is not None:
+                gates[j] = Gate(gate.name, gate.qubits, (merged,))
+                continue
+            unlink(j)
+            blocked.update(n >> 1 for n in nexts if n >= 0)
+        todo = sorted(i for i in blocked if gates[i] is not None)
+    return [g for g in gates if g is not None]
+
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
-    """Iteratively remove inverse pairs / merge rotations that are adjacent in
-    the circuit DAG (no gate on any shared qubit in between)."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        # last_on[q] = index into `out` of the latest gate touching qubit q.
-        out: list[Gate | None] = []
-        last_on: dict[int, int] = {}
-        for gate in gates:
-            prev_idx = {last_on.get(q) for q in gate.qubits}
-            prev = prev_idx.pop() if len(prev_idx) == 1 else None
-            if prev is not None and out[prev] is not None:
-                pg = out[prev]
-                if pg.qubits == gate.qubits:
-                    if (pg.name, gate.name) in _INVERSE_PAIRS and pg.params == ():
-                        out[prev] = None
-                        for q in gate.qubits:
-                            last_on.pop(q, None)
-                        changed = True
-                        continue
-                    if (
-                        pg.name == gate.name
-                        and gate.name in _ROTATIONS
-                    ):
-                        angle = pg.params[0] + gate.params[0]
-                        if abs(angle) < _ANGLE_EPS:
-                            out[prev] = None
-                            for q in gate.qubits:
-                                last_on.pop(q, None)
-                        else:
-                            out[prev] = Gate(gate.name, gate.qubits, (angle,))
-                        changed = True
-                        continue
-            for q in gate.qubits:
-                last_on[q] = len(out)
-            out.append(gate)
-        gates = [g for g in out if g is not None]
-    return Circuit(circuit.n_qubits, gates)
+    """Remove inverse pairs / merge rotations that are adjacent in the
+    circuit DAG (no gate on any shared qubit in between), to a fixed point."""
+    return Circuit.trusted(circuit.n_qubits, _cancel(circuit.gates))
+
+
+# 2x2 unitaries as row-major complex 4-tuples (a, b, c, d) = [[a, b], [c, d]]:
+# plain Python arithmetic beats numpy's per-call overhead at this size.
+_FIXED = {
+    name: tuple(complex(v) for v in gate_matrix(name).ravel())
+    for name in ("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg")
+}
+
+
+def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
+    """``gate_matrix`` of a one-qubit gate as a 4-tuple."""
+    fixed = _FIXED.get(gate.name)
+    if fixed is not None:
+        return fixed
+    if gate.name == "u3":
+        theta, phi, lam = gate.params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (c, -cmath.exp(1j * lam) * s, cmath.exp(1j * phi) * s,
+                cmath.exp(1j * (phi + lam)) * c)
+    (t,) = gate.params
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    if gate.name == "rx":
+        return (c, -1j * s, -1j * s, c)
+    if gate.name == "ry":
+        return (c, -s, s, c)
+    return (cmath.exp(-0.5j * t), 0, 0, cmath.exp(0.5j * t))  # rz
+
+
+def _zyz(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, float]:
+    root = cmath.sqrt(a * d - b * c)
+    a, c, d = a / root, c / root, d / root
+    theta = 2.0 * math.atan2(abs(c), abs(a))
+    if abs(a) < 1e-12:
+        # Pure off-diagonal: only φ - λ is defined.
+        return theta, 2.0 * cmath.phase(c), 0.0
+    if abs(c) < 1e-12:
+        return theta, 2.0 * cmath.phase(d), 0.0
+    plus = 2.0 * cmath.phase(d)
+    minus = 2.0 * cmath.phase(c)
+    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0
 
 
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -80,57 +171,56 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
 
     Global phase is discarded — u3(θ, φ, λ) then equals ``u`` up to phase.
     """
-    det = np.linalg.det(u)
-    su = u / cmath.sqrt(det)
-    theta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) < 1e-12:
-        # Pure off-diagonal: only φ - λ is defined.
-        phi = 2.0 * cmath.phase(su[1, 0])
-        lam = 0.0
-    elif abs(su[1, 0]) < 1e-12:
-        phi = 2.0 * cmath.phase(su[1, 1])
-        lam = 0.0
-    else:
-        plus = 2.0 * cmath.phase(su[1, 1])
-        minus = 2.0 * cmath.phase(su[1, 0])
-        phi = (plus + minus) / 2.0
-        lam = (plus - minus) / 2.0
-    return theta, phi, lam
+    return _zyz(complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
 
 
-def _is_identity(u: np.ndarray) -> bool:
-    phase = u[0, 0]
-    if abs(abs(phase) - 1.0) > 1e-9:
+def _is_identity(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """Identity up to global phase ``a`` (see :data:`_IDENTITY_RTOL`)."""
+    if abs(abs(a) - 1.0) > _IDENTITY_ATOL:
         return False
-    return bool(np.allclose(u, phase * np.eye(2), atol=1e-9))
+    return (
+        abs(b) <= _IDENTITY_ATOL
+        and abs(c) <= _IDENTITY_ATOL
+        and abs(d - a) <= _IDENTITY_ATOL + _IDENTITY_RTOL * abs(a)
+    )
+
+
+def _fuse(gates: list[Gate]) -> list[Gate]:
+    """One sweep: each wire's pending 1q product is flushed as a u3 when a
+    two-qubit gate touches the wire (and at the end, by ascending qubit)."""
+    pending: dict[int, tuple[complex, complex, complex, complex]] = {}
+    out: list[Gate] = []
+
+    def flush(q: int) -> None:
+        u = pending.pop(q)
+        if not _is_identity(*u):
+            out.append(Gate("u3", (q,), _zyz(*u)))
+
+    for gate in gates:
+        if len(gate.qubits) == 1:
+            q = gate.qubits[0]
+            a, b, c, d = _matrix(gate)
+            u = pending.get(q)
+            if u is not None:
+                e, f, g, h = u
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            pending[q] = (a, b, c, d)
+        else:
+            for q in gate.qubits:
+                if q in pending:
+                    flush(q)
+            out.append(gate)
+    for q in sorted(pending):
+        flush(q)
+    return out
 
 
 def fuse_single_qubit(circuit: Circuit) -> Circuit:
     """Fuse maximal 1q-gate runs into single u3 gates (dropping identities)."""
-    pending: dict[int, np.ndarray] = {}
-    out: list[Gate] = []
-
-    def flush(q: int) -> None:
-        u = pending.pop(q, None)
-        if u is None or _is_identity(u):
-            return
-        theta, phi, lam = zyz_angles(u)
-        out.append(Gate("u3", (q,), (theta, phi, lam)))
-
-    for gate in circuit.gates:
-        if len(gate.qubits) == 1:
-            q = gate.qubits[0]
-            pending[q] = gate.matrix() @ pending.get(q, np.eye(2, dtype=complex))
-        else:
-            for q in gate.qubits:
-                flush(q)
-            out.append(gate)
-    for q in sorted(pending):
-        flush(q)
-    return Circuit(circuit.n_qubits, out)
+    return Circuit.trusted(circuit.n_qubits, _fuse(circuit.gates))
 
 
-def _expand_to_cx(circuit: Circuit) -> Circuit:
+def _expand_to_cx(gates: list[Gate]) -> list[Gate]:
     """Rewrite cz and swap into cx + 1q gates.
 
     A SWAP has two CX decompositions (``cx(a,b)·cx(b,a)·cx(a,b)`` and its
@@ -140,17 +230,15 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
     the cancellation pass then deletes the touching pair (2 CX per oriented
     junction).
     """
-    gates = circuit.gates
-    out = Circuit(circuit.n_qubits)
+    out: list[Gate] = []
     for i, gate in enumerate(gates):
         if gate.name == "cz":
             c, t = gate.qubits
-            out.add("h", t)
-            out.add("cx", c, t)
-            out.add("h", t)
+            h = Gate("h", (t,))
+            out += (h, Gate("cx", (c, t)), h)
         elif gate.name == "swap":
             a, b = gate.qubits
-            prev = out.gates[-1] if out.gates else None
+            prev = out[-1] if out else None
             nxt = gates[i + 1] if i + 1 < len(gates) else None
             if (prev is not None and prev.name == "cx" and prev.qubits == (b, a)) or (
                 not (prev is not None and prev.name == "cx" and prev.qubits == (a, b))
@@ -159,9 +247,8 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
                 and nxt.qubits == (b, a)
             ):
                 a, b = b, a
-            out.add("cx", a, b)
-            out.add("cx", b, a)
-            out.add("cx", a, b)
+            outer = Gate("cx", (a, b))
+            out += (outer, Gate("cx", (b, a)), outer)
         else:
             out.append(gate)
     return out
@@ -169,9 +256,10 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
 
 def optimize(circuit: Circuit) -> Circuit:
     """Cancellation followed by 1q fusion, then one more cancellation pass."""
-    return cancel_adjacent(fuse_single_qubit(cancel_adjacent(circuit)))
+    return Circuit.trusted(circuit.n_qubits, _cancel(_fuse(_cancel(circuit.gates))))
 
 
 def to_cx_u3(circuit: Circuit) -> Circuit:
     """Full pipeline into the paper's {CX, U3} basis."""
-    return fuse_single_qubit(cancel_adjacent(_expand_to_cx(cancel_adjacent(circuit))))
+    gates = _fuse(_cancel(_expand_to_cx(_cancel(circuit.gates))))
+    return Circuit.trusted(circuit.n_qubits, gates)

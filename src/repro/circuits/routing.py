@@ -359,8 +359,8 @@ def _route_scalar(
             assert best is not None, "no distance-reducing swap found"
             do_swap(*best)
         out_gates.append(_relabel(gate, (phys_of[a], phys_of[b])))
-    out = Circuit(graph.number_of_nodes())
-    out.gates = out_gates  # trusted: every index is a valid physical qubit
+    # Trusted: every index is a valid physical qubit.
+    out = Circuit.trusted(graph.number_of_nodes(), out_gates)
     return RoutedCircuit(out, layout, dict(phys_of))
 
 
@@ -520,7 +520,7 @@ def _route_vector(
         window.advance(t)
         t += 1
 
-    out = Circuit(graph.number_of_nodes())
-    out.gates = out_gates  # trusted: every index is a valid physical qubit
+    # Trusted: every index is a valid physical qubit.
+    out = Circuit.trusted(graph.number_of_nodes(), out_gates)
     final = {q: phys_list[q] for q in range(n_logical)}
     return RoutedCircuit(out, layout, final)

@@ -107,7 +107,11 @@ class MajoranaOperator:
 
     @classmethod
     def from_fermion_operator(cls, op: FermionOperator) -> "MajoranaOperator":
-        """Expand ladder monomials through the paper's Eq. (2)."""
+        """Expand ladder monomials through the paper's Eq. (2).
+
+        Each term's expansion is accumulated into one running operator in
+        place (no per-term copy of the running sum).
+        """
         total = cls.zero()
         for actions, coeff in op.terms():
             factor = cls.identity(coeff)
@@ -115,7 +119,8 @@ class MajoranaOperator:
                 even = cls.single(2 * mode, 0.5)
                 odd = cls.single(2 * mode + 1, -0.5j if dagger else 0.5j)
                 factor = factor * (even + odd)
-            total = total + factor
+            for term, value in factor._terms.items():
+                total.add_term(term, value)
         return total.simplify()
 
     # ------------------------------------------------------------------

@@ -66,6 +66,27 @@ class TestCompileOne:
         assert pipeline.graph("montreal") is pipeline.graph("montreal")
 
 
+#: Counts recorded before the one-sweep peephole rewrite (sycamore, default
+#: options): (logical_cx, logical_depth, routed_cx, routed_swaps,
+#: routed_depth, routed_u3).  Any peephole or synthesis change must keep them.
+GOLDEN_SYCAMORE = {
+    ("H2_sto3g", "hatt"): (32, 48, 41, 3, 54, 29),
+    ("H2_sto3g", "jw"): (32, 48, 41, 3, 54, 29),
+    ("hubbard:2x2", "hatt"): (84, 122, 143, 21, 144, 67),
+    ("hubbard:2x2", "jw"): (86, 121, 123, 13, 147, 65),
+}
+
+
+@pytest.mark.parametrize("case, kind", sorted(GOLDEN_SYCAMORE))
+def test_golden_routed_counts(case, kind):
+    m = CompilationPipeline().compile_one(build_case(case), kind, "sycamore")
+    got = (
+        m.logical_cx, m.logical_depth, m.routed_cx,
+        m.routed_swaps, m.routed_depth, m.routed_u3,
+    )
+    assert got == GOLDEN_SYCAMORE[case, kind]
+
+
 class TestSweep:
     def test_sweep_covers_grid(self, h2):
         report = CompilationPipeline().sweep(

@@ -116,3 +116,52 @@ class TestFermionConversion:
         hm = MajoranaOperator.from_fermion_operator(FermionOperator.number(2))
         assert hm.n_majoranas == 6
         assert hm.n_modes == 3
+
+
+# ----------------------------------------------------------------------
+# In-place expansion vs the original copy-per-term fold
+# ----------------------------------------------------------------------
+def _fold_reference(op: FermionOperator) -> MajoranaOperator:
+    """The original expansion: ``total = total + factor`` per ladder term."""
+    total = MajoranaOperator.zero()
+    for actions, coeff in op.terms():
+        factor = MajoranaOperator.identity(coeff)
+        for mode, dagger in actions:
+            even = MajoranaOperator.single(2 * mode, 0.5)
+            odd = MajoranaOperator.single(2 * mode + 1, -0.5j if dagger else 0.5j)
+            factor = factor * (even + odd)
+        total = total + factor
+    return total.simplify()
+
+
+_LADDER_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4).map(tuple),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=10,
+)
+
+
+def _same_terms_in_order(got: MajoranaOperator, want: MajoranaOperator) -> bool:
+    return list(got.terms()) == list(want.terms())
+
+
+@given(_LADDER_TERMS)
+@settings(max_examples=80, deadline=None)
+def test_in_place_expansion_matches_fold(terms):
+    op = FermionOperator()
+    for actions, coeff in terms:
+        op.add_term(actions, coeff)
+    assert _same_terms_in_order(
+        MajoranaOperator.from_fermion_operator(op), _fold_reference(op)
+    )
+
+
+def test_in_place_expansion_matches_fold_on_syk():
+    from repro.sources import build_case
+
+    op = build_case("random:syk:n=8,seed=3")
+    assert _same_terms_in_order(
+        MajoranaOperator.from_fermion_operator(op), _fold_reference(op)
+    )
