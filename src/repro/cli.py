@@ -671,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "default) or 'process' (fork pool over the "
                               "shared disk store)")
     p_serve.add_argument("--memory-capacity", type=int, default=None, metavar="N",
-                         help="memory-LRU capacity in mappings "
-                              "(default: the service default)")
+                         help="memory-LRU capacity per namespace (mappings, "
+                              "routed circuits; default: the service default)")
     p_serve.add_argument("--max-bytes", type=int, default=None, metavar="BYTES",
                          help="disk LRU cap applied to each artifact namespace "
                               "(default: unbounded)")

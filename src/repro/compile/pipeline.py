@@ -5,14 +5,15 @@ count, depth) for any mapping kind on any of the paper's four target
 architectures, reproducing a Table IV analogue.  Three layers of reuse keep
 full sweeps fast:
 
-* mappings come from the PR-4 :class:`~repro.service.MappingService`
+* mappings come from the :class:`~repro.service.MappingService`
   (memory LRU → disk → compile) when a service is attached;
 * each architecture's coupling graph is instantiated once per pipeline, so
   the all-pairs distance matrix and adjacency tables cached on the graph by
   :mod:`repro.circuits.routing` are shared across the whole sweep;
-* routed metrics are content-addressed artifacts in the store's
-  ``circuits/`` namespace, keyed by mapping fingerprint × architecture ×
-  compile options — a repeated sweep never re-routes.
+* routed metrics go through the service's ``circuits`` cache — the same
+  memory LRU → disk (the store's ``circuits/`` namespace) → compute policy,
+  single-flighted — keyed by operator × mapping fingerprint × architecture ×
+  compile options, so a repeated sweep never re-routes.
 
 Routing always runs the router's default (vector) engine; its bit-identical
 scalar reference is a test oracle (``test_routing.py``, the Table IV bench),
@@ -225,10 +226,10 @@ class CompilationPipeline:
     Parameters
     ----------
     service:
-        A :class:`repro.service.MappingService`; when given, mappings come
-        from its two-tier cache and routed metrics are persisted in its
-        store's ``circuits/`` namespace.  ``None`` → compile everything
-        fresh, keep nothing.
+        A :class:`repro.service.MappingService`; when given, mappings and
+        routed metrics come from its ``mappings`` and ``circuits`` caches
+        (memory, then its store if it has one).  ``None`` → compile
+        everything fresh, keep nothing.
     options:
         Synthesis/routing configuration shared by every compile.
     arch_weight:
@@ -295,68 +296,71 @@ class CompilationPipeline:
         fp = circuit_fingerprint(
             fingerprint_operator(hamiltonian), mapping_fp, arch, self.options
         )
-        store = getattr(self.service, "store", None)
-        if store is not None:
-            with self.timings.time("store"):
-                doc = store.get_circuit_report(fp)
-            if doc is not None:
-                try:
-                    metrics = RoutedMetrics.from_artifact(doc)
-                except (KeyError, TypeError, ValueError):
-                    metrics = None  # schema drift/corruption: recompute
-                if metrics is not None:
-                    self.stats["circuit_hits"] += 1
-                    return metrics
 
-        opts = self.options
-        with self.timings.time("mapping_apply"):
-            hq = mapping.map(hamiltonian)
-            table, _ = hq.to_table()
-            pauli_weight = int(table.weights().sum())
-        with self.timings.time("ordering"):
-            logical = to_cx_u3(
-                trotter_circuit(
-                    hq,
-                    time=opts.trotter_time,
-                    steps=opts.trotter_steps,
-                    order=opts.term_order,
-                    suzuki_order=opts.suzuki_order,
+        def route() -> RoutedMetrics:
+            opts = self.options
+            with self.timings.time("mapping_apply"):
+                hq = mapping.map(hamiltonian)
+                table, _ = hq.to_table()
+                pauli_weight = int(table.weights().sum())
+            with self.timings.time("ordering"):
+                logical = to_cx_u3(
+                    trotter_circuit(
+                        hq,
+                        time=opts.trotter_time,
+                        steps=opts.trotter_steps,
+                        order=opts.term_order,
+                        suzuki_order=opts.suzuki_order,
+                    )
                 )
+            graph = self.graph(arch)
+            with self.timings.time("routing"):
+                routed = route_circuit(logical, graph, lookahead=opts.lookahead)
+                final = to_cx_u3(routed.circuit)
+            metrics = RoutedMetrics(
+                kind=kind,
+                mapping=mapping.name,
+                architecture=arch,
+                n_modes=spec.n_modes,
+                n_qubits=hq.n,
+                n_physical=graph.number_of_nodes(),
+                pauli_weight=pauli_weight,
+                logical_cx=logical.cx_count,
+                logical_depth=logical.depth(),
+                routed_cx=final.cx_count,
+                routed_swaps=routed.swap_count,
+                routed_depth=final.depth(),
+                routed_u3=final.u3_count,
+                fingerprint=fp,
             )
-        graph = self.graph(arch)
-        with self.timings.time("routing"):
-            routed = route_circuit(logical, graph, lookahead=opts.lookahead)
-            final = to_cx_u3(routed.circuit)
-        metrics = RoutedMetrics(
-            kind=kind,
-            mapping=mapping.name,
-            architecture=arch,
-            n_modes=spec.n_modes,
-            n_qubits=hq.n,
-            n_physical=graph.number_of_nodes(),
-            pauli_weight=pauli_weight,
-            logical_cx=logical.cx_count,
-            logical_depth=logical.depth(),
-            routed_cx=final.cx_count,
-            routed_swaps=routed.swap_count,
-            routed_depth=final.depth(),
-            routed_u3=final.u3_count,
-            fingerprint=fp,
-        )
-        self.stats["routed"] += 1
-        if kind == "hatt-arch":
-            metrics = self._arch_guard(hamiltonian, metrics, arch, spec.n_modes)
-        if store is not None:
+            self.stats["routed"] += 1
+            if kind == "hatt-arch":
+                metrics = self._arch_guard(hamiltonian, metrics, arch, spec.n_modes)
+            return metrics
+
+        if self.service is None:
+            return route()
+
+        def load() -> RoutedMetrics | None:
+            with self.timings.time("store"):
+                doc = self.service.store.get_circuit_report(fp)
+            return None if doc is None else RoutedMetrics.from_artifact(doc)
+
+        def save(metrics: RoutedMetrics) -> None:
             doc = metrics.artifact()
             trace_id = current_trace_id()
             if trace_id:
-                # Provenance breadcrumb: which request produced this artifact.
-                # from_artifact ignores non-payload keys, so old readers are
-                # unaffected.
+                # Provenance breadcrumb; from_artifact ignores non-payload keys.
                 doc["trace_id"] = trace_id
             with self.timings.time("store"):
-                store.put_circuit_report(fp, doc)
-        return metrics
+                self.service.store.put_circuit_report(fp, doc)
+
+        disk = (load, save) if self.service.store is not None else (None, None)
+        metrics, tier = self.service.circuits.get_or_compute(fp, route, *disk)
+        if tier is None:
+            return metrics
+        self.stats["circuit_hits"] += 1
+        return replace(metrics, source="cache")
 
     def _arch_guard(
         self,

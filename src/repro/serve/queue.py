@@ -1,8 +1,8 @@
 """Fault-tolerant coalescing job queue over the compile executors.
 
-The PR-4 :class:`~repro.service.MappingService` single-flights concurrent
-identical requests *inside* one process with per-fingerprint locks — every
-follower still blocks a thread for the whole compile.  :class:`JobQueue`
+The :class:`~repro.service.MappingService` caches single-flight concurrent
+identical requests *inside* one process — every follower still blocks a
+thread for the whole compile.  :class:`JobQueue`
 generalizes that into request-level coalescing for a served system:
 
 * every submission is keyed by :meth:`CompileRequest.coalesce_key`
@@ -17,7 +17,7 @@ generalizes that into request-level coalescing for a served system:
   become new jobs that complete near-instantly from the warm caches.
 
 Work routes onto either a ``ThreadPoolExecutor`` (``executor="thread"`` —
-compiles run in-process and share the service's memory LRU; the numpy
+compiles run in-process and share the service's memory tiers; the numpy
 kernels release the GIL for most of a compile) or a ``ProcessPoolExecutor``
 (``executor="process"`` — the same fork-based pool the batch orchestrator
 uses, sharing the service's *disk* store via its cache directory).  Results

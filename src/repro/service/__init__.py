@@ -8,8 +8,9 @@ cacheable, shareable artifacts keyed by the *physics* of the request:
   over normal-ordered Hamiltonian terms plus the mapping config;
 * :mod:`.store` — a content-addressed on-disk artifact store with atomic
   writes and corruption-safe loads;
-* :mod:`.service` — the :class:`MappingService` get-or-compile facade
-  (memory LRU → disk → compile, single-flight dedup, hit/miss statistics);
+* :mod:`.cache` — ``ArtifactCache``, the one get-or-compute policy (memory
+  LRU → disk → compute, single-flight dedup, hit/miss statistics);
+* :mod:`.service` — the :class:`MappingService` facade over two such caches;
 * :mod:`.batch` — :func:`compile_suite`, fanning cases × mappings across a
   process pool with fingerprint-level dedup and streamed results.
 """

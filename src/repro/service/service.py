@@ -2,26 +2,24 @@
 
 ``MappingService`` is the single entry point the pipeline, CLI, and batch
 orchestrator share.  A request is ``(hamiltonian, MappingSpec)``; the service
+fingerprints it (:mod:`.fingerprint`) and asks its ``mappings``
+:class:`~repro.service.cache.ArtifactCache`, which tries the in-memory LRU,
+then the disk :class:`~repro.service.store.ArtifactStore`, then compiles —
+storing the artifact with provenance.  The service's second cache,
+``circuits``, holds routed-circuit metrics for
+:class:`repro.compile.CompilationPipeline` under the same policy.
 
-1. fingerprints the request (:mod:`.fingerprint`),
-2. consults an in-memory LRU (hot mappings stay parsed),
-3. falls back to the disk :class:`~repro.service.store.ArtifactStore`,
-4. compiles on a full miss, storing the artifact with provenance.
-
-Concurrent requests for one fingerprint are **single-flighted**: the first
-thread compiles while the rest block on a per-fingerprint lock and then read
-the freshly cached result, so a thundering herd of identical requests costs
-one compile.  (Cross-*process* dedup is the batch orchestrator's job — it
-dedups by fingerprint before dispatch; racing writers are still safe because
-store writes are atomic and content-addressed.)
+Concurrent requests for one fingerprint are **single-flighted** by the cache,
+so a thundering herd of identical requests costs one compile.
+(Cross-*process* dedup is the batch orchestrator's job — it dedups by
+fingerprint before dispatch; racing writers are still safe because store
+writes are atomic and content-addressed.)
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import __version__
 from ..fermion import FermionOperator, MajoranaOperator
@@ -36,6 +34,7 @@ from ..mappings import (
 from ..obs.logging import get_logger, slow_compile_threshold
 from ..obs.metrics import get_registry
 from ..obs.trace import current_trace_id, span
+from .cache import ArtifactCache
 from .fingerprint import MappingSpec, fingerprint_request
 from .store import ArtifactStore
 
@@ -43,7 +42,7 @@ _log = get_logger("repro.service")
 
 __all__ = ["MappingService", "CompileResult", "compile_mapping"]
 
-#: In-memory LRU capacity (mappings are small; disk remains the backstop).
+#: Memory-tier capacity per namespace (values are small; disk is the backstop).
 _DEFAULT_MEMORY_CAPACITY = 128
 
 
@@ -93,118 +92,43 @@ class CompileResult:
         return self.source != "compiled"
 
 
-@dataclass
-class _Stats:
-    hits_memory: int = 0
-    hits_disk: int = 0
-    misses: int = 0
-    compiles: int = 0
-    compile_seconds: float = 0.0
-    single_flight_waits: int = 0
-    memory_evictions: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def snapshot(self) -> dict:
-        with self.lock:
-            hits = self.hits_memory + self.hits_disk
-            lookups = hits + self.misses
-            return {
-                "hits_memory": self.hits_memory,
-                "hits_disk": self.hits_disk,
-                "misses": self.misses,
-                "compiles": self.compiles,
-                "compile_seconds": self.compile_seconds,
-                "single_flight_waits": self.single_flight_waits,
-                "memory_evictions": self.memory_evictions,
-                "hit_rate": round(hits / lookups, 4) if lookups else None,
-            }
-
-
 class MappingService:
-    """Two-tier (memory LRU → disk store) compilation cache with stats.
+    """Tiered (memory LRU → disk store → compile) cache for mappings and
+    routed circuits, with stats.
 
     Parameters
     ----------
     cache_dir:
-        Root for a default :class:`ArtifactStore`; ignored when ``store`` is
-        given.
-    store:
-        An explicit store instance to share between services.
+        Root for the disk :class:`ArtifactStore`.
     use_disk:
         ``False`` → memory-only service (no artifacts written), for callers
         that want dedup within a run but no persistent state.
     memory_capacity:
-        Max parsed mappings held in the LRU; 0 disables the memory tier.
+        Max values held in memory *per namespace* (parsed mappings, routed
+        circuit metrics); 0 disables the memory tier.
     max_bytes:
-        Disk-cache LRU cap, forwarded to the default :class:`ArtifactStore`
-        (an int per namespace or a ``{namespace: bytes}`` dict); ignored when
-        an explicit ``store`` is given.
+        Disk-cache LRU cap, forwarded to the :class:`ArtifactStore` (an int
+        per namespace or a ``{namespace: bytes}`` dict).
     """
 
     def __init__(
         self,
         cache_dir: str | None = None,
-        store: ArtifactStore | None = None,
         use_disk: bool = True,
         memory_capacity: int = _DEFAULT_MEMORY_CAPACITY,
         max_bytes=None,
         registry=None,
     ):
         self.registry = registry if registry is not None else get_registry()
-        if store is not None:
-            self.store: ArtifactStore | None = store
-        elif use_disk:
-            self.store = ArtifactStore(
-                cache_dir, max_bytes=max_bytes, registry=self.registry
-            )
-        else:
-            self.store = None
-        self.memory_capacity = int(memory_capacity)
-        self._memory: OrderedDict[str, FermionQubitMapping] = OrderedDict()
-        self._memory_lock = threading.Lock()
-        self._flight_lock = threading.Lock()
-        self._in_flight: dict[str, threading.Lock] = {}
-        self._stats = _Stats()
+        self.store: ArtifactStore | None = (
+            ArtifactStore(cache_dir, max_bytes=max_bytes, registry=self.registry)
+            if use_disk
+            else None
+        )
+        self.mappings = ArtifactCache("mappings", memory_capacity, self.registry)
+        #: Routed-circuit metrics, filled by :class:`repro.compile.CompilationPipeline`.
+        self.circuits = ArtifactCache("circuits", memory_capacity, self.registry)
 
-    # ------------------------------------------------------------------
-    # Memory tier
-    # ------------------------------------------------------------------
-    def _memory_get(self, fp: str) -> FermionQubitMapping | None:
-        with self._memory_lock:
-            mapping = self._memory.get(fp)
-            if mapping is not None:
-                self._memory.move_to_end(fp)
-            return mapping
-
-    def _memory_put(self, fp: str, mapping: FermionQubitMapping) -> None:
-        if self.memory_capacity <= 0:
-            return
-        evicted = 0
-        with self._memory_lock:
-            self._memory[fp] = mapping
-            self._memory.move_to_end(fp)
-            while len(self._memory) > self.memory_capacity:
-                self._memory.popitem(last=False)
-                evicted += 1
-        if evicted:
-            with self._stats.lock:
-                self._stats.memory_evictions += evicted
-            self.registry.counter(
-                "repro_cache_evictions_total",
-                help="Cache entries evicted, by namespace (memory tier or store).",
-                namespace="memory",
-            ).inc(evicted)
-
-    def _count_hit(self, tier: str) -> None:
-        self.registry.counter(
-            "repro_cache_hits_total",
-            help="Cache hits, by tier.",
-            tier=tier,
-        ).inc()
-
-    # ------------------------------------------------------------------
-    # Main entry point
-    # ------------------------------------------------------------------
     def fingerprint(
         self, hamiltonian: FermionOperator | MajoranaOperator, spec: MappingSpec
     ) -> str:
@@ -217,10 +141,9 @@ class MappingService:
         disk store) — the serve-layer circuit breaker uses it to keep
         answering warm requests while shedding cold compiles.
         """
-        with self._memory_lock:
-            if fingerprint in self._memory:
-                return True
-        return self.store is not None and self.store.contains(fingerprint)
+        return fingerprint in self.mappings or (
+            self.store is not None and self.store.contains(fingerprint)
+        )
 
     def get_or_compile(
         self,
@@ -230,47 +153,10 @@ class MappingService:
         with span("fingerprint", registry=self.registry):
             spec = spec.resolve(hamiltonian)
             fp = fingerprint_request(hamiltonian, spec)
+        elapsed = 0.0
 
-        with span("memory_lookup", registry=self.registry):
-            mapping = self._memory_get(fp)
-        if mapping is not None:
-            with self._stats.lock:
-                self._stats.hits_memory += 1
-            self._count_hit("memory")
-            return CompileResult(mapping, fp, "memory",
-                                 provenance=getattr(mapping, "provenance", None))
-
-        with self._flight_lock:
-            flight = self._in_flight.get(fp)
-            if flight is None:
-                flight = self._in_flight[fp] = threading.Lock()
-        contended = not flight.acquire(blocking=False)
-        if contended:
-            with self._stats.lock:
-                self._stats.single_flight_waits += 1
-            flight.acquire()
-        try:
-            # A single-flight follower lands here after the leader populated
-            # the caches; re-check memory before touching disk.
-            mapping = self._memory_get(fp)
-            if mapping is not None:
-                with self._stats.lock:
-                    self._stats.hits_memory += 1
-                self._count_hit("memory")
-                return CompileResult(mapping, fp, "memory",
-                                     provenance=getattr(mapping, "provenance", None))
-
-            if self.store is not None:
-                with span("disk_lookup", registry=self.registry):
-                    mapping = self.store.get_mapping(fp)
-                if mapping is not None:
-                    self._memory_put(fp, mapping)
-                    with self._stats.lock:
-                        self._stats.hits_disk += 1
-                    self._count_hit("disk")
-                    return CompileResult(mapping, fp, "disk",
-                                         provenance=getattr(mapping, "provenance", None))
-
+        def compile_() -> FermionQubitMapping:
+            nonlocal elapsed
             start = time.perf_counter()
             with span("tree_construction", registry=self.registry):
                 mapping = compile_mapping(hamiltonian, spec)
@@ -291,58 +177,41 @@ class MappingService:
             if trace_id:
                 provenance["trace_id"] = trace_id
             mapping.provenance = provenance
-            if self.store is not None:
-                with span("store_write", registry=self.registry):
-                    self.store.put_mapping(fp, mapping, provenance=provenance)
-            self._memory_put(fp, mapping)
-            with self._stats.lock:
-                self._stats.misses += 1
-                self._stats.compiles += 1
-                self._stats.compile_seconds += elapsed
-            self.registry.counter(
-                "repro_cache_misses_total",
-                help="Full cache misses (request went to the compiler).",
-            ).inc()
             self.registry.counter(
                 "repro_compiles_total", help="Mapping compiles executed."
             ).inc()
             self.registry.histogram(
-                "repro_compile_seconds",
-                help="Wall time of mapping compiles.",
+                "repro_compile_seconds", help="Wall time of mapping compiles."
             ).observe(elapsed)
-            if elapsed > slow_compile_threshold():
+            threshold = slow_compile_threshold()
+            if elapsed > threshold:
                 _log.warning(
-                    "slow compile: %s took %.3fs (threshold %.1fs)",
-                    fp,
-                    elapsed,
-                    slow_compile_threshold(),
-                    extra={
-                        "fingerprint": fp,
-                        "seconds": round(elapsed, 3),
-                        "trace_id": trace_id,
-                    },
+                    "slow compile: %s took %.3fs (threshold %.1fs)", fp, elapsed, threshold,
+                    extra={"fingerprint": fp, "seconds": round(elapsed, 3),
+                           "trace_id": trace_id},
                 )
-            return CompileResult(mapping, fp, "compiled",
-                                 compile_seconds=elapsed, provenance=provenance)
-        finally:
-            flight.release()
-            with self._flight_lock:
-                # Last one out drops the lock object so the dict stays bounded
-                # by the number of concurrently in-flight fingerprints.
-                if fp in self._in_flight and not self._in_flight[fp].locked():
-                    del self._in_flight[fp]
+            return mapping
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        def load() -> FermionQubitMapping | None:
+            return self.store.get_mapping(fp)
+
+        def save(mapping: FermionQubitMapping) -> None:
+            self.store.put_mapping(fp, mapping, provenance=mapping.provenance)
+
+        disk = (load, save) if self.store is not None else (None, None)
+        mapping, tier = self.mappings.get_or_compute(fp, compile_, *disk)
+        return CompileResult(mapping, fp, tier or "compiled", compile_seconds=elapsed,
+                             provenance=getattr(mapping, "provenance", None))
+
     def stats(self) -> dict:
-        out = self._stats.snapshot()
-        out["memory_entries"] = len(self._memory)
-        out["memory_capacity"] = self.memory_capacity
+        """Mapping-namespace stats at the top level, plus ``circuits`` and
+        (with a disk tier) ``store`` sub-dicts."""
+        out = self.mappings.stats()
+        out["circuits"] = self.circuits.stats()
         if self.store is not None:
             out["store"] = self.store.stats()
         return out
 
     def __repr__(self) -> str:
         root = self.store.root if self.store is not None else None
-        return f"MappingService(store={str(root)!r}, lru={self.memory_capacity})"
+        return f"MappingService(store={str(root)!r}, lru={self.mappings.capacity})"

@@ -4,7 +4,6 @@ Layout (one directory per fingerprint, sharded by the first two hex chars so
 no single directory grows unbounded)::
 
     <root>/mappings/v1/<fp[:2]>/<fp>/mapping.json  # schema-v2 mapping + provenance
-    <root>/mappings/v1/<fp[:2]>/<fp>/report.json   # optional evaluation report
     <root>/circuits/v1/<fp[:2]>/<fp>/metrics.json  # routed-circuit metrics
 
 The root defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-hatt``.  The
@@ -58,15 +57,14 @@ __all__ = ["ArtifactStore", "NAMESPACES", "default_cache_dir"]
 _LAYOUT = "v1"
 
 _MAPPING_DOC = "mapping.json"
-_REPORT_DOC = "report.json"
 _CIRCUIT_DOC = "metrics.json"
 
-#: Artifact namespaces, in display order.  The first document of each
-#: namespace is *primary*: its presence defines the entry, its mtime is the
-#: entry's LRU recency.
+#: Artifact namespaces, in display order.
 NAMESPACES = ("mappings", "circuits")
 
-_NS_DOCS = {"mappings": (_MAPPING_DOC, _REPORT_DOC), "circuits": (_CIRCUIT_DOC,)}
+#: The one document of each namespace: its presence defines the entry, its
+#: mtime is the entry's LRU recency.
+_NS_DOCS = {"mappings": _MAPPING_DOC, "circuits": _CIRCUIT_DOC}
 
 #: Exceptions that mean "this document's *content* is unusable" — JSON syntax
 #: errors, missing/mistyped keys, inconsistent mapping content (io.py
@@ -129,27 +127,15 @@ class ArtifactStore:
             raise ValueError(f"malformed fingerprint {fingerprint!r}")
         return fingerprint
 
-    def _ns_dir(self, namespace: str, fingerprint: str) -> Path:
+    def _doc_path(self, namespace: str, fingerprint: str) -> Path:
         fp = self._check_fingerprint(fingerprint)
-        return self._bases[namespace] / fp[:2] / fp
-
-    def _entry_dir(self, fingerprint: str) -> Path:
-        return self._ns_dir("mappings", fingerprint)
-
-    def _circuit_dir(self, fingerprint: str) -> Path:
-        return self._ns_dir("circuits", fingerprint)
+        return self._bases[namespace] / fp[:2] / fp / _NS_DOCS[namespace]
 
     def mapping_path(self, fingerprint: str) -> Path:
-        return self._entry_dir(fingerprint) / _MAPPING_DOC
-
-    def report_path(self, fingerprint: str) -> Path:
-        return self._entry_dir(fingerprint) / _REPORT_DOC
+        return self._doc_path("mappings", fingerprint)
 
     def circuit_path(self, fingerprint: str) -> Path:
-        return self._circuit_dir(fingerprint) / _CIRCUIT_DOC
-
-    def _primary_path(self, namespace: str, fingerprint: str) -> Path:
-        return self._ns_dir(namespace, fingerprint) / _NS_DOCS[namespace][0]
+        return self._doc_path("circuits", fingerprint)
 
     # ------------------------------------------------------------------
     # Raw document I/O
@@ -238,7 +224,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def _ns_fingerprints(self, namespace: str) -> list[str]:
         base = self._bases[namespace]
-        primary = _NS_DOCS[namespace][0]
+        doc = _NS_DOCS[namespace]
         if not base.is_dir():
             return []
         return sorted(
@@ -246,18 +232,8 @@ class ArtifactStore:
             for shard in base.iterdir()
             if shard.is_dir()
             for entry in shard.iterdir()
-            if (entry / primary).is_file()
+            if (entry / doc).is_file()
         )
-
-    def _entry_bytes(self, namespace: str, fingerprint: str) -> int:
-        entry = self._ns_dir(namespace, fingerprint)
-        total = 0
-        for doc in _NS_DOCS[namespace]:
-            try:
-                total += (entry / doc).stat().st_size
-            except OSError:
-                pass
-        return total
 
     def entries(self, namespace: str) -> list[dict]:
         """Per-entry inventory of one namespace, least-recently-used first."""
@@ -266,17 +242,12 @@ class ArtifactStore:
         out = []
         for fp in self._ns_fingerprints(namespace):
             try:
-                st = self._primary_path(namespace, fp).stat()
-                mtime, mtime_ns = st.st_mtime, st.st_mtime_ns
+                st = self._doc_path(namespace, fp).stat()
+                size, mtime, mtime_ns = st.st_size, st.st_mtime, st.st_mtime_ns
             except OSError:
-                mtime, mtime_ns = 0.0, 0
+                size, mtime, mtime_ns = 0, 0.0, 0
             out.append(
-                {
-                    "fingerprint": fp,
-                    "bytes": self._entry_bytes(namespace, fp),
-                    "mtime": mtime,
-                    "mtime_ns": mtime_ns,
-                }
+                {"fingerprint": fp, "bytes": size, "mtime": mtime, "mtime_ns": mtime_ns}
             )
         # Sort on st_mtime_ns: the float st_mtime cannot represent the
         # store's nanosecond recency stamps (53-bit mantissa), so close
@@ -285,16 +256,14 @@ class ArtifactStore:
         return out
 
     def _remove_entry(self, namespace: str, fingerprint: str) -> bool:
-        entry = self._ns_dir(namespace, fingerprint)
-        existed = False
-        for doc in _NS_DOCS[namespace]:
-            try:
-                (entry / doc).unlink()
-                existed = True
-            except OSError:
-                pass
+        path = self._doc_path(namespace, fingerprint)
         try:
-            entry.rmdir()
+            path.unlink()
+            existed = True
+        except OSError:
+            existed = False
+        try:
+            path.parent.rmdir()
         except OSError:
             pass
         return existed
@@ -323,8 +292,9 @@ class ArtifactStore:
         if evicted:
             self.registry.counter(
                 "repro_cache_evictions_total",
-                help="Cache entries evicted, by namespace (memory tier or store).",
+                help="Cache entries evicted, by namespace and tier.",
                 namespace=namespace,
+                tier="disk",
             ).inc(evicted)
         return evicted
 
@@ -357,18 +327,6 @@ class ArtifactStore:
     def get_mapping_doc(self, fingerprint: str) -> dict | None:
         """The raw stored mapping document (schema-v2 JSON), without parsing."""
         return self._read_doc(self.mapping_path(fingerprint), touch=True)
-
-    # ------------------------------------------------------------------
-    # Evaluation reports
-    # ------------------------------------------------------------------
-    def put_report(self, fingerprint: str, report: dict) -> Path:
-        path = self.report_path(fingerprint)
-        self._write_atomic(path, report)
-        self._enforce_cap("mappings")
-        return path
-
-    def get_report(self, fingerprint: str) -> dict | None:
-        return self._read_doc(self.report_path(fingerprint))
 
     # ------------------------------------------------------------------
     # Routed-circuit metrics (compilation-pipeline artifacts)
@@ -407,7 +365,7 @@ class ArtifactStore:
         return prov if isinstance(prov, dict) else None
 
     def remove(self, fingerprint: str) -> bool:
-        """Drop one entry (mapping + report). Returns whether anything existed."""
+        """Drop one mapping entry. Returns whether anything existed."""
         return self._remove_entry("mappings", fingerprint)
 
     def clear(self, namespace: str | None = None) -> int:

@@ -1,5 +1,8 @@
 """Tests for the hardware compilation pipeline (repro.compile)."""
 
+import json
+import threading
+
 import pytest
 
 from repro.compile import (
@@ -147,7 +150,9 @@ class TestCircuitCache:
         doc = service.store.get_circuit_report(m.fingerprint)
         doc["circuit_schema"] = CIRCUIT_SCHEMA + 1
         service.store.put_circuit_report(m.fingerprint, doc)
-        again = pipeline.compile_one(h2, "jw", "montreal")
+        # A fresh service on the same directory, so the disk tier answers.
+        fresh = CompilationPipeline(service=MappingService(cache_dir=str(tmp_path)))
+        again = fresh.compile_one(h2, "jw", "montreal")
         assert again.source == "computed"
 
     def test_corrupt_artifact_recomputes(self, h2, tmp_path):
@@ -155,7 +160,8 @@ class TestCircuitCache:
         pipeline = CompilationPipeline(service=service)
         m = pipeline.compile_one(h2, "jw", "montreal")
         service.store.circuit_path(m.fingerprint).write_text("{ nope")
-        again = pipeline.compile_one(h2, "jw", "montreal")
+        fresh = CompilationPipeline(service=MappingService(cache_dir=str(tmp_path)))
+        again = fresh.compile_one(h2, "jw", "montreal")
         assert again.source == "computed"
         assert again.artifact() == m.artifact()
 
@@ -171,6 +177,38 @@ class TestCircuitCache:
         assert m_hub.source == "computed"
         assert m_hub.fingerprint != m_h2.fingerprint
         assert m_hub.routed_cx != m_h2.routed_cx
+
+    def test_memory_tier_without_disk(self, h2):
+        service = MappingService(use_disk=False)
+        pipeline = CompilationPipeline(service=service)
+        cold = pipeline.compile_one(h2, "jw", "sycamore")
+        warm = pipeline.compile_one(h2, "jw", "sycamore")
+        assert (cold.source, warm.source) == ("computed", "cache")
+        assert pipeline.stats == {"routed": 1, "circuit_hits": 1}
+        assert warm.artifact() == cold.artifact()
+        assert service.stats()["circuits"]["hits_memory"] == 1
+
+    def test_concurrent_identical_compiles_route_once(self):
+        h = build_case("hubbard:2x2")
+        service = MappingService(use_disk=False)
+        barrier = threading.Barrier(4)
+        pipelines = [CompilationPipeline(service=service) for _ in range(4)]
+        results = []
+
+        def worker(pipeline):
+            barrier.wait()
+            results.append(pipeline.compile_one(h, "jw", "sycamore"))
+
+        threads = [threading.Thread(target=worker, args=(p,)) for p in pipelines]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert service.stats()["circuits"]["misses"] == 1
+        assert sum(p.stats["routed"] for p in pipelines) == 1
+        assert sorted(m.source for m in results) == ["cache"] * 3 + ["computed"]
+        assert len({json.dumps(m.artifact(), sort_keys=True) for m in results}) == 1
 
     def test_no_service_keeps_nothing(self, h2):
         pipeline = CompilationPipeline()

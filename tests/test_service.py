@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -262,12 +263,6 @@ class TestArtifactStore:
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
 
-    def test_reports(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        fp = "34" * 32
-        store.put_report(fp, {"pauli_weight": 76})
-        assert store.get_report(fp) == {"pauli_weight": 76}
-
     def test_remove_and_clear(self, tmp_path):
         h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
@@ -357,6 +352,61 @@ class TestStoreFailurePaths:
         assert store.stats()["corrupt_dropped"] >= 1
 
 
+class TestArtifactCache:
+    @pytest.mark.parametrize("capacity", [16, 2])
+    def test_concurrent_lookups_compute_each_key_once(self, capacity):
+        """More threads than cores over a few keys, with a short switch
+        interval: each key is computed exactly once (the dict backing tier
+        serves keys the small memory tier evicted) and no count is lost."""
+        import random
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.cache import ArtifactCache
+
+        cache = ArtifactCache("stress", capacity, MetricsRegistry())
+        keys = [f"k{i}" for i in range(8)]
+        disk: dict[str, str] = {}
+        computes: dict[str, int] = {}
+        lock = threading.Lock()
+        n_threads, rounds = 8, 100
+        barrier = threading.Barrier(n_threads)
+        wrong = []
+
+        def compute(key):
+            with lock:
+                computes[key] = computes.get(key, 0) + 1
+            return key.upper()
+
+        def worker(seed):
+            order = keys + [random.Random(seed).choice(keys) for _ in range(rounds)]
+            barrier.wait()
+            for key in order:
+                value, _tier = cache.get_or_compute(
+                    key, lambda: compute(key), lambda: disk.get(key),
+                    lambda v: disk.__setitem__(key, v))
+                if value != key.upper():
+                    wrong.append((key, value))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert computes == {key: 1 for key in keys}
+        stats = cache.stats()
+        assert stats["misses"] == len(keys)
+        lookups = stats["hits_memory"] + stats["hits_disk"] + stats["misses"]
+        assert lookups == n_threads * (len(keys) + rounds)
+        assert stats["memory_entries"] == min(capacity, len(keys))
+
+
 class TestMappingService:
     def test_cold_miss_then_memory_then_disk(self, tmp_path):
         h = build_case("hubbard:2x2")
@@ -434,6 +484,72 @@ class TestMappingService:
         assert sum(r.source == "compiled" for r in results) == 1
         ref = results[0].mapping.strings
         assert all(r.mapping.strings == ref for r in results)
+
+    def test_single_flight_without_any_tier(self):
+        """Followers take the leader's value even when no tier can hold it."""
+        h = build_case("hubbard:2x3")
+        spec = MappingSpec(kind="hatt")
+        svc = MappingService(use_disk=False, memory_capacity=0)
+        barrier = threading.Barrier(6)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append(svc.get_or_compile(h, spec))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert svc.stats()["compiles"] == 1
+        assert sorted(r.source for r in results) == ["compiled"] + ["memory"] * 5
+        assert svc.stats()["memory_entries"] == 0
+
+    def test_failed_leader_lets_followers_retry(self, monkeypatch):
+        from repro.service import service as service_mod
+
+        h = build_case("hubbard:1x2")
+        spec = MappingSpec(kind="jw", n_modes=4)
+        svc = MappingService(use_disk=False)
+        entered, release = threading.Event(), threading.Event()
+        real = service_mod.compile_mapping
+        calls = []
+
+        def flaky(hamiltonian, spec_):
+            calls.append(1)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(30)
+                raise RuntimeError("boom")
+            return real(hamiltonian, spec_)
+
+        monkeypatch.setattr(service_mod, "compile_mapping", flaky)
+        errors, results = [], []
+
+        def leader():
+            try:
+                svc.get_or_compile(h, spec)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=leader)
+        t.start()
+        assert entered.wait(30)
+        follower = threading.Thread(
+            target=lambda: results.append(svc.get_or_compile(h, spec)))
+        follower.start()
+        deadline = time.monotonic() + 30
+        while svc.stats()["single_flight_waits"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        t.join(timeout=30)
+        follower.join(timeout=30)
+        assert not t.is_alive() and not follower.is_alive()
+        assert len(errors) == 1
+        assert [r.source for r in results] == ["compiled"]
+        assert len(calls) == 2
 
     def test_corrupt_disk_entry_recompiles(self, tmp_path):
         h = build_case("hubbard:1x2")
@@ -661,6 +777,39 @@ class TestLruCaps:
         assert stats["memory_evictions"] >= 1
         assert stats["hits_disk"] == 1
         assert stats["hit_rate"] == round(1 / 3, 4)
+
+    def test_cache_metric_labels(self, tmp_path):
+        """Hits and evictions carry {namespace,tier}; misses {namespace}."""
+        from repro.compile import CompilationPipeline
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        svc = MappingService(cache_dir=tmp_path, memory_capacity=1, max_bytes=10,
+                             registry=reg)
+        h4, h8 = build_case("hubbard:1x2"), build_case("hubbard:2x2")
+        svc.get_or_compile(h4, MappingSpec(kind="jw", n_modes=4))
+        svc.get_or_compile(h4, MappingSpec(kind="jw", n_modes=4))  # memory hit
+        svc.get_or_compile(h8, MappingSpec(kind="jw", n_modes=8))  # evicts h4
+        pipeline = CompilationPipeline(service=svc)
+        pipeline.compile_one(h4, "jw", "sycamore")
+        pipeline.compile_one(h4, "jw", "sycamore")  # both memory hits
+        values = {name: fam["values"] for name, fam in reg.snapshot().items()}
+        assert values["repro_cache_hits_total"] == {
+            "namespace=circuits,tier=memory": 1,
+            "namespace=mappings,tier=memory": 2,
+        }
+        assert values["repro_cache_misses_total"] == {
+            "namespace=circuits": 1,
+            "namespace=mappings": 3,
+        }
+        evictions = values["repro_cache_evictions_total"]
+        assert evictions["namespace=mappings,tier=memory"] >= 1
+        assert evictions["namespace=mappings,tier=disk"] >= 1
+        assert evictions["namespace=circuits,tier=disk"] == 1
+        assert set(evictions) <= {
+            f"namespace={ns},tier={tier}"
+            for ns in ("mappings", "circuits") for tier in ("memory", "disk")
+        }
 
 
 class TestArchFingerprint:
