@@ -50,6 +50,13 @@ def submit_and_wait(client: ServiceClient) -> None:
 
 
 def coalescing(client: ServiceClient, queue: JobQueue) -> None:
+    """Six identical submissions share one job while it is in flight.
+
+    A cold compile of this case takes milliseconds, shorter than six HTTP
+    round trips, so the ``slow_compile`` fault point holds the one executed
+    job open for a second (``REPRO_FAULTS=slow_compile:1:1:1``) and every
+    submission lands while it runs.
+    """
     print("=" * 64)
     print("Coalescing: 6 concurrent identical cold submissions, 1 compile")
     print("=" * 64)
@@ -63,11 +70,17 @@ def coalescing(client: ServiceClient, queue: JobQueue) -> None:
             with lock:
                 records.append(record)
 
-    threads = [threading.Thread(target=worker) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    os.environ[faults.FAULTS_ENV] = "slow_compile:1:1:1"
+    faults.reset()
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        os.environ.pop(faults.FAULTS_ENV, None)
+        faults.reset()
     executed = queue.stats()["executed"] - executed_before
     print(f"  job ids seen: {sorted({r.id for r in records})}")
     print(f"  compiles executed: {executed}")

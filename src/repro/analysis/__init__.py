@@ -21,7 +21,6 @@ from .tables import (
     write_result,
     write_result_json,
 )
-from .trotter_error import commutator_weight, empirical_trotter_error, trotter_error_bound
 
 __all__ = [
     "MappingReport",
@@ -36,9 +35,6 @@ __all__ = [
     "results_dir",
     "EnergyExperiment",
     "noisy_energy_experiment",
-    "commutator_weight",
-    "trotter_error_bound",
-    "empirical_trotter_error",
     "TABLE1_PAULI_WEIGHT",
     "TABLE2_PAULI_WEIGHT",
     "TABLE3_PAULI_WEIGHT",

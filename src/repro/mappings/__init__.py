@@ -2,7 +2,6 @@
 
 from .apply import map_fermion_operator, map_majorana_operator
 from .io import load_mapping, mapping_from_dict, mapping_to_dict, save_mapping
-from .tapering import TaperedOperator, find_z2_symmetries, sector_of_state, taper
 from .base import FermionQubitMapping, symplectic_rank
 from .standard import (
     balanced_ternary_tree,
@@ -30,10 +29,6 @@ __all__ = [
     "save_mapping",
     "mapping_to_dict",
     "mapping_from_dict",
-    "find_z2_symmetries",
-    "taper",
-    "TaperedOperator",
-    "sector_of_state",
     "jordan_wigner",
     "bravyi_kitaev",
     "parity_mapping",

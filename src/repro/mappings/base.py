@@ -140,10 +140,6 @@ class FermionQubitMapping:
                 return False
         return True
 
-    def total_string_weight(self) -> int:
-        """Σ_i w(S_i): the mapping's intrinsic weight (Fig. 12 workload)."""
-        return sum(s.weight for s in self.strings)
-
     def __repr__(self) -> str:
         return (
             f"FermionQubitMapping({self.name}, modes={self.n_modes}, "

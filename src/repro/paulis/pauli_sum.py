@@ -132,10 +132,6 @@ class QubitOperator:
         c = self._terms.get((string.x, string.z), 0.0)
         return c * _PHASE_VALUE[string.phase].conjugate() if c else 0.0
 
-    @property
-    def identity_coefficient(self) -> complex:
-        return self._terms.get((0, 0), 0.0)
-
     def pauli_weight(self, tol: float = DEFAULT_TOLERANCE) -> int:
         """Total Pauli weight ``Σ_j w(P_j)`` over non-negligible terms (paper §II-B3)."""
         return sum(weight(x, z) for (x, z), c in self._terms.items() if abs(c) > tol)

@@ -321,17 +321,6 @@ class PauliTable:
         ) & 3
         return PauliTable(self.n, x3, z3, k)
 
-    def monomial_products(self, monomials: Sequence[Sequence[int]]) -> "PauliTable":
-        """Batched product of table rows: row ``i`` of the result is
-        ``Π_l rows[monomials[i][l]]`` (left to right, exact phases).
-
-        Monomials of different lengths are padded with a virtual identity row,
-        so the whole batch costs ``max_len - 1`` vectorized multiplication
-        steps no matter how many monomials there are.  An empty monomial
-        yields the identity.
-        """
-        return self.padded_row_products(pack_monomials(monomials))
-
     def padded_row_products(self, idx: np.ndarray) -> "PauliTable":
         """Batched row products from a padded ``(m, max_len)`` index matrix.
 

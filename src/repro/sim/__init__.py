@@ -7,15 +7,6 @@ drives the ``backend="batched"`` noisy-trajectory path (see
 """
 
 from .batched import BatchedStatevector
-from .measurement import (
-    EnergyEstimate,
-    MeasurementGroup,
-    basis_rotation_circuit,
-    estimate_energy,
-    qubitwise_commuting_groups,
-    sample_bitstrings,
-    sample_bitstrings_batched,
-)
 from .noise import NoiseModel, NoisyResult, ionq_forte_noise_model, noisy_expectations
 from .state_prep import occupation_state_circuit, occupation_statevector
 from .statevector import Statevector
@@ -29,11 +20,4 @@ __all__ = [
     "noisy_expectations",
     "occupation_state_circuit",
     "occupation_statevector",
-    "EnergyEstimate",
-    "MeasurementGroup",
-    "estimate_energy",
-    "qubitwise_commuting_groups",
-    "basis_rotation_circuit",
-    "sample_bitstrings",
-    "sample_bitstrings_batched",
 ]

@@ -170,10 +170,5 @@ class BatchedStatevector:
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.amplitudes, axis=1)
 
-    def probabilities(self) -> np.ndarray:
-        """``(n_traj, 2^n)`` measurement probabilities, normalized per row."""
-        probs = np.abs(self.amplitudes) ** 2
-        return probs / probs.sum(axis=1, keepdims=True)
-
     def __repr__(self) -> str:
         return f"BatchedStatevector(n={self.n}, n_traj={self.n_traj})"

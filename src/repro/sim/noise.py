@@ -76,22 +76,20 @@ def _run_trajectory(
 
 @dataclass
 class NoiseModel:
-    """Depolarizing error rates per gate class plus readout flip probability."""
+    """Depolarizing error rates per gate class."""
 
     p1: float = 0.0  # single-qubit gate depolarizing probability
     p2: float = 0.0  # two-qubit gate depolarizing probability
-    readout: float = 0.0  # per-qubit measurement flip probability
 
     def validate(self) -> None:
-        for name, p in (("p1", self.p1), ("p2", self.p2), ("readout", self.readout)):
+        for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
 
 
 def ionq_forte_noise_model() -> NoiseModel:
-    """IonQ Forte 1 published fidelities (paper §V-B5): 99.98% 1q, 98.99% 2q,
-    99.02% readout."""
-    return NoiseModel(p1=1 - 0.9998, p2=1 - 0.9899, readout=1 - 0.9902)
+    """IonQ Forte 1 published gate fidelities (paper §V-B5): 99.98% 1q, 98.99% 2q."""
+    return NoiseModel(p1=1 - 0.9998, p2=1 - 0.9899)
 
 
 def _gate_error_masks(gate) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
-"""Exact density-matrix simulation with depolarizing channels.
+"""Exact density-matrix oracle with depolarizing channels (test-only).
 
 The Monte-Carlo trajectory sampler in :mod:`repro.sim.noise` is the scalable
 path (the paper's 1000-shot protocol); this module evolves the full density
-matrix through the *exact* noise channels instead, for small systems.  The
-test suite uses it to verify that the trajectory sampler is an unbiased
-estimator of the true noisy expectation values.
+matrix through the *exact* noise channels instead, for small systems.
+``test_density.py`` uses it to verify that the trajectory sampler is an
+unbiased estimator of the true noisy expectation values.
 
 Channel semantics match the sampler: after every gate, each gate-class error
 fires with probability ``p`` and applies a uniformly random non-identity
@@ -19,12 +19,9 @@ import itertools
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate
-from ..paulis import QubitOperator
-from .noise import NoiseModel
-
-__all__ = ["DensityMatrix"]
+from repro.circuits import Circuit, Gate
+from repro.paulis import QubitOperator
+from repro.sim import NoiseModel, Statevector
 
 
 class DensityMatrix:
@@ -50,9 +47,7 @@ class DensityMatrix:
     # Unitary and channel application
     # ------------------------------------------------------------------
     def _full_unitary(self, gate: Gate) -> np.ndarray:
-        """Embed a gate into the full Hilbert space (tests/small n only)."""
-        from .statevector import Statevector
-
+        """Embed a gate into the full Hilbert space (small n only)."""
         dim = 1 << self.n
         out = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):

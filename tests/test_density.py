@@ -6,7 +6,8 @@ import pytest
 from repro.circuits import Circuit, Gate, trotter_circuit
 from repro.paulis import QubitOperator
 from repro.sim import NoiseModel, Statevector, noisy_expectations
-from repro.sim.density import DensityMatrix
+
+from density import DensityMatrix
 
 
 def op_from(labels):
@@ -91,7 +92,6 @@ class TestMonteCarloAgreement:
 
 class TestSuzukiOrder2:
     def test_second_order_more_accurate(self):
-        from repro.analysis.trotter_error import empirical_trotter_error
         from scipy.linalg import expm
 
         h = op_from({"XI": 0.8, "ZZ": 0.6, "IY": -0.5})

@@ -1,7 +1,7 @@
 """End-to-end integration tests across the whole stack.
 
 Each test exercises a full user workflow: model → mapping → qubit
-Hamiltonian → (circuit | tapering | measurement | serialization), with
+Hamiltonian → (circuit | simulation | serialization), with
 physics invariants as the oracle.
 """
 
@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from repro import hatt_mapping, jordan_wigner
-from repro.analysis import (
-    empirical_trotter_error,
-    evaluate_mapping,
-    trotter_error_bound,
-)
+from repro.analysis import evaluate_mapping
 from repro.circuits import to_cx_u3, trotter_circuit
-from repro.mappings import find_z2_symmetries, load_mapping, save_mapping, taper
+from repro.mappings import load_mapping, save_mapping
 from repro.models import fermi_hubbard, hubbard_case
 from repro.models.electronic import electronic_case
 from repro.sim import (
     NoiseModel,
     Statevector,
-    estimate_energy,
     noisy_expectations,
     occupation_statevector,
 )
@@ -45,26 +40,10 @@ class TestHubbardWorkflow:
         # Trotter error at dt=0.0125 is tiny; energy nearly conserved.
         assert e_end == pytest.approx(e_start, abs=1e-2)
 
-    def test_ground_energy_invariant_under_tapering(self):
-        h = hubbard_case("2x2")
-        mapping = jordan_wigner(8)
-        hq = mapping.map(h)
-        syms = [s for s in find_z2_symmetries(hq) if s.x == 0][:2]
-        if not syms:
-            pytest.skip("no diagonal symmetries found")
-        e0 = hq.ground_energy()
-        import itertools
-
-        best = min(
-            taper(hq, symmetries=syms, sector=sector).operator.ground_energy()
-            for sector in itertools.product((1, -1), repeat=len(syms))
-        )
-        assert best == pytest.approx(e0, abs=1e-8)
-
 
 class TestMoleculeWorkflow:
     def test_h2_full_stack(self):
-        """Molecule → SCF → HATT → save/load → circuit → sampled energy."""
+        """Molecule → SCF → HATT → save/load → HF state → exact energy."""
         case = electronic_case("H2_sto3g")
         mapping = hatt_mapping(case.hamiltonian, n_modes=case.n_modes)
         hq = mapping.map(case.hamiltonian)
@@ -80,20 +59,8 @@ class TestMoleculeWorkflow:
             mapping = load_mapping(path)
 
         state = occupation_statevector(mapping, case.hf_occupation)
-        est = estimate_energy(state, mapping.map(case.hamiltonian), shots=30000,
-                              seed=7)
-        assert est.value == pytest.approx(case.scf_energy, abs=0.03)
-
-    def test_trotter_budgeting(self):
-        """The error bound guides step selection: bound < target ⇒ actual < target."""
-        case = electronic_case("H2_sto3g")
-        hq = jordan_wigner(4).map(case.hamiltonian)
-        target = 1e-2
-        steps = 1
-        while trotter_error_bound(hq, 0.2, steps) > target and steps < 64:
-            steps *= 2
-        actual = empirical_trotter_error(hq, 0.2, steps)
-        assert actual < target
+        energy = state.expectation(mapping.map(case.hamiltonian))
+        assert energy == pytest.approx(case.scf_energy, abs=1e-9)
 
     def test_report_consistency(self):
         """evaluate_mapping's numbers agree with direct computation."""

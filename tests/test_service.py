@@ -485,21 +485,36 @@ class TestMappingService:
         ref = results[0].mapping.strings
         assert all(r.mapping.strings == ref for r in results)
 
-    def test_single_flight_without_any_tier(self):
+    def test_single_flight_without_any_tier(self, monkeypatch):
         """Followers take the leader's value even when no tier can hold it."""
+        from repro.service import service as service_mod
+
         h = build_case("hubbard:2x3")
         spec = MappingSpec(kind="hatt")
         svc = MappingService(use_disk=False, memory_capacity=0)
-        barrier = threading.Barrier(6)
+        # Hold the leader's compile open until all five followers have joined
+        # its flight; with no tier, a follower arriving after the compile
+        # finished would (correctly) compile again.
+        release = threading.Event()
+        real = service_mod.compile_mapping
+
+        def gated(hamiltonian, spec_):
+            release.wait(30)
+            return real(hamiltonian, spec_)
+
+        monkeypatch.setattr(service_mod, "compile_mapping", gated)
         results = []
 
         def worker():
-            barrier.wait()
             results.append(svc.get_or_compile(h, spec))
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 30
+        while svc.mappings.stats()["single_flight_waits"] < 5 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
         for t in threads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)

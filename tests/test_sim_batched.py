@@ -23,7 +23,6 @@ from repro.sim import (
     NoiseModel,
     Statevector,
     noisy_expectations,
-    sample_bitstrings_batched,
 )
 
 # ----------------------------------------------------------------------
@@ -279,40 +278,6 @@ class TestBulkExpectations:
         op = QubitOperator.from_label_dict({"ZZ": 1.0})
         with pytest.raises(ValueError):
             Statevector(2).expectation(op, backend="sparse")
-
-
-# ----------------------------------------------------------------------
-# Batched sampling
-# ----------------------------------------------------------------------
-
-
-class TestBatchedSampling:
-    def test_frequencies_match_probabilities(self):
-        rng = np.random.default_rng(7)
-        amps = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        batch = BatchedStatevector(3, amps)
-        shots = 40_000
-        outcomes = sample_bitstrings_batched(batch, shots, np.random.default_rng(0))
-        probs = batch.probabilities()
-        for t in range(2):
-            freq = np.bincount(outcomes[t], minlength=8) / shots
-            np.testing.assert_allclose(freq, probs[t], atol=0.02)
-
-    def test_deterministic_basis_state(self):
-        batch = BatchedStatevector.zeros_state(3, 4)
-        outcomes = sample_bitstrings_batched(batch, 50, np.random.default_rng(1))
-        assert outcomes.shape == (4, 50)
-        assert np.all(outcomes == 0)
-
-    def test_readout_error_flips(self):
-        batch = BatchedStatevector.zeros_state(2, 3)
-        outcomes = sample_bitstrings_batched(
-            batch, 2000, np.random.default_rng(2), readout_error=0.25
-        )
-        # Each bit flips independently with p=0.25.
-        frac_flipped = np.mean(outcomes != 0)
-        assert 0.3 < frac_flipped < 0.55  # 1 - 0.75^2 = 0.4375
 
 
 # ----------------------------------------------------------------------

@@ -24,13 +24,12 @@ class TestNoiseModel:
             NoiseModel(p1=-0.1).validate()
         with pytest.raises(ValueError):
             NoiseModel(p2=1.5).validate()
-        NoiseModel(p1=0.01, p2=0.05, readout=0.02).validate()
+        NoiseModel(p1=0.01, p2=0.05).validate()
 
     def test_ionq_forte_rates(self):
         nm = ionq_forte_noise_model()
         assert nm.p1 == pytest.approx(0.0002)
         assert nm.p2 == pytest.approx(0.0101)
-        assert nm.readout == pytest.approx(0.0098)
 
 
 class TestNoisyExpectations:
