@@ -38,7 +38,7 @@ from conftest import full_run
 from repro.analysis import format_table, write_result, write_result_json
 from repro.sources import build_case
 from repro.obs.metrics import BENCH_LATENCY_BUCKETS, latency_summary
-from repro.obs.trace import StageTimings
+from repro.obs.trace import TraceContext
 from repro.serve import BackgroundServer, CompileRequest, JobQueue, ServiceClient
 from repro.service import MappingService
 
@@ -103,14 +103,12 @@ def latency_bench(tmp_path_factory):
         stage_dt, stage_record = _timed_submit(
             client, CompileRequest(case=COLD_CASES[0], kind="bk"))
         assert stage_record.source == "compiled", stage_record.source
-        stage_timings = StageTimings()
-        stage_timings.merge_spans(
-            (stage_record.result.get("trace") or {}).get("spans", []))
+        stage_trace = TraceContext.from_dict(stage_record.result["trace"])
         cold_stage_breakdown = {
             "case": COLD_CASES[0],
             "kind": "bk",
             "wall_seconds": round(stage_dt, 6),
-            **stage_timings.to_dict(),
+            **stage_trace.summary(),
         }
 
         # -- warm (serial, uncontended) -------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from ..circuits import grouped_evolution_circuit, to_cx_u3, trotter_circuit
 from ..fermion import FermionOperator, MajoranaOperator
-from ..hatt import hatt_mapping
 from ..mappings import (
     FermionQubitMapping,
     balanced_ternary_tree,
@@ -163,40 +162,26 @@ def compare_mappings(
     """
     if arch is None and arch_weight is not None:
         raise ValueError("arch_weight needs an arch")
-    if service is not None:
-        from ..service.fingerprint import MappingSpec
+    from ..service import MappingSpec, compile_mapping
 
-        names = dict(COMPARE_KINDS)
-        if include_unopt:
-            names["HATT-unopt"] = "hatt-unopt"
-        specs = {
-            name: MappingSpec(kind=kind, n_modes=n_modes)
-            for name, kind in names.items()
-        }
-        if arch is not None:
-            specs["HATT-arch"] = MappingSpec(
-                kind="hatt-arch", n_modes=n_modes, arch=arch, arch_weight=arch_weight
-            )
-        mappings = {
-            name: service.get_or_compile(hamiltonian, spec).mapping
-            for name, spec in specs.items()
-        }
-    else:
-        mappings = standard_mappings(n_modes)
-        mappings["HATT"] = hatt_mapping(hamiltonian, n_modes=n_modes)
-        if arch is not None:
-            from ..circuits.architectures import architecture
-
-            mappings["HATT-arch"] = hatt_mapping(
-                hamiltonian,
-                n_modes=n_modes,
-                graph=architecture(arch),
-                arch_weight=arch_weight,
-            )
-        if include_unopt:
-            mappings["HATT-unopt"] = hatt_mapping(
-                hamiltonian, n_modes=n_modes, vacuum=False
-            )
+    names = dict(COMPARE_KINDS)
+    if include_unopt:
+        names["HATT-unopt"] = "hatt-unopt"
+    specs = {
+        name: MappingSpec(kind=kind, n_modes=n_modes) for name, kind in names.items()
+    }
+    if arch is not None:
+        specs["HATT-arch"] = MappingSpec(
+            kind="hatt-arch", n_modes=n_modes, arch=arch, arch_weight=arch_weight
+        )
+    mappings = {
+        name: (
+            compile_mapping(hamiltonian, spec)
+            if service is None
+            else service.get_or_compile(hamiltonian, spec).mapping
+        )
+        for name, spec in specs.items()
+    }
     return {
         name: evaluate_mapping(
             hamiltonian,

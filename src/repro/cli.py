@@ -80,7 +80,7 @@ def _json_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _cache_parent(opt_in: bool, jobs_help: str | None = None) -> argparse.ArgumentParser:
+def _cache_parent(opt_in: bool) -> argparse.ArgumentParser:
     default_hint = (
         "default: no cache unless $REPRO_CACHE_DIR is set"
         if opt_in
@@ -91,9 +91,14 @@ def _cache_parent(opt_in: bool, jobs_help: str | None = None) -> argparse.Argume
                    help=f"compilation-cache directory ({default_hint})")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the compilation cache entirely")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help=jobs_help or "compile with N worker processes "
-                        "(cache-backed; ignored without an enabled cache)")
+    return p
+
+
+def _jobs_parent(help_text: str = "compile with N worker processes (cache-backed; "
+                                  "ignored without an enabled cache)"
+                 ) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--jobs", type=int, default=1, metavar="N", help=help_text)
     return p
 
 
@@ -221,12 +226,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         arch=args.arch if is_arch else None,
         arch_weight=args.arch_weight if is_arch else None,
     )
-    cache_dir = _resolve_cache_dir(args, opt_in=True)
-    # One task, so --jobs adds no parallelism here, but routing it through
-    # the orchestrator keeps the flag honest (and warms the shared cache).
-    _prewarm(args, cache_dir, [args.case], [args.mapping],
-             arch=args.arch, arch_weight=args.arch_weight)
-    service = _make_service(cache_dir)
+    service = _make_service(_resolve_cache_dir(args, opt_in=True))
     fingerprint = source = None
     if service is not None:
         result = service.get_or_compile(h, spec)
@@ -324,11 +324,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.json:
         result = report.to_dict()
         result["pipeline"] = dict(pipeline.stats)
-        # Pipeline stages are the authoritative breakdown; the finer
-        # service-level spans (fingerprint, cache lookups, tree build)
-        # overlap them, so they ride in the trace block instead of the
-        # stage table — merging both would double-count wall time.
-        result["timings"] = pipeline.timings.to_dict()
+        result["timings"] = trace_ctx.summary()
         result["timings"]["wall_seconds"] = round(sweep_wall, 6)
         result["trace"] = trace_ctx.to_dict()
         result["trace_id"] = trace_ctx.trace_id
@@ -593,10 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache_opt_in = _cache_parent(opt_in=True)
     cache_default = _cache_parent(opt_in=False)
     arch_parent = _arch_parent()
+    jobs_parent = _jobs_parent()
 
     p_compare = sub.add_parser(
         "compare", help="evaluate all mappings on a case",
-        parents=[json_parent, cache_opt_in, arch_parent],
+        parents=[json_parent, cache_opt_in, jobs_parent, arch_parent],
     )
     p_compare.add_argument("case", help="e.g. H2_sto3g, hubbard:2x3, neutrino:3x2F")
     p_compare.add_argument("--no-circuit", action="store_true",
@@ -619,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser(
         "compile",
         help="route a Trotter step onto hardware architectures (Table IV)",
-        parents=[json_parent, cache_opt_in],
+        parents=[json_parent, cache_opt_in, jobs_parent],
     )
     p_compile.add_argument("case", help="e.g. H2_sto3g, hubbard:2x3")
     p_compile.add_argument("--arch", default="all", metavar="NAME",
@@ -642,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch",
         help="compile a suite of cases × mappings through the service",
-        parents=[json_parent, cache_default, arch_parent],
+        parents=[json_parent, cache_default, jobs_parent, arch_parent],
     )
     p_batch.add_argument("cases", nargs="+",
                          help="case specs (see `repro cases`)")
@@ -658,9 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="run the compilation-service HTTP API",
-        parents=[_cache_parent(opt_in=False,
-                               jobs_help="executor width: N worker threads or "
-                                         "processes (default: 1)")],
+        parents=[cache_default,
+                 _jobs_parent("executor width: N worker threads or "
+                              "processes (default: 1)")],
     )
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")

@@ -31,7 +31,7 @@ from ..circuits import architecture, route_circuit, to_cx_u3, trotter_circuit
 from ..circuits.evolution import TERM_ORDERS
 from ..circuits.routing import DEFAULT_LOOKAHEAD
 from ..fermion import FermionOperator, MajoranaOperator
-from ..obs.trace import StageTimings, current_trace_id
+from ..obs.trace import current_trace_id, span
 from ..service import (
     MappingSpec,
     compile_mapping,
@@ -249,9 +249,6 @@ class CompilationPipeline:
         self.arch_weight = arch_weight
         self._graphs: dict[str, object] = {}
         self.stats = {"routed": 0, "circuit_hits": 0}
-        #: Cumulative per-stage wall time across every compile this pipeline
-        #: ran (construction / mapping_apply / ordering / routing / store).
-        self.timings = StageTimings()
 
     # ------------------------------------------------------------------
     def graph(self, arch: str):
@@ -291,7 +288,10 @@ class CompilationPipeline:
             arch=arch if kind == "hatt-arch" else None,
             arch_weight=self.arch_weight if kind == "hatt-arch" else None,
         )
-        with self.timings.time("construction"):
+        # Stage spans land on the active trace (if any) and on the service's
+        # registry, next to the service's own spans nested inside them.
+        registry = self.service.registry if self.service is not None else None
+        with span("construction", registry=registry):
             mapping, mapping_fp = self._mapping(hamiltonian, spec)
         fp = circuit_fingerprint(
             fingerprint_operator(hamiltonian), mapping_fp, arch, self.options
@@ -299,11 +299,11 @@ class CompilationPipeline:
 
         def route() -> RoutedMetrics:
             opts = self.options
-            with self.timings.time("mapping_apply"):
+            with span("mapping_apply", registry=registry):
                 hq = mapping.map(hamiltonian)
                 table, _ = hq.to_table()
                 pauli_weight = int(table.weights().sum())
-            with self.timings.time("ordering"):
+            with span("ordering", registry=registry):
                 logical = to_cx_u3(
                     trotter_circuit(
                         hq,
@@ -314,7 +314,7 @@ class CompilationPipeline:
                     )
                 )
             graph = self.graph(arch)
-            with self.timings.time("routing"):
+            with span("routing", registry=registry):
                 routed = route_circuit(logical, graph, lookahead=opts.lookahead)
                 final = to_cx_u3(routed.circuit)
             metrics = RoutedMetrics(
@@ -342,8 +342,7 @@ class CompilationPipeline:
             return route()
 
         def load() -> RoutedMetrics | None:
-            with self.timings.time("store"):
-                doc = self.service.store.get_circuit_report(fp)
+            doc = self.service.store.get_circuit_report(fp)
             return None if doc is None else RoutedMetrics.from_artifact(doc)
 
         def save(metrics: RoutedMetrics) -> None:
@@ -352,8 +351,7 @@ class CompilationPipeline:
             if trace_id:
                 # Provenance breadcrumb; from_artifact ignores non-payload keys.
                 doc["trace_id"] = trace_id
-            with self.timings.time("store"):
-                self.service.store.put_circuit_report(fp, doc)
+            self.service.store.put_circuit_report(fp, doc)
 
         disk = (load, save) if self.service.store is not None else (None, None)
         metrics, tier = self.service.circuits.get_or_compute(fp, route, *disk)

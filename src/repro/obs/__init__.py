@@ -8,12 +8,13 @@ single telemetry seam they all feed now:
   (Counter / Gauge / Histogram with labeled families) that renders both a
   JSON snapshot (``/v1/stats``, ``repro cache stats --json``) and the
   Prometheus text exposition format (``GET /v1/metrics``);
-* :mod:`.trace` — context-var request tracing: trace IDs, span timers for
-  per-stage compile profiling (fingerprint → lookup → construction →
-  ordering → routing → store), a serializable :class:`~repro.obs.trace
-  .TraceContext` that survives the hop into process-pool workers, and
-  :class:`~repro.obs.trace.StageTimings` accumulators for pipeline/batch
-  stage breakdowns;
+* :mod:`.trace` — context-var request tracing: trace IDs and nested span
+  timers for per-stage compile profiling (construction → fingerprint →
+  lookups → tree construction, then mapping apply → ordering → routing →
+  store).  Each span records its parent stage and self time, so a
+  :class:`~repro.obs.trace.TraceContext`'s ``summary()`` is a stage
+  breakdown that adds up; the context is plain data and survives the hop
+  into process-pool workers;
 * :mod:`.logging` — a JSON-lines formatter stamping every record with the
   active trace ID, ``configure_logging`` for ``repro serve --log-format
   json``, and the slow-compile warning threshold.
@@ -40,7 +41,6 @@ from .metrics import (
     reset_registry,
 )
 from .trace import (
-    StageTimings,
     TraceContext,
     activate,
     current_trace,
@@ -60,7 +60,6 @@ __all__ = [
     "reset_registry",
     "latency_summary",
     "TraceContext",
-    "StageTimings",
     "activate",
     "current_trace",
     "current_trace_id",

@@ -220,28 +220,8 @@ class CircuitBreaker:
             }
 
 
-def _run_request(
-    request: CompileRequest,
-    service: MappingService,
-    trace_ctx: TraceContext | None = None,
-) -> dict:
-    """Execute one request against a service; the job-family dispatch.
-
-    When a :class:`TraceContext` is supplied it is activated for the whole
-    execution (so service/pipeline spans land on it) and serialized into the
-    result's ``trace`` block — the vehicle that carries worker-side spans
-    back across a process boundary.
-    """
-    if trace_ctx is None:
-        out = _run_request_traced(request, service)
-    else:
-        with activate(trace_ctx):
-            out = _run_request_traced(request, service)
-        out["trace"] = trace_ctx.to_dict()
-    return out
-
-
-def _run_request_traced(request: CompileRequest, service: MappingService) -> dict:
+def _run_request(request: CompileRequest, service: MappingService) -> dict:
+    """Execute one request against a service; the job-family dispatch."""
     faults.sleep_if("slow_compile")
     h = build_case(request.case)
     if request.job == "map":
@@ -276,8 +256,28 @@ def _run_request_traced(request: CompileRequest, service: MappingService) -> dic
         "fingerprint": metrics.fingerprint,
         "source": metrics.source,
         "metrics": metrics.to_dict(),
-        "timings": pipeline.timings.to_dict(),
     }
+
+
+def _run_traced(
+    request: CompileRequest, service: MappingService, trace_ctx: TraceContext
+) -> dict:
+    """Run ``_run_request`` with ``trace_ctx`` active and attach the trace.
+
+    The result's ``trace`` block carries the spans (the vehicle that brings
+    worker-side spans back across a process boundary); a compile result also
+    gets a ``timings`` block, the trace's per-stage summary.  The trace is
+    activated here so ``_run_request`` keeps its two-argument
+    ``(request, service)`` shape, which substitute dispatchers rely on.
+    """
+    with activate(trace_ctx):
+        out = _run_request(request, service)
+    if isinstance(out, dict):
+        out = dict(out)
+        out["trace"] = trace_ctx.to_dict()
+        if out.get("job") == "compile":
+            out["timings"] = trace_ctx.summary()
+    return out
 
 
 def execute_request(
@@ -297,8 +297,8 @@ def execute_request(
     faults.exit_if("worker_crash")
     request = CompileRequest.from_dict(request_doc)
     service = MappingService(cache_dir=cache_dir, use_disk=use_disk)
-    trace_ctx = TraceContext.from_dict(trace) if trace is not None else None
-    return _run_request(request, service, trace_ctx=trace_ctx)
+    trace_ctx = TraceContext.from_dict(trace) if trace is not None else TraceContext()
+    return _run_traced(request, service, trace_ctx)
 
 
 def _classify(exc: BaseException) -> tuple[str, bool]:
@@ -621,16 +621,7 @@ class JobQueue:
             record.status = JobStatus.RUNNING
             record.started_at = time.time()
         faults.crash_if("worker_crash")
-        # Activate the trace here rather than passing trace_ctx down —
-        # tests monkeypatch _run_request with two-argument fakes, so the
-        # (request, service) call shape is part of the contract.
-        trace_ctx = TraceContext(record.trace_id)
-        with activate(trace_ctx):
-            out = _run_request(record.request, self.service)
-        if isinstance(out, dict) and "trace" not in out:
-            out = dict(out)
-            out["trace"] = trace_ctx.to_dict()
-        return out
+        return _run_traced(record.request, self.service, TraceContext(record.trace_id))
 
     def _arm_deadline(self, record: JobRecord, future: Future) -> None:
         timeout = record.request.deadline or self.job_timeout
@@ -998,26 +989,12 @@ class JobQueue:
                 settled.result(remaining)
             except TimeoutError:
                 break
-        forced = 0
-        to_cancel = []
         with self._lock:
-            for record in list(self._jobs.values()):
-                if record.done:
-                    continue
-                future = self._futures.get(record.id)
-                if future is not None:
-                    to_cancel.append(future)
-                self._count("cancelled")
-                self._settle_locked(
-                    record,
-                    error=(
-                        f"service drained: job cancelled after the "
-                        f"{timeout:g}s settling budget"
-                    ),
-                    kind="shutdown",
-                    status=JobStatus.CANCELLED,
-                )
-                forced += 1
+            forced = sum(1 for record in self._jobs.values() if not record.done)
+            to_cancel = self._cancel_unfinished_locked(
+                f"service drained: job cancelled after the "
+                f"{timeout:g}s settling budget"
+            )
         for future in to_cancel:
             future.cancel()  # outside the lock; stale _on_done no-ops
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -1032,25 +1009,31 @@ class JobQueue:
         started.
         """
         if cancel_futures:
-            to_cancel = []
             with self._lock:
                 self._draining = True
-                for record in self._jobs.values():
-                    if record.done:
-                        continue
-                    future = self._futures.get(record.id)
-                    if future is not None:
-                        to_cancel.append(future)
-                    self._count("cancelled")
-                    self._settle_locked(
-                        record,
-                        error="service shut down before the job completed",
-                        kind="shutdown",
-                        status=JobStatus.CANCELLED,
-                    )
+                to_cancel = self._cancel_unfinished_locked(
+                    "service shut down before the job completed"
+                )
             for future in to_cancel:
                 future.cancel()  # outside the lock; stale _on_done no-ops
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    def _cancel_unfinished_locked(self, error: str) -> list[Future]:
+        """Force-settle every unfinished record as ``cancelled`` (kind
+        ``"shutdown"``); returns their futures, which the caller cancels
+        outside the lock."""
+        to_cancel = []
+        for record in list(self._jobs.values()):
+            if record.done:
+                continue
+            future = self._futures.get(record.id)
+            if future is not None:
+                to_cancel.append(future)
+            self._count("cancelled")
+            self._settle_locked(
+                record, error=error, kind="shutdown", status=JobStatus.CANCELLED
+            )
+        return to_cancel
 
     def __enter__(self) -> "JobQueue":
         return self

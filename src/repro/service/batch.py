@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 from ..analysis.tables import format_table
 from ..fermion import FermionOperator
 from ..mappings.io import mapping_from_dict, mapping_to_dict
-from ..obs.trace import StageTimings, TraceContext, activate
+from ..obs.trace import TraceContext, activate, current_trace
 from ..sources import HamiltonianSource, resolve as resolve_source
 from .fingerprint import (
     MAPPING_KINDS,
@@ -117,9 +117,9 @@ class SuiteReport:
     n_unique: int = 0
     jobs: int = 1
     wall_seconds: float = 0.0
-    #: Per-stage wall-time breakdown aggregated across every compile of the
-    #: run — including spans recorded inside pool workers and shipped back.
-    timings: StageTimings = field(default_factory=StageTimings)
+    #: Per-stage breakdown (``TraceContext.summary()``) of every compile of
+    #: the run — including spans recorded inside pool workers and shipped back.
+    timings: dict = field(default_factory=dict)
 
     @property
     def n_tasks(self) -> int:
@@ -170,7 +170,7 @@ class SuiteReport:
             "jobs": self.jobs,
             "wall_seconds": round(self.wall_seconds, 6),
             "total_compile_seconds": round(self.total_compile_seconds, 6),
-            "timings": self.timings.to_dict(),
+            "timings": self.timings,
             "tasks": [t.to_dict() for t in self.tasks],
         }
 
@@ -360,7 +360,6 @@ def iter_compile_suite(
     arch: str | None = None,
     arch_weight: float | None = None,
     evaluate: bool = True,
-    timings: StageTimings | None = None,
 ) -> Iterator[TaskResult]:
     """Stream :class:`TaskResult`\\ s for a suite as compiles complete.
 
@@ -368,8 +367,7 @@ def iter_compile_suite(
     duplicate tasks ride along for free.  ``use_cache=False`` disables the
     disk store (each run recompiles; parallel dedup still applies).
     ``arch``/``arch_weight`` configure any ``hatt-arch`` tasks in the suite.
-    ``timings`` (optional) accumulates per-stage wall time across every
-    compile — worker spans included.
+    Stage spans land on the active trace, if any — worker spans included.
     """
     tasks = expand_tasks(cases, kinds)
     srcs, hams, by_fp, errors = _plan(tasks, arch, arch_weight)
@@ -386,19 +384,14 @@ def iter_compile_suite(
         service = MappingService(cache_dir=cache_dir, use_disk=use_cache)
         for fp, fp_tasks in by_fp.items():
             spec = _spec_for(fp_tasks[0].kind, arch, arch_weight)
-            trace_ctx = TraceContext()
             try:
                 h = ham_for(fp_tasks[0].case)
-                with activate(trace_ctx):
-                    result = service.get_or_compile(h, spec)
+                result = service.get_or_compile(h, spec)
             except Exception as exc:  # noqa: BLE001 - keep the suite going
                 for task in fp_tasks:
                     yield TaskResult(task.case, task.kind, fingerprint=fp,
                                      error=f"{type(exc).__name__}: {exc}")
                 continue
-            finally:
-                if timings is not None:
-                    timings.merge_spans(trace_ctx.spans)
             # Equal-fingerprint tasks share canonical terms, so one mapped
             # Pauli weight (from the group's representative) serves them all.
             lead = _evaluate(fp_tasks[0], fp, result.mapping, result.source,
@@ -438,8 +431,9 @@ def iter_compile_suite(
                 weight = None
                 try:
                     fp_result, doc, source, secs, err, spans, weight = future.result()
-                    if timings is not None:
-                        timings.merge_spans(spans)
+                    trace_ctx = current_trace()
+                    if trace_ctx is not None:
+                        trace_ctx.extend(spans)
                 except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
                     # A dead worker (OOM kill, segfault) must cost its own
                     # tasks, not the rest of the suite.
@@ -474,21 +468,23 @@ def compile_suite(
     """
     start = time.perf_counter()
     report = SuiteReport(jobs=jobs)
-    for result in iter_compile_suite(
-        cases,
-        kinds,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        arch=arch,
-        arch_weight=arch_weight,
-        evaluate=evaluate,
-        timings=report.timings,
-    ):
-        report.tasks.append(result)
-        if progress is not None:
-            progress(result)
+    trace_ctx = TraceContext()
+    with activate(trace_ctx):
+        for result in iter_compile_suite(
+            cases,
+            kinds,
+            jobs=jobs,
+            cache_dir=cache_dir,
+            use_cache=use_cache,
+            arch=arch,
+            arch_weight=arch_weight,
+            evaluate=evaluate,
+        ):
+            report.tasks.append(result)
+            if progress is not None:
+                progress(result)
     report.wall_seconds = time.perf_counter() - start
+    report.timings = trace_ctx.summary()
     fps = {t.fingerprint for t in report.tasks if t.ok and t.fingerprint}
     report.n_unique = len(fps)
     # Deterministic report order regardless of completion order.

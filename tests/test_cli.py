@@ -102,6 +102,18 @@ class TestMap:
         assert load_mapping(out_file).provenance["kind"] == "hatt"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "hubbard:1x2", "--jobs", "2"],
+        ["cache", "stats", "--jobs", "2"],
+    ])
+    def test_jobs_flag_rejected(self, argv, capsys):
+        # map compiles one task in-process and cache compiles nothing, so
+        # neither takes --jobs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestCases:
     def test_happy_path(self, capsys):
         assert main(["cases"]) == 0
@@ -137,6 +149,7 @@ class TestBatch:
         first = run_json(capsys, argv)
         assert first["n_tasks"] == 3 and first["n_errors"] == 0
         assert first["n_cache_hits"] == 0
+        assert first["timings"]["stages"]["tree_construction"]["count"] == 3
         second = run_json(capsys, argv)
         assert second["n_cache_hits"] == 3
         assert all(t["cache_hit"] for t in second["tasks"])
@@ -163,6 +176,8 @@ class TestBatch:
                                  "--cache-dir", str(tmp_path / "cache"),
                                  "--jobs", "2", "--json"])
         assert data["n_errors"] == 0 and data["n_tasks"] == 2
+        # Worker-side spans ship back into the suite's stage breakdown.
+        assert data["timings"]["stages"]["tree_construction"]["count"] == 2
 
     def test_batch_error_exit_code(self, tmp_path, capsys):
         assert main(["batch", "no_such_case", "--cache-dir",
@@ -304,6 +319,21 @@ class TestCompile:
                         for k, m in per.items()} for a, per in d.items()}
 
         assert strip(warm["metrics"]) == strip(cold["metrics"])
+
+    def test_json_timings_add_up(self, capsys):
+        data = run_json(capsys, ["compile", "hubbard:2x2", "--arch",
+                                 "sycamore", "--json"])
+        timings = data["timings"]
+        assert timings["stage_total_seconds"] <= timings["wall_seconds"]
+        stages = timings["stages"]
+        for stage in ("construction", "mapping_apply", "ordering", "routing"):
+            assert stages[stage]["count"] == 4, stage
+        for slot in stages.values():
+            assert slot["self_seconds"] <= slot["seconds"]
+        assert timings["stage_total_seconds"] == pytest.approx(
+            sum(slot["self_seconds"] for slot in stages.values()), abs=1e-5)
+        assert len(data["trace"]["spans"]) == sum(
+            slot["count"] for slot in stages.values())
 
     def test_bad_arch_rejected(self, capsys):
         assert main(["compile", "H2_sto3g", "--arch", "osprey"]) == 2

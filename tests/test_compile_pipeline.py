@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.compile import (
     RoutedMetrics,
     circuit_fingerprint,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceContext, activate
 from repro.service import MappingService
 from repro.sources import build_case
 
@@ -215,6 +218,40 @@ class TestCircuitCache:
         pipeline.compile_one(h2, "jw", "montreal")
         pipeline.compile_one(h2, "jw", "montreal")
         assert pipeline.stats == {"routed": 2, "circuit_hits": 0}
+
+
+class TestStageSpans:
+    def test_stage_breakdown_nests_and_adds_up(self):
+        h = build_case("hubbard:2x2")
+        pipeline = CompilationPipeline(service=MappingService(use_disk=False))
+        ctx = TraceContext()
+        started = time.perf_counter()
+        with activate(ctx):
+            pipeline.compile_one(h, "hatt", "sycamore")
+        wall = time.perf_counter() - started
+        spans = ctx.spans
+        parents = {s["stage"]: s["parent"] for s in spans}
+        assert parents["fingerprint"] == "construction"
+        assert parents["tree_construction"] == "construction"
+        for stage in ("construction", "mapping_apply", "ordering", "routing"):
+            assert parents[stage] is None
+        # The circuits cache's lookup runs after construction, at top level
+        # (the mappings cache's lookup ran inside construction).
+        lookups = [(i, s["parent"]) for i, s in enumerate(spans)
+                   if s["stage"] == "memory_lookup"]
+        assert [parent for _, parent in lookups] == ["construction", None]
+        assert lookups[1][0] > [s["stage"] for s in spans].index("construction")
+        summary = ctx.summary()
+        for stage, slot in summary["stages"].items():
+            assert slot["self_seconds"] <= slot["seconds"], stage
+        assert summary["stage_total_seconds"] <= wall
+
+    def test_pipeline_stages_reach_the_service_registry(self, h2):
+        service = MappingService(use_disk=False, registry=MetricsRegistry())
+        CompilationPipeline(service=service).compile_one(h2, "jw", "montreal")
+        hist = service.registry.snapshot()["repro_stage_seconds"]["values"]
+        for stage in ("construction", "mapping_apply", "ordering", "routing"):
+            assert hist[f"stage={stage}"]["count"] == 1, stage
 
 
 class TestRoutedMetricsRoundtrip:

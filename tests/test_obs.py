@@ -6,6 +6,8 @@ Covers the PR's observability guarantees:
   and the rendered text parses as valid exposition format (mini-parser);
 * the metric-counter choke point (``JobQueue._count``) is race-free under
   a 16-thread hammer — per-queue stats and registry totals agree exactly;
+* spans nest: each records its parent stage and self time, and a trace's
+  ``summary()`` total is the sum of self times;
 * a trace context survives the round trip through a real
   ``ProcessPoolExecutor`` worker and comes back with recorded spans;
 * JSON log lines carry the active trace ID; the slow-compile threshold
@@ -16,6 +18,7 @@ import json
 import logging
 import math
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -35,7 +38,6 @@ from repro.obs.metrics import (
     latency_summary,
 )
 from repro.obs.trace import (
-    StageTimings,
     TraceContext,
     activate,
     current_trace,
@@ -299,7 +301,21 @@ class TestTrace:
         clone = TraceContext.from_dict(
             json.loads(json.dumps(ctx.to_dict())))
         assert clone.trace_id == "deadbeef"
-        assert clone.stage_seconds() == {"construction": 0.25}
+        assert clone.spans == [{"stage": "construction", "seconds": 0.25,
+                                "parent": None, "self_seconds": 0.25}]
+        assert clone.summary()["stages"] == {
+            "construction": {"seconds": 0.25, "self_seconds": 0.25, "count": 1}}
+
+    def test_from_dict_accepts_spans_without_nesting_fields(self):
+        clone = TraceContext.from_dict({"trace_id": "old", "spans": [
+            {"stage": "routing", "seconds": 0.5},
+            {"stage": "fingerprint", "seconds": 0.125, "parent": "construction",
+             "self_seconds": 0.125},
+        ]})
+        routing, fingerprint = clone.spans
+        assert routing["parent"] is None and routing["self_seconds"] == 0.5
+        assert fingerprint["parent"] == "construction"
+        assert clone.summary()["stage_total_seconds"] == 0.625
 
     def test_trace_round_trips_through_process_pool(self, tmp_path):
         """The real serving path: a trace dict rides the pickled args into a
@@ -312,24 +328,72 @@ class TestTrace:
                 {"trace_id": "feedface01", "spans": []})
             out = future.result(timeout=120)
         assert out["trace"]["trace_id"] == "feedface01"
-        stages = {s["stage"] for s in out["trace"]["spans"]}
-        assert "fingerprint" in stages and "tree_construction" in stages
+        spans = {s["stage"]: s for s in out["trace"]["spans"]}
+        assert "fingerprint" in spans and "tree_construction" in spans
+        # A map job opens no enclosing span, so the build is top-level.
+        tree = spans["tree_construction"]
+        assert tree["parent"] is None
+        assert 0 <= tree["self_seconds"] <= tree["seconds"]
 
-    def test_stage_timings_accumulate_and_merge(self):
-        t = StageTimings()
-        t.add("routing", 0.5)
-        t.add("routing", 0.25)
-        with t.time("ordering"):
-            pass
-        t.merge_spans([{"stage": "construction", "seconds": 1.0}])
-        other = StageTimings()
-        other.add("routing", 0.25)
-        t.merge(other)
-        doc = t.to_dict()
-        assert doc["stages"]["routing"] == {"seconds": 1.0, "count": 3}
-        assert doc["stages"]["construction"]["count"] == 1
-        assert doc["stage_total_seconds"] == pytest.approx(
-            2.0 + doc["stages"]["ordering"]["seconds"])
+    def test_nested_spans_record_parent_and_self_seconds(self):
+        reg = MetricsRegistry()
+        ctx = TraceContext()
+        with activate(ctx):
+            with span("construction", registry=reg):
+                with span("fingerprint", registry=reg):
+                    pass
+                with span("tree_construction", registry=reg):
+                    with span("hatt", registry=reg):
+                        pass
+            with span("routing", registry=reg):
+                pass
+        by_stage = {s["stage"]: s for s in ctx.spans}
+        assert [s["stage"] for s in ctx.spans] == [
+            "fingerprint", "hatt", "tree_construction", "construction", "routing"]
+        assert by_stage["construction"]["parent"] is None
+        assert by_stage["fingerprint"]["parent"] == "construction"
+        assert by_stage["tree_construction"]["parent"] == "construction"
+        assert by_stage["hatt"]["parent"] == "tree_construction"
+        assert by_stage["routing"]["parent"] is None
+        outer = by_stage["construction"]
+        children = by_stage["fingerprint"]["seconds"] + \
+            by_stage["tree_construction"]["seconds"]
+        assert outer["self_seconds"] == pytest.approx(outer["seconds"] - children)
+        for s in ctx.spans:
+            assert 0 <= s["self_seconds"] <= s["seconds"]
+        # The histogram still observes each span's total seconds.
+        hist = reg.snapshot()["repro_stage_seconds"]["values"]
+        assert hist["stage=construction"]["sum"] == pytest.approx(outer["seconds"])
+
+    def test_summary_total_is_sum_of_self_seconds(self):
+        ctx = TraceContext()
+        started = time.perf_counter()
+        with activate(ctx):
+            for _ in range(3):
+                with span("construction"):
+                    with span("fingerprint"):
+                        time.sleep(0.001)
+                    time.sleep(0.001)
+        wall = time.perf_counter() - started
+        summary = ctx.summary()
+        stages = summary["stages"]
+        assert stages["construction"]["count"] == 3
+        assert stages["fingerprint"]["count"] == 3
+        assert summary["stage_total_seconds"] == pytest.approx(
+            sum(s["self_seconds"] for s in stages.values()), abs=1e-5)
+        # Nested time counts once: the total is the outer stage's seconds,
+        # not outer + inner.
+        assert summary["stage_total_seconds"] == pytest.approx(
+            stages["construction"]["seconds"], abs=1e-5)
+        assert summary["stage_total_seconds"] <= wall
+
+    def test_activate_starts_a_fresh_span_stack(self):
+        inner = TraceContext()
+        with span("outer"):
+            with activate(inner):
+                with span("fingerprint"):
+                    pass
+        assert inner.spans[0]["parent"] is None
 
 
 # ----------------------------------------------------------------------

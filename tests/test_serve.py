@@ -754,6 +754,24 @@ class TestObservability:
             polled = client.job(record.id)
             assert polled.trace_id == record.trace_id
 
+    def test_compile_job_timings_nest_and_reach_metrics(self, observed):
+        _q, bg, registry = observed
+        with ServiceClient(bg.host, bg.port) as client:
+            record = client.submit(
+                CompileRequest(case="hubbard:2x2", job="compile", arch="sycamore"),
+                wait=True, timeout=120)
+        assert record.status == "done", record.error
+        timings = record.result["timings"]
+        stages = timings["stages"]
+        for stage in ("construction", "tree_construction", "routing"):
+            assert stages[stage]["count"] == 1, stage
+        parents = {s["stage"]: s["parent"] for s in record.result["trace"]["spans"]}
+        assert parents["tree_construction"] == "construction"
+        assert timings["stage_total_seconds"] == pytest.approx(
+            sum(slot["self_seconds"] for slot in stages.values()), abs=1e-5)
+        hist = registry.snapshot()["repro_stage_seconds"]["values"]
+        assert hist["stage=routing"]["count"] == 1
+
     def test_coalesced_submission_inherits_trace_id(self, observed, monkeypatch):
         queue, bg, _reg = observed
         gate = threading.Event()

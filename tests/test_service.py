@@ -660,6 +660,19 @@ class TestPipelineIntegration:
         stats = svc.stats()
         assert stats["compiles"] == 4 and stats["hits_memory"] == 4
 
+    def test_compare_row_order_same_with_and_without_service(self, tmp_path):
+        from repro.analysis import compare_mappings
+
+        h = build_case("hubbard:2x2")
+        kwargs = dict(compile_circuit=False, include_unopt=True, arch="sycamore")
+        direct = compare_mappings(h, 8, **kwargs)
+        via_service = compare_mappings(
+            h, 8, service=MappingService(cache_dir=tmp_path), **kwargs)
+        assert list(direct) == list(via_service) == [
+            "JW", "BK", "BTT", "HATT", "HATT-unopt", "HATT-arch"]
+        assert {k: r.to_dict() for k, r in direct.items()} == \
+            {k: r.to_dict() for k, r in via_service.items()}
+
 
 class TestCircuitNamespace:
     def test_roundtrip_and_inventory(self, tmp_path):
