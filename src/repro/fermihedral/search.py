@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from ..fermion import FermionOperator, MajoranaOperator
+from ..fermion.majorana import majorana_form
 from ..mappings.base import FermionQubitMapping
 from .encoding import MappingEncoding
 from .sat import SAT, UNKNOWN, UNSAT, Solver
@@ -38,14 +39,6 @@ class FermihedralResult:
         return f"{self.weight}{'' if self.optimal else '*'}"
 
 
-def _majorana_terms(
-    hamiltonian: FermionOperator | MajoranaOperator,
-) -> MajoranaOperator:
-    if isinstance(hamiltonian, FermionOperator):
-        return MajoranaOperator.from_fermion_operator(hamiltonian)
-    return hamiltonian
-
-
 def fermihedral_mapping(
     hamiltonian: FermionOperator | MajoranaOperator,
     n_modes: int | None = None,
@@ -58,7 +51,7 @@ def fermihedral_mapping(
     starts just below it.  Practical only for N ≲ 4 — exactly the paper's
     observation that exhaustive search does not scale (Fig. 12).
     """
-    majorana = _majorana_terms(hamiltonian)
+    majorana = majorana_form(hamiltonian)
     if n_modes is None:
         n_modes = majorana.n_modes
     terms = majorana.support_terms()

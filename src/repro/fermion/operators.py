@@ -27,7 +27,7 @@ _COEFF_TOLERANCE = 1e-12
 class FermionOperator:
     """Weighted sum of products of fermionic creation/annihilation operators."""
 
-    __slots__ = ("_terms", "_fingerprint_cache")
+    __slots__ = ("_terms", "_fingerprint_cache", "_majorana_cache")
 
     def __init__(self, terms: dict[tuple[Action, ...], complex] | None = None):
         self._terms: dict[tuple[Action, ...], complex] = dict(terms) if terms else {}
@@ -35,6 +35,10 @@ class FermionOperator:
         #: fingerprint form — owned by repro.service.fingerprint, cleared on
         #: mutation (the same contract as MajoranaOperator._packed).
         self._fingerprint_cache = None
+        #: Memo of the Majorana form, owned by
+        #: :func:`repro.fermion.majorana.majorana_form`; cleared on mutation
+        #: like the fingerprint memo.
+        self._majorana_cache = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -101,6 +105,7 @@ class FermionOperator:
     # ------------------------------------------------------------------
     def add_term(self, actions: tuple[Action, ...], coeff: complex) -> None:
         self._fingerprint_cache = None
+        self._majorana_cache = None
         new = self._terms.get(actions, 0.0) + coeff
         if abs(new) <= _COEFF_TOLERANCE:
             self._terms.pop(actions, None)

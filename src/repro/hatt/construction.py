@@ -55,7 +55,8 @@ Construction backends
 ---------------------
 ``backend="vector"`` (default) stores the per-node masks as an
 ``(n_nodes, n_words)`` packed-uint64 matrix
-(:func:`repro.paulis.table.pack_incidence`) and evaluates **all** candidate
+(:func:`repro.paulis.table.incidence_from_masks`, the transpose of the
+operator's monomial bitmasks) and evaluates **all** candidate
 weights of a selection step in one broadcast NumPy kernel: the full
 upper-triangular ``(A, B, C)`` grid for Algorithm 1 and the ``(O_X, O_Z)``
 pair grid for Algorithms 2/3, chunked under ``memory_budget`` bytes of
@@ -95,9 +96,10 @@ from itertools import combinations
 import numpy as np
 
 from ..fermion import FermionOperator, MajoranaOperator
+from ..fermion.majorana import majorana_form
 from ..mappings.base import FermionQubitMapping
 from ..mappings.tree import TernaryTree, TreeNode, tree_from_uid_arrays
-from ..paulis.table import pack_incidence
+from ..paulis.table import incidence_from_masks
 
 __all__ = [
     "HattConstruction",
@@ -198,7 +200,6 @@ class HattConstruction:
         )
         if self.memory_budget <= 0:
             raise ValueError("memory_budget must be positive")
-        self.terms: list[tuple[int, ...]] = hamiltonian.support_terms()
         self.trace: list[Selection] = []
         #: Child-uid triples per qubit, appended by :meth:`_reduce`.
         self._children: list[tuple[int, int, int]] = []
@@ -207,20 +208,20 @@ class HattConstruction:
         n_leaves = 2 * n_modes + 1
         self._n_leaves = n_leaves
         if backend == "vector":
-            self._init_vector(n_leaves)
+            self._init_vector(hamiltonian, n_leaves)
         else:
-            self._init_scalar(n_leaves)
+            self._init_scalar(hamiltonian, n_leaves)
         self._init_arch(graph, arch_weight)
 
     # ------------------------------------------------------------------
     # Backend state initialization
     # ------------------------------------------------------------------
-    def _init_scalar(self, n_leaves: int) -> None:
+    def _init_scalar(self, hamiltonian: MajoranaOperator, n_leaves: int) -> None:
         n_total = n_leaves + self.n
         self.nodes: list[TreeNode] = [TreeNode(leaf_index=i) for i in range(n_leaves)]
         # Term-membership bitmask per node (uid-indexed), as Python big-ints.
         self.masks: list[int] = [0] * n_leaves
-        for t, term in enumerate(self.terms):
+        for t, term in enumerate(hamiltonian.support_terms()):
             bit = 1 << t
             for idx in term:
                 self.masks[idx] |= bit
@@ -238,11 +239,13 @@ class HattConstruction:
         self.mdown: dict[int, int] = {i: i for i in range(n_leaves)}
         self.mup: dict[int, int] = {i: i for i in range(n_leaves)}
 
-    def _init_vector(self, n_leaves: int) -> None:
+    def _init_vector(self, hamiltonian: MajoranaOperator, n_leaves: int) -> None:
         n_total = n_leaves + self.n
-        # Packed term-membership masks, one row per uid; parent rows are
-        # filled in place by the row-XOR reduction.
-        rows = pack_incidence(self.terms, n_leaves)
+        # Packed term-membership masks, one row per uid, transposed straight
+        # from the non-identity monomial masks; parent rows are filled in
+        # place by the row-XOR reduction.
+        masks, _ = hamiltonian.bitmasks()
+        rows = incidence_from_masks(masks[masks.any(axis=1)], n_leaves)
         self._rows = np.zeros((n_total, rows.shape[1]), dtype=np.uint64)
         self._rows[:n_leaves] = rows
         self._n_nodes = n_leaves
@@ -746,9 +749,13 @@ class HattConstruction:
         self._done = True
         if self.backend == "vector":
             tree = tree_from_uid_arrays(self._children, self.n)
+            # The term-membership matrix is working state only; releasing
+            # it keeps cached mappings (which hold this object) small.
+            self._rows = None
         else:
             (root_uid,) = self.working
             tree = TernaryTree(self.nodes[root_uid], self.n)
+            self.masks = None
         tree.validate()
         return tree
 
@@ -767,10 +774,8 @@ class HattConstruction:
 def _to_majorana(
     hamiltonian: FermionOperator | MajoranaOperator,
 ) -> MajoranaOperator:
-    if isinstance(hamiltonian, FermionOperator):
-        return MajoranaOperator.from_fermion_operator(hamiltonian)
-    if isinstance(hamiltonian, MajoranaOperator):
-        return hamiltonian
+    if isinstance(hamiltonian, (FermionOperator, MajoranaOperator)):
+        return majorana_form(hamiltonian)
     raise TypeError(f"cannot build HATT from {type(hamiltonian).__name__}")
 
 

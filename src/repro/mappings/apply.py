@@ -4,6 +4,11 @@ This is the bulk path used by every experiment: it converts a
 :class:`~repro.fermion.MajoranaOperator` (tens of thousands of monomials for
 the larger molecules) into a :class:`~repro.paulis.QubitOperator` by
 multiplying the mapped Majorana Pauli strings with exact phase tracking.
+A :class:`~repro.fermion.FermionOperator` is first expanded to Majorana form
+once per operator (:func:`~repro.fermion.majorana.majorana_form`); HATT
+construction reads the same memoized result, so one request converts once.
+The table backend's index plan is built from the operator's monomial
+bitmasks with NumPy (:func:`repro.paulis.table.plan_from_masks`).
 
 Two backends are provided:
 
@@ -24,6 +29,7 @@ per-call packing entirely.
 from __future__ import annotations
 
 from ..fermion import FermionOperator, MajoranaOperator
+from ..fermion.majorana import majorana_form
 from ..paulis import PauliString, QubitOperator
 from ..paulis.algebra import mul_xzk
 from ..paulis.table import PauliTable
@@ -141,7 +147,10 @@ def map_fermion_operator(
     strings: "list[PauliString] | PauliTable",
     n_qubits: int,
 ) -> QubitOperator:
-    """Convenience wrapper: expand to Majoranas (paper Eq. 2) then map."""
-    return map_majorana_operator(
-        MajoranaOperator.from_fermion_operator(op), strings, n_qubits
-    )
+    """Expand to Majoranas (paper Eq. 2), then map.
+
+    The expansion is memoized on ``op`` (:func:`~repro.fermion.majorana.majorana_form`),
+    so mapping a Hamiltonian that HATT was just built from — or mapping it
+    under several mappings — converts it once.
+    """
+    return map_majorana_operator(majorana_form(op), strings, n_qubits)

@@ -31,8 +31,9 @@ from .pauli_sum import DEFAULT_TOLERANCE, QubitOperator
 
 __all__ = [
     "PauliTable",
-    "pack_monomials",
-    "pack_incidence",
+    "incidence_from_masks",
+    "plan_from_masks",
+    "unpack_masks",
     "WORD_BITS",
 ]
 
@@ -80,55 +81,47 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def pack_incidence(sets: Sequence[Sequence[int]], n_rows: int) -> np.ndarray:
-    """Pack membership sets into a ``(n_rows, n_words)`` uint64 bitmask matrix.
+def unpack_masks(masks: np.ndarray) -> np.ndarray:
+    """Unpack ``(m, n_words)`` uint64 rows into an ``(m, 64 * n_words)``
+    0/1 uint8 matrix; column ``i`` is bit ``i % 64`` of word ``i // 64``."""
+    as_bytes = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, bitorder="little")
 
-    Bit ``j`` of row ``i`` is set iff ``i ∈ sets[j]`` — the transposed
-    incidence matrix of the sets, 64 bits per word.  This is the layout the
-    HATT construction uses for per-node term-membership masks: row ``i`` is
-    the packed equivalent of the Python-int mask
-    ``Σ_j (i in sets[j]) << j``.
+
+def incidence_from_masks(masks: np.ndarray, n_rows: int) -> np.ndarray:
+    """Pack the transposed incidence of bitmask sets into ``(n_rows, n_words)``.
+
+    Bit ``j`` of row ``i`` is set iff bit ``i`` of ``masks[j]`` is set — the
+    bit-matrix transpose, 64 sets per word.  This is the layout the HATT
+    construction uses for per-node term-membership masks: row ``i`` is the
+    packed equivalent of the Python-int mask ``Σ_j (i in set j) << j``.
     """
-    n_bits = len(sets)
-    out = np.zeros((n_rows, _n_words(n_bits)), dtype=np.uint64)
-    rows: list[int] = []
-    cols: list[int] = []
-    bits: list[np.uint64] = []
-    for j, members in enumerate(sets):
-        word, b = divmod(j, WORD_BITS)
-        bit = np.uint64(1 << b)
-        for i in members:
-            if not 0 <= i < n_rows:
-                raise ValueError(f"set {j} contains index {i} outside 0..{n_rows - 1}")
-            rows.append(i)
-            cols.append(word)
-            bits.append(bit)
-    if rows:
-        np.bitwise_or.at(
-            out,
-            (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)),
-            np.array(bits, dtype=np.uint64),
-        )
-    return out
+    bits = unpack_masks(masks)
+    if bits[:, n_rows:].any():
+        raise ValueError(f"a mask sets a bit outside 0..{n_rows - 1}")
+    n_sets = len(masks)
+    out = np.zeros((n_rows, 8 * _n_words(n_sets)), dtype=np.uint8)
+    width = min(n_rows, bits.shape[1])
+    packed = np.packbits(bits[:, :width].T, axis=1, bitorder="little")
+    out[:width, : packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64)
 
 
-def pack_monomials(monomials: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pad variable-length index monomials into the plan matrix consumed by
-    :meth:`PauliTable.padded_row_products`.
+def plan_from_masks(masks: np.ndarray) -> np.ndarray:
+    """The plan matrix consumed by :meth:`PauliTable.padded_row_products`.
 
-    Every index is shifted up by one and rows are right-padded with ``0``
-    (the virtual identity row), giving a ``(len(monomials), max_len)`` intp
-    matrix.  This is the single definition of the plan encoding; build plans
-    only through it.
+    Each monomial's set bits (ascending) become indices shifted up by one,
+    and rows are right-padded with ``0`` (the virtual identity row), giving a
+    ``(len(masks), max_len)`` intp matrix.  This is the single definition of
+    the plan encoding; build plans only through it.
     """
-    max_len = max(map(len, monomials), default=0)
-    flat: list[int] = []
-    pad = (0,) * max_len
-    for term in monomials:
-        for i in term:
-            flat.append(i + 1)
-        flat.extend(pad[len(term):])
-    return np.array(flat, dtype=np.intp).reshape(len(monomials), max_len)
+    bits = unpack_masks(masks)
+    counts = bits.sum(axis=1, dtype=np.intp)
+    rows, cols = np.nonzero(bits)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    plan = np.zeros((len(masks), int(counts.max(initial=0))), dtype=np.intp)
+    plan[rows, rank] = cols + 1
+    return plan
 
 
 class PauliTable:

@@ -42,7 +42,9 @@ _log = get_logger("repro.service")
 
 __all__ = ["MappingService", "CompileResult", "compile_mapping"]
 
-#: Memory-tier capacity per namespace (values are small; disk is the backstop).
+#: Memory-tier capacity per namespace; disk is the backstop.  A cached HATT
+#: mapping keeps its strings, tree and selection trace but none of the
+#: construction's working state — about 14 KB at SYK n=10.
 _DEFAULT_MEMORY_CAPACITY = 128
 
 

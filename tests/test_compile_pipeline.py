@@ -93,6 +93,39 @@ def test_golden_routed_counts(case, kind):
     assert got == GOLDEN_SYCAMORE[case, kind]
 
 
+class TestConvertOnce:
+    """One request expands the Hamiltonian to Majorana form once: HATT
+    construction, mapping apply and the hatt-arch guard share the memo."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        from repro.fermion import MajoranaOperator
+
+        calls = []
+        original = MajoranaOperator.from_fermion_operator.__func__
+
+        def counting(cls, op):
+            calls.append(op)
+            return original(cls, op)
+
+        monkeypatch.setattr(MajoranaOperator, "from_fermion_operator", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["hatt", "hatt-arch", "jw"])
+    def test_compile_one_converts_once(self, conversions, kind):
+        h = build_case("hubbard:2x2")
+        CompilationPipeline(service=None).compile_one(h, kind, "sycamore")
+        assert len(conversions) == 1
+
+    def test_mutation_forces_a_new_conversion(self, conversions):
+        h = build_case("hubbard:2x2")
+        pipeline = CompilationPipeline(service=None)
+        pipeline.compile_one(h, "hatt", "sycamore")
+        h.add_term(((0, True), (0, False)), 0.25)
+        pipeline.compile_one(h, "hatt", "sycamore")
+        assert len(conversions) == 2
+
+
 class TestSweep:
     def test_sweep_covers_grid(self, h2):
         report = CompilationPipeline().sweep(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.fermion import MajoranaOperator
 from repro.hatt import BACKENDS, HattConstruction, hatt_mapping
-from repro.paulis.table import pack_incidence
+from repro.paulis.table import incidence_from_masks, plan_from_masks
 
 
 @st.composite
@@ -177,19 +177,27 @@ class TestBackendApi:
 
 
 class TestPackIncidence:
-    """The shared packing helper must agree with the Python-int masks."""
+    """The incidence packer HATT builds its rows with (the transpose of the
+    monomial bitmasks) must agree with Python-int masks, across word
+    boundaries on both axes."""
 
     @given(
-        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=140),
         st.lists(
-            st.lists(st.integers(min_value=0, max_value=8), max_size=6),
+            st.lists(st.integers(min_value=0, max_value=139), max_size=6),
             max_size=130,
         ),
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_int_reference(self, n_rows, sets):
         sets = [[i for i in s if i < n_rows] for s in sets]
-        packed = pack_incidence(sets, n_rows)
+        set_masks = [sum(1 << i for i in set(members)) for members in sets]
+        n_words = max(1, -(-n_rows // 64))
+        masks = np.array(
+            [[(m >> (64 * w)) & (2**64 - 1) for w in range(n_words)] for m in set_masks],
+            dtype=np.uint64,
+        ).reshape(len(sets), n_words)
+        packed = incidence_from_masks(masks, n_rows)
         assert packed.shape == (n_rows, max(1, -(-len(sets) // 64)))
         ref = [0] * n_rows
         for j, members in enumerate(sets):
@@ -200,7 +208,11 @@ class TestPackIncidence:
             for w in range(packed.shape[1] - 1, -1, -1):
                 got = (got << 64) | int(packed[i, w])
             assert got == ref[i]
+        plan = plan_from_masks(masks)
+        assert [[int(i) - 1 for i in row if i] for row in plan] == [
+            sorted(set(members)) for members in sets
+        ]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            pack_incidence([[3]], 3)
+            incidence_from_masks(np.array([[8]], dtype=np.uint64), 3)

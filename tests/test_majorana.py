@@ -9,6 +9,7 @@ from repro.fermion import (
     MajoranaOperator,
     normal_order_majorana_product,
 )
+from repro.fermion.majorana import majorana_form
 
 
 def M(i):
@@ -165,3 +166,147 @@ def test_in_place_expansion_matches_fold_on_syk():
     assert _same_terms_in_order(
         MajoranaOperator.from_fermion_operator(op), _fold_reference(op)
     )
+
+
+# ----------------------------------------------------------------------
+# Packed-bitmask kernel vs the dict expansion it replaced
+# ----------------------------------------------------------------------
+def dict_expansion(op: FermionOperator) -> MajoranaOperator:
+    """The tuple-by-tuple expansion ``from_fermion_operator`` ran before the
+    bitmask kernel: multiply each ladder term out factor by factor with the
+    dict algebra, then accumulate into one running operator in place."""
+    total = MajoranaOperator.zero()
+    for actions, coeff in op.terms():
+        factor = MajoranaOperator.identity(coeff)
+        for mode, dagger in actions:
+            even = MajoranaOperator.single(2 * mode, 0.5)
+            odd = MajoranaOperator.single(2 * mode + 1, -0.5j if dagger else 0.5j)
+            factor = factor * (even + odd)
+        for term, value in factor.terms():
+            total.add_term(term, value)
+    return total.simplify()
+
+
+def _exactly_equal(got: MajoranaOperator, want: MajoranaOperator) -> bool:
+    """Same monomials in the same order with bit-identical coefficients."""
+
+    def bits(op):
+        return [(t, complex(c).real.hex(), complex(c).imag.hex()) for t, c in op.terms()]
+
+    return bits(got) == bits(want)
+
+
+_COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 1j, -0.25j, 1 + 1j, 1.0 + 5e-324j]),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _ladder_operators(draw):
+    """Ladder operators with repeated modes, non-normal-ordered products,
+    identity terms, k up to 6, and (with wide modes) > 64 Majoranas.  A term
+    may be followed by a swapped copy that cancels it exactly, and then by
+    its product with a number operator, which re-inserts the cancelled
+    monomials among new ones."""
+    n_modes = draw(st.sampled_from([2, 3, 40]))
+    action = st.tuples(st.integers(0, n_modes - 1), st.booleans())
+    op = FermionOperator()
+    for _ in range(draw(st.integers(0, 8))):
+        actions = tuple(draw(st.lists(action, max_size=6)))
+        coeff = draw(_COEFFS)
+        op.add_term(actions, coeff)
+        if len(actions) >= 2 and actions[0][0] != actions[1][0] and draw(st.booleans()):
+            # a_p a_q = -a_q a_p for p != q: the swapped term with the same
+            # coefficient sums every Majorana contribution to exact zero.
+            swapped = (actions[1], actions[0]) + actions[2:]
+            op.add_term(swapped, coeff)
+            if len(actions) <= 4 and draw(st.booleans()):
+                mode = draw(st.integers(0, n_modes - 1))
+                op.add_term(actions + ((mode, True), (mode, False)), draw(_COEFFS))
+    return op
+
+
+@given(_ladder_operators())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dict_expansion(op):
+    assert _exactly_equal(MajoranaOperator.from_fermion_operator(op), dict_expansion(op))
+
+
+@pytest.mark.parametrize(
+    "case", ["H2_sto3g", "hubbard:4x4", "neutrino:2x2F", "random:syk:n=6,seed=2"]
+)
+def test_kernel_matches_dict_expansion_on_cases(case):
+    from repro.sources import build_case
+
+    op = build_case(case)
+    assert _exactly_equal(MajoranaOperator.from_fermion_operator(op), dict_expansion(op))
+
+
+def test_cancelled_monomial_reinserts_at_the_end():
+    """A monomial whose running sum hits exact zero leaves the operator; a
+    later contribution re-inserts it after every surviving monomial."""
+    op = FermionOperator()
+    op.add_term(((0, True), (1, False)), 1.0)
+    op.add_term(((1, False), (0, True)), 1.0)  # cancels the first term
+    op.add_term(((2, True),), 1.0)
+    op.add_term(((0, True), (1, False), (3, True), (3, False)), 2.0)
+    got = MajoranaOperator.from_fermion_operator(op)
+    assert _exactly_equal(got, dict_expansion(op))
+    order = [t for t, _ in got.terms()]
+    assert order[:2] == [(4,), (5,)]
+    assert order.index((0, 2)) > 1 and got.coefficient((0, 2)) == 0.25
+
+
+def test_kernel_uses_several_words_past_64_majoranas():
+    op = FermionOperator.hopping(3, 40, 0.5) + FermionOperator.number(39)
+    got = MajoranaOperator.from_fermion_operator(op)
+    masks, _ = got.bitmasks()
+    assert masks.shape == (len(got), 2) and got.n_majoranas == 82
+    assert _exactly_equal(got, dict_expansion(op))
+
+
+def test_bitmasks_of_a_dict_built_operator():
+    op = MajoranaOperator({(0, 65): 1.0, (): 0.5, (3,): 2j})
+    masks, coeffs = op.bitmasks()
+    assert masks.tolist() == [[1, 2], [0, 0], [8, 0]]
+    assert coeffs.tolist() == [1.0, 0.5, 2j]
+    assert not masks.flags.writeable
+    op.add_term((3,), 1.0)
+    assert op.bitmasks()[1].tolist() == [1.0, 0.5, 1 + 2j]
+
+
+def test_copy_of_a_converted_operator_is_independent():
+    original = MajoranaOperator.from_fermion_operator(FermionOperator.number(40))
+    before = list(original.terms())
+    clone = original.copy()
+    clone.add_term((0,), 1.0)
+    assert list(original.terms()) == before
+    assert len(clone) == len(before) + 1
+
+
+# ----------------------------------------------------------------------
+# Convert once: the Majorana memo on FermionOperator
+# ----------------------------------------------------------------------
+def test_majorana_form_memoized_until_add_term():
+    h = FermionOperator.hopping(0, 1, 0.7)
+    first = majorana_form(h)
+    assert majorana_form(h) is first
+    h.add_term(((1, True), (1, False)), 2.0)
+    second = majorana_form(h)
+    assert second is not first
+    assert second == MajoranaOperator.from_fermion_operator(h)
+    assert second.coefficient((2, 3)) == pytest.approx(1.0j)
+
+
+def test_public_conversion_returns_a_fresh_operator():
+    h = FermionOperator.number(0) + FermionOperator.hopping(0, 1, 0.3)
+    shared = majorana_form(h)
+    out = MajoranaOperator.from_fermion_operator(h)
+    assert out is not shared
+    before = list(out.terms())
+    out.add_term((0, 1), 5.0)
+    out.add_term((7,), 1.0)
+    again = MajoranaOperator.from_fermion_operator(h)
+    assert list(again.terms()) == before
+    assert list(majorana_form(h).terms()) == before

@@ -422,6 +422,30 @@ class TestMappingService:
         stats = svc.stats()
         assert stats["compiles"] == 1 and stats["hits_memory"] == 1
 
+    def test_compiled_hatt_mapping_retains_little_memory(self):
+        """Memory-tier entries must not pin HATT's working state (the
+        incidence matrix, the term list): a compiled SYK n=10 mapping keeps
+        its strings, tree and trace only."""
+        import gc
+        import tracemalloc
+
+        from repro.fermion.majorana import majorana_form
+
+        compile_mapping(build_case("random:syk:n=6,seed=0"), MappingSpec(kind="hatt"))
+        h = build_case("random:syk:n=10,seed=1")
+        majorana_form(h).packed_terms()  # the operator's own memo is not the mapping's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mapping = compile_mapping(h, MappingSpec(kind="hatt"))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert mapping.construction.trace and mapping.construction.children_uids
+        assert retained < 64 * 1024
+
     def test_warm_mapping_bit_identical_to_fresh_compile(self, tmp_path):
         """Acceptance: warm hits return Majorana strings bit-identical to a
         fresh compile."""
