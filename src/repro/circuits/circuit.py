@@ -95,9 +95,13 @@ class Circuit:
         """ASAP-scheduled depth (each gate occupies one level per qubit)."""
         level = [0] * self.n_qubits
         for g in self.gates:
-            start = max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = start + 1
+            qubits = g.qubits
+            if len(qubits) == 1:
+                level[qubits[0]] += 1
+            else:
+                a, b = qubits
+                top = level[a] if level[a] > level[b] else level[b]
+                level[a] = level[b] = top + 1
         return max(level, default=0)
 
     # ------------------------------------------------------------------

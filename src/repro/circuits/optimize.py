@@ -220,6 +220,10 @@ def fuse_single_qubit(circuit: Circuit) -> Circuit:
     return Circuit.trusted(circuit.n_qubits, _fuse(circuit.gates))
 
 
+#: Gates :func:`_expand_to_cx` rewrites.
+_EXPANDED = frozenset({"cz", "swap"})
+
+
 def _expand_to_cx(gates: list[Gate]) -> list[Gate]:
     """Rewrite cz and swap into cx + 1q gates.
 
@@ -260,6 +264,15 @@ def optimize(circuit: Circuit) -> Circuit:
 
 
 def to_cx_u3(circuit: Circuit) -> Circuit:
-    """Full pipeline into the paper's {CX, U3} basis."""
-    gates = _fuse(_cancel(_expand_to_cx(_cancel(circuit.gates))))
-    return Circuit.trusted(circuit.n_qubits, gates)
+    """Full pipeline into the paper's {CX, U3} basis.
+
+    Cancellation, then — only when the cancelled list still holds a cz or
+    swap — their rewrite into cx + 1q gates and a second cancellation, then
+    1q fusion.  Without cz/swap (every logical Trotter circuit) the rewrite
+    would be a copy and the second cancellation would run on a fixed point,
+    so both are skipped; the result is the same gate for gate.
+    """
+    gates = _cancel(circuit.gates)
+    if any(g.name in _EXPANDED for g in gates):
+        gates = _cancel(_expand_to_cx(gates))
+    return Circuit.trusted(circuit.n_qubits, _fuse(gates))

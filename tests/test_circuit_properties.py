@@ -100,6 +100,22 @@ def test_inverse_composes_to_identity(circuit):
     assert phase_free_equal(u, np.eye(1 << N_QUBITS))
 
 
+def reference_depth(circuit: Circuit) -> int:
+    """ASAP depth with a per-gate ``max`` over the gate's qubits."""
+    level = [0] * circuit.n_qubits
+    for g in circuit.gates:
+        start = max(level[q] for q in g.qubits)
+        for q in g.qubits:
+            level[q] = start + 1
+    return max(level, default=0)
+
+
+@given(random_circuits(n=5, max_gates=60))
+@settings(max_examples=150, deadline=None)
+def test_depth_matches_reference(circuit):
+    assert circuit.depth() == reference_depth(circuit)
+
+
 # ----------------------------------------------------------------------
 # Test-only references: the original repeated-sweep passes
 # ----------------------------------------------------------------------

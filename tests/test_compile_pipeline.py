@@ -1,5 +1,6 @@
 """Tests for the hardware compilation pipeline (repro.compile)."""
 
+import hashlib
 import json
 import threading
 import time
@@ -16,7 +17,7 @@ from repro.compile import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceContext, activate
-from repro.service import MappingService
+from repro.service import MappingService, MappingSpec, compile_mapping
 from repro.sources import build_case
 
 
@@ -91,6 +92,44 @@ def test_golden_routed_counts(case, kind):
         m.routed_swaps, m.routed_depth, m.routed_u3,
     )
     assert got == GOLDEN_SYCAMORE[case, kind]
+
+
+#: sha256 of the logical and routed gate lists (sycamore, default options),
+#: each gate serialized as ``name qubits float.hex(params)`` — recorded before
+#: Trotter synthesis learned to skip junction gates.  Counts alone would miss
+#: angle drift; these pin every merged angle bit for bit.
+GOLDEN_DIGESTS = {
+    ("hubbard:4x4", "hatt"): (
+        "7b1e141a6f193d59dc3765923c5b17fdbbe6c003aae61e71c91c72746adde08e",
+        "3002b8a8e6a8b3d31b8f4812d79824bab130307ae0e2222f1a1241557e70e078",
+    ),
+    ("neutrino:4x2F", "jw"): (
+        "a0345374e56afaadca0eed09734e4e3e3ba66ce5945d6348efa5151208939398",
+        "03d6c4474bfed0be937fbe17d637ff366e2bc07d369cc458f7914653363fe26b",
+    ),
+    ("hubbard:2x2", "bk"): (
+        "a34ea247f734ec31ccb02654e863056387c6817b034f77314f44e318640dde8b",
+        "91033179e6302fc388174f2a94f51ecd04e06c58599c4d8ce13db2be9481e1cc",
+    ),
+}
+
+
+def _gate_digest(gates) -> str:
+    blob = "\n".join(
+        f"{g.name} {g.qubits} {tuple(p.hex() for p in g.params)}" for g in gates
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, kind", sorted(GOLDEN_DIGESTS))
+def test_golden_gate_digests(case, kind):
+    from repro.circuits import architecture, route_circuit, to_cx_u3, trotter_circuit
+
+    h = build_case(case)
+    hq = compile_mapping(h, MappingSpec(kind=kind, n_modes=h.n_modes)).map(h)
+    logical = to_cx_u3(trotter_circuit(hq, order=CompileOptions().term_order))
+    routed = to_cx_u3(route_circuit(logical, architecture("sycamore")).circuit)
+    assert (_gate_digest(logical), _gate_digest(routed)) == GOLDEN_DIGESTS[case, kind]
 
 
 class TestConvertOnce:

@@ -2,21 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repro.circuits import (
+    TERM_ORDERS,
     Circuit,
     Gate,
     cancel_adjacent,
     evolution_term_circuit,
     fuse_single_qubit,
     optimize,
+    order_terms_lexicographic,
     to_cx_u3,
     trotter_circuit,
     zyz_angles,
 )
+from repro.circuits.evolution import _label_key
 from repro.circuits.gates import gate_matrix
+from repro.circuits.optimize import _cancel
 from repro.paulis import PauliString, QubitOperator
+from trotter_reference import (
+    hex_gates,
+    reference_order,
+    reference_term_gates,
+    reference_to_cx_u3,
+    reference_trotter_gates,
+)
 
 
 def phase_free_allclose(a: np.ndarray, b: np.ndarray, atol=1e-9) -> bool:
@@ -195,11 +208,13 @@ class TestOptimizer:
         assert len(cancel_adjacent(c)) == 0
 
     def test_ladder_sharing_between_terms(self):
-        """Adjacent terms sharing top ladder edges cancel CNOT pairs."""
+        """Adjacent terms sharing top ladder edges share CNOT pairs: synthesis
+        never emits them, and the full emission cancels to the same list."""
         h = QubitOperator.from_label_dict({"ZZI": 0.5, "ZZZ": 0.5, "IZZ": 0.25})
         raw = trotter_circuit(h)
-        opt = cancel_adjacent(raw)
-        assert opt.cx_count < raw.cx_count
+        full = reference_trotter_gates(h)
+        assert raw.cx_count < Circuit(3, full).cx_count
+        assert hex_gates(cancel_adjacent(raw).gates) == hex_gates(_cancel(full))
 
     def test_optimize_preserves_unitary(self):
         h = QubitOperator.from_label_dict({"XY": 0.3, "ZZ": -0.8, "YI": 0.2})
@@ -369,3 +384,109 @@ class TestSwapOrientation:
         c.add("cx", 0, 1).add("swap", 1, 0).add("h", 2).add("swap", 1, 2)
         c.add("cx", 2, 1)
         assert phase_free_allclose(to_cx_u3(c).to_matrix(), c.to_matrix())
+
+
+_OPS = "IXYZ"
+
+
+@st.composite
+def trotter_inputs(draw):
+    """A small Hamiltonian plus synthesis options and an ``x``-gate prefix.
+
+    Labels come from a pool of at most four strings half of the time, so
+    neighbours often share long ladder prefixes; coefficients include
+    negligible (1e-13) and near-threshold values.
+    """
+    n = draw(st.integers(1, 8))
+    label = st.text(_OPS, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        label = st.sampled_from(draw(st.lists(label, min_size=1, max_size=4)))
+    coeff = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([0.5, -0.25, 1e-13, -1e-13, 2e-12]),
+    )
+    labels = draw(st.dictionaries(label, coeff, min_size=1, max_size=20))
+    options = {
+        "time": draw(st.sampled_from([1.0, 0.37, 2.5])),
+        "steps": draw(st.integers(1, 3)),
+        "order": draw(st.sampled_from(TERM_ORDERS)),
+        "suzuki_order": draw(st.integers(1, 2)),
+    }
+    prefix = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return labels, options, prefix
+
+
+class TestJunctionEmission:
+    """Synthesis skips the junction gates cancellation deletes; after
+    ``_cancel`` and after ``to_cx_u3`` it equals the full emission of
+    ``tests/trotter_reference.py`` bit for bit."""
+
+    @given(trotter_inputs())
+    @example(
+        (
+            {"IIIZII": 0.5, "YIXIII": 0.45835618363600106},
+            {"time": 1.0, "steps": 3, "order": "lexicographic", "suzuki_order": 2},
+            [],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_emission(self, inputs):
+        labels, options, prefix = inputs
+        h = QubitOperator.from_label_dict(labels)
+        new = trotter_circuit(h, **options).gates
+        full = reference_trotter_gates(h, **options)
+        assert len(new) <= len(full)
+        assert hex_gates(_cancel(new)) == hex_gates(_cancel(full))
+        prep = [Gate("x", (q,)) for q in prefix]
+        got = to_cx_u3(Circuit(h.n, prep + new)).gates
+        assert hex_gates(got) == hex_gates(reference_to_cx_u3(prep + full))
+
+    @pytest.mark.parametrize("kind", ["hatt", "jw"])
+    @pytest.mark.parametrize(
+        "case", ["hubbard:4x4", "neutrino:4x2F", "random:syk:n=8,seed=1"]
+    )
+    def test_real_cases_match_reference(self, case, kind):
+        from repro.circuits import architecture, route_circuit
+        from repro.service import MappingSpec, compile_mapping
+        from repro.sources import build_case
+
+        h = build_case(case)
+        hq = compile_mapping(h, MappingSpec(kind=kind, n_modes=h.n_modes)).map(h)
+        for order in ("mutual", "lexicographic"):
+            logical = to_cx_u3(trotter_circuit(hq, order=order))
+            expected = reference_to_cx_u3(reference_trotter_gates(hq, order=order))
+            assert hex_gates(logical.gates) == hex_gates(expected), order
+        routed = route_circuit(logical, architecture("sycamore")).circuit
+        assert hex_gates(to_cx_u3(routed).gates) == hex_gates(
+            reference_to_cx_u3(routed.gates)
+        )
+
+    def test_single_term_plan_is_the_full_term(self):
+        p = PauliString.from_label("XYIZ")
+        for chain in (None, [2, 0, 3]):
+            got = evolution_term_circuit(p, 0.4, chain=chain).gates
+            want = reference_term_gates(p, 0.4, chain or [3, 2, 0])
+            assert hex_gates(got) == hex_gates(want)
+
+
+class TestLabelKey:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorts_like_dense_label(self, data):
+        """Keys pass 64 bits from n = 33 on; order must still follow labels."""
+        n = data.draw(st.integers(1, 70))
+        mask = st.integers(0, (1 << n) - 1)
+        strings = [
+            PauliString(n, data.draw(mask), data.draw(mask))
+            for _ in range(data.draw(st.integers(2, 6)))
+        ]
+        by_key = sorted(strings, key=lambda s: _label_key(s.x, s.z))
+        assert [s.label() for s in by_key] == sorted(s.label() for s in strings)
+
+    def test_order_wrapper_matches_label_sort(self):
+        h = QubitOperator.from_label_dict(
+            {"XZZX": 0.3, "YZZY": 0.3, "ZZII": -0.7, "IZIZ": 0.2, "IIII": 1.0, "ZIII": 1e-13}
+        )
+        got = [(s.label(), c) for s, c in order_terms_lexicographic(h)]
+        want = [(s.label(), c) for s, c in reference_order(h)]
+        assert got == want
