@@ -230,15 +230,15 @@ def _cmd_map(args: argparse.Namespace) -> int:
     fingerprint = source = None
     if service is not None:
         result = service.get_or_compile(h, spec)
-        mapping = result.mapping
+        mapping, weight = result.mapping, result.pauli_weight(h)
         fingerprint, source = result.fingerprint, result.source
         cache_note = f" [{source}, key {fingerprint[:12]}]"
     else:
         from .service import compile_mapping
 
         mapping = compile_mapping(h, spec)
+        weight = int(mapping.map(h).pauli_weight())
         cache_note = ""
-    weight = int(mapping.map(h).pauli_weight())
     if args.output:
         save_mapping(mapping, args.output)
     if args.json:

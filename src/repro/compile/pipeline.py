@@ -260,12 +260,15 @@ class CompilationPipeline:
         return g
 
     def _mapping(self, hamiltonian, spec: MappingSpec):
+        """``(mapping, fingerprint, mapped)``; ``mapped`` is the mapped
+        Hamiltonian when the service just compiled (and so mapped) it."""
         if self.service is not None:
             result = self.service.get_or_compile(hamiltonian, spec)
-            return result.mapping, result.fingerprint
+            return result.mapping, result.fingerprint, result.mapped
         return (
             compile_mapping(hamiltonian, spec),
             fingerprint_request(hamiltonian, spec),
+            None,
         )
 
     # ------------------------------------------------------------------
@@ -292,7 +295,7 @@ class CompilationPipeline:
         # registry, next to the service's own spans nested inside them.
         registry = self.service.registry if self.service is not None else None
         with span("construction", registry=registry):
-            mapping, mapping_fp = self._mapping(hamiltonian, spec)
+            mapping, mapping_fp, mapped = self._mapping(hamiltonian, spec)
         fp = circuit_fingerprint(
             fingerprint_operator(hamiltonian), mapping_fp, arch, self.options
         )
@@ -300,7 +303,7 @@ class CompilationPipeline:
         def route() -> RoutedMetrics:
             opts = self.options
             with span("mapping_apply", registry=registry):
-                hq = mapping.map(hamiltonian)
+                hq = mapped if mapped is not None else mapping.map(hamiltonian)
                 table, _ = hq.to_table()
                 pauli_weight = int(table.weights().sum())
             with span("ordering", registry=registry):

@@ -9,6 +9,8 @@ mapping-agnostic.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..fermion import FermionOperator, MajoranaOperator
 from ..paulis import PauliString, QubitOperator
 from .apply import map_fermion_operator, map_majorana_operator
@@ -109,7 +111,7 @@ class FermionQubitMapping:
         raise TypeError(f"cannot map object of type {type(op).__name__}")
 
     # ------------------------------------------------------------------
-    # Validity checks (used heavily by the test suite)
+    # Validity checks (the loops are the test oracles for check())
     # ------------------------------------------------------------------
     def anticommutation_ok(self) -> bool:
         """All distinct string pairs anticommute (Majorana CAR requirement)."""
@@ -129,6 +131,39 @@ class FermionQubitMapping:
             and self.anticommutation_ok()
             and self.independent()
         )
+
+    def check(self, vacuum: bool = False) -> None:
+        """Raise ``ValueError`` unless the strings form a valid Majorana set.
+
+        The packed counterpart of :meth:`is_valid` (and, with ``vacuum``, of
+        :meth:`preserves_vacuum`), cheap enough to run on every store and
+        load: no identity string, and no commuting pair in one
+        ``commutation_matrix`` pass over the packed x/z words.  2N pairwise
+        anticommuting strings are independent, so that covers
+        :meth:`independent` too.  With ``vacuum``, each mode's pair must
+        send ``|0…0⟩`` to the same basis state with amplitudes
+        ``i^k_even = i^(k_odd + 3)``, i.e. ``(S_2j + i·S_2j+1)|0…0⟩ = 0``.
+        """
+        table = self.packed_table
+        identity = np.flatnonzero(table.is_identity())
+        if identity.size:
+            raise ValueError(f"Majorana string {identity[0]} is the identity")
+        commute = table.commutation_matrix()
+        np.fill_diagonal(commute, False)
+        if commute.any():
+            i, j = np.argwhere(commute)[0].tolist()
+            raise ValueError(f"Majorana strings {i} and {j} commute")
+        if vacuum:
+            # S|0…0⟩ = i^(phase + #Y)·|x⟩ for a string with masks (x, z).
+            k = table.phase.astype(np.int64) + np.bitwise_count(table.x & table.z).sum(
+                axis=1, dtype=np.int64
+            )
+            ok = (table.x[0::2] == table.x[1::2]).all(axis=1) & (
+                (k[0::2] - k[1::2] - 3) % 4 == 0
+            )
+            if not ok.all():
+                mode = int(np.flatnonzero(~ok)[0])
+                raise ValueError(f"mode {mode} does not annihilate the vacuum")
 
     def preserves_vacuum(self) -> bool:
         """Check ``a_j |0…0⟩ = 0`` for every mode, i.e. ``(S_2j + i·S_2j+1)|0…0⟩ = 0``."""

@@ -14,8 +14,17 @@ Schema history
     triples (see :func:`~repro.mappings.tree.tree_from_uid_arrays`), so a
     loaded HATT mapping keeps its tree — serialized artifacts stay
     inspectable and re-deriving vacuum pairings needs no recompile;
-  - ``provenance``: free-form compile metadata written by the compilation
-    service (schema version, compile wall time, repro version, …).
+  - ``provenance``: compile metadata written by the compilation service:
+    ``fingerprint``, ``kind``, ``n_modes``, ``vacuum``, ``compile_seconds``,
+    ``repro_version``, ``created_at``, ``arch``/``arch_weight`` (``hatt-arch``)
+    and ``trace_id`` when traced.  Since 1.6.0, Hamiltonian-keyed kinds
+    (``hatt``, ``hatt-unopt``, ``hatt-arch``) also record ``pauli_weight`` and
+    ``mapped_terms``, the total Pauli weight and term count of the mapped
+    Hamiltonian, which a warm ``map`` serves instead of mapping again.
+    Static kinds never carry them: one static artifact serves every
+    Hamiltonian of its mode count.  The store rejects a loaded document
+    whose strings fail ``FermionQubitMapping.check`` or whose counts are not
+    non-negative ints.
 
 Writers always emit v2; both versions load.  A v2 document whose embedded
 tree disagrees with its string list is rejected (``ValueError``), which the

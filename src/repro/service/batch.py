@@ -238,7 +238,7 @@ def _compile_worker(
                 f"worker fingerprint {result.fingerprint[:12]} != "
                 f"parent {expected_fp[:12]} — non-deterministic canonicalization?"
             )
-        weight = result.mapping.map(h).pauli_weight() if evaluate else None
+        weight = result.pauli_weight(h) if evaluate else None
         return (
             expected_fp,
             mapping_to_dict(result.mapping),
@@ -326,18 +326,14 @@ def _plan(
     return srcs, hams, by_fp, errors
 
 
-def _evaluate(
+def _task_result(
     task: BatchTask,
     fp: str,
     mapping,
     source: str,
     compile_seconds: float,
-    h: FermionOperator | None,
-    evaluate: bool,
-    weight: int | None = None,
+    weight: int | None,
 ) -> TaskResult:
-    if weight is None and evaluate and mapping is not None and h is not None:
-        weight = mapping.map(h).pauli_weight()
     return TaskResult(
         case=task.case,
         kind=task.kind,
@@ -394,13 +390,10 @@ def iter_compile_suite(
                 continue
             # Equal-fingerprint tasks share canonical terms, so one mapped
             # Pauli weight (from the group's representative) serves them all.
-            lead = _evaluate(fp_tasks[0], fp, result.mapping, result.source,
-                             result.compile_seconds, h, evaluate)
-            yield lead
-            for task in fp_tasks[1:]:
-                yield _evaluate(task, fp, result.mapping, result.source,
-                                result.compile_seconds, None, evaluate,
-                                weight=lead.pauli_weight)
+            weight = result.pauli_weight(h) if evaluate else None
+            for task in fp_tasks:
+                yield _task_result(task, fp, result.mapping, result.source,
+                                   result.compile_seconds, weight)
         return
 
     # Parallel path: one pool task per unique fingerprint.  File-backed
@@ -445,8 +438,7 @@ def iter_compile_suite(
                     continue
                 mapping = mapping_from_dict(doc)
                 for task in fp_tasks:
-                    yield _evaluate(task, fp, mapping, source, secs,
-                                    None, evaluate, weight=weight)
+                    yield _task_result(task, fp, mapping, source, secs, weight)
 
 
 def compile_suite(

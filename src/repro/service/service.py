@@ -34,6 +34,7 @@ from ..mappings import (
 from ..obs.logging import get_logger, slow_compile_threshold
 from ..obs.metrics import get_registry
 from ..obs.trace import current_trace_id, span
+from ..paulis import QubitOperator
 from .cache import ArtifactCache
 from .fingerprint import MappingSpec, fingerprint_request
 from .store import ArtifactStore
@@ -88,10 +89,27 @@ class CompileResult:
     #: Compile wall time when ``source == "compiled"``, else 0.
     compile_seconds: float = 0.0
     provenance: dict | None = None
+    #: The artifact's compile-time ``pauli_weight`` (Hamiltonian-keyed
+    #: kinds only; ``None`` for static kinds and older artifacts).
+    stored_weight: int | None = None
+    #: The mapped Hamiltonian, when this call compiled a Hamiltonian-keyed
+    #: mapping (it was mapped to record the weight); ``None`` otherwise.
+    mapped: QubitOperator | None = None
 
     @property
     def cache_hit(self) -> bool:
         return self.source != "compiled"
+
+    def pauli_weight(self, hamiltonian: FermionOperator | MajoranaOperator) -> int:
+        """Total Pauli weight of ``hamiltonian`` under this mapping.
+
+        ``hamiltonian`` must be the one the request was fingerprinted with.
+        A Hamiltonian-keyed artifact stores the figure at compile time, so
+        a warm hit reads it; otherwise the Hamiltonian is mapped now.
+        """
+        if self.stored_weight is not None:
+            return self.stored_weight
+        return int(self.mapping.map(hamiltonian).pauli_weight())
 
 
 class MappingService:
@@ -156,13 +174,15 @@ class MappingService:
             spec = spec.resolve(hamiltonian)
             fp = fingerprint_request(hamiltonian, spec)
         elapsed = 0.0
+        mapped = None
 
         def compile_() -> FermionQubitMapping:
-            nonlocal elapsed
+            nonlocal elapsed, mapped
             start = time.perf_counter()
             with span("tree_construction", registry=self.registry):
                 mapping = compile_mapping(hamiltonian, spec)
             elapsed = time.perf_counter() - start
+            mapping.check(vacuum=spec.vacuum)
             provenance = {
                 "fingerprint": fp,
                 "kind": spec.kind,
@@ -175,6 +195,12 @@ class MappingService:
             if spec.kind == "hatt-arch":
                 provenance["arch"] = spec.arch
                 provenance["arch_weight"] = spec.arch_weight
+            if spec.hamiltonian_dependent:
+                # Only a Hamiltonian-keyed artifact maps one Hamiltonian; a
+                # static one is shared by every problem of its mode count.
+                mapped = mapping.map(hamiltonian)
+                provenance["pauli_weight"] = int(mapped.pauli_weight())
+                provenance["mapped_terms"] = len(mapped)
             trace_id = current_trace_id()
             if trace_id:
                 provenance["trace_id"] = trace_id
@@ -202,8 +228,14 @@ class MappingService:
 
         disk = (load, save) if self.store is not None else (None, None)
         mapping, tier = self.mappings.get_or_compute(fp, compile_, *disk)
-        return CompileResult(mapping, fp, tier or "compiled", compile_seconds=elapsed,
-                             provenance=getattr(mapping, "provenance", None))
+        provenance = getattr(mapping, "provenance", None)
+        stored = provenance.get("pauli_weight") if provenance is not None else None
+        return CompileResult(
+            mapping, fp, tier or "compiled", compile_seconds=elapsed,
+            provenance=provenance,
+            stored_weight=stored if spec.hamiltonian_dependent else None,
+            mapped=mapped,
+        )
 
     def stats(self) -> dict:
         """Mapping-namespace stats at the top level, plus ``circuits`` and

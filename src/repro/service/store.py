@@ -73,6 +73,10 @@ _NS_DOCS = {"mappings": _MAPPING_DOC, "circuits": _CIRCUIT_DOC}
 #: perfectly valid, so it must not be deleted.
 _CORRUPTION = (json.JSONDecodeError, KeyError, TypeError, ValueError)
 
+#: Provenance figures recorded at compile time; each must be a non-negative
+#: int.
+_COUNT_FIELDS = ("pauli_weight", "mapped_terms")
+
 
 def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -313,20 +317,42 @@ class ArtifactStore:
         return path
 
     def get_mapping(self, fingerprint: str) -> FermionQubitMapping | None:
-        """Load a stored mapping, or ``None`` on miss *or* corruption."""
+        """Load a stored mapping, or ``None`` on miss *or* corruption.
+
+        Every load runs :meth:`FermionQubitMapping.check` (with the vacuum
+        condition when the provenance records ``vacuum``) and validates the
+        stored weight fields, so a document that parses but is not a valid
+        mapping — one flipped Pauli, a negative weight — is quarantined
+        like a torn one and never served.
+        """
+        loaded = self._load_mapping(fingerprint)
+        return loaded[1] if loaded is not None else None
+
+    def get_mapping_doc(self, fingerprint: str) -> dict | None:
+        """The stored mapping document (schema-v2 JSON), checked like
+        :meth:`get_mapping`."""
+        loaded = self._load_mapping(fingerprint)
+        return loaded[0] if loaded is not None else None
+
+    def _load_mapping(self, fingerprint: str) -> tuple[dict, FermionQubitMapping] | None:
         path = self.mapping_path(fingerprint)
         data = self._read_doc(path, touch=True)
         if data is None:
             return None
         try:
-            return mapping_from_dict(data)
+            mapping = mapping_from_dict(data)
+            provenance = getattr(mapping, "provenance", None) or {}
+            mapping.check(vacuum=provenance.get("vacuum") is True)
+            for field in _COUNT_FIELDS:
+                value = provenance.get(field)
+                if value is not None and (
+                    isinstance(value, bool) or not isinstance(value, int) or value < 0
+                ):
+                    raise ValueError(f"stored {field} {value!r} is not a count")
         except _CORRUPTION:
             self._quarantine(path)
             return None
-
-    def get_mapping_doc(self, fingerprint: str) -> dict | None:
-        """The raw stored mapping document (schema-v2 JSON), without parsing."""
-        return self._read_doc(self.mapping_path(fingerprint), touch=True)
+        return data, mapping
 
     # ------------------------------------------------------------------
     # Routed-circuit metrics (compilation-pipeline artifacts)

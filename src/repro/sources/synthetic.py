@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from ..fermion import FermionOperator
+from ..fermion.operators import _COEFF_TOLERANCE
 from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource, parse_params
 from .registry import register_source
 
@@ -65,25 +66,26 @@ class SykSource(HamiltonianSource):
         return self.n
 
     def _iter_raw(self) -> Iterator[tuple[tuple, complex]]:
-        """Deterministic term stream: one draw sequence per (n, seed, j)."""
+        """Deterministic term stream: one draw sequence per (n, seed, j).
+
+        Each outer pair ``p`` takes its normals in one ``standard_normal``
+        call (one for the diagonal coupling, then a real and an imaginary
+        part per later pair ``q``), which yields the same stream as drawing
+        them one at a time while holding only ``O(P)`` of them at once.
+        """
         rng = np.random.default_rng(self.seed)
         scale = self.j / float(self.n) ** 1.5
         pairs = [(i, k) for i in range(self.n) for k in range(i + 1, self.n)]
+        create = [(m, True) for m in range(self.n)]
+        destroy = [(m, False) for m in range(self.n)]
         for a, (i, k) in enumerate(pairs):
-            for i2, k2 in pairs[a:]:
-                if (i, k) == (i2, k2):
-                    g = complex(rng.standard_normal() * scale)
-                    yield ((i, True), (k, True), (k2, False), (i2, False)), g
-                else:
-                    re, im = rng.standard_normal(2)
-                    g = complex(re * scale, im * scale)
-                    yield ((i, True), (k, True), (k2, False), (i2, False)), g
-                    yield (
-                        (i2, True),
-                        (k2, True),
-                        (k, False),
-                        (i, False),
-                    ), g.conjugate()
+            rest = pairs[a + 1:]
+            draws = iter((rng.standard_normal(1 + 2 * len(rest)) * scale).tolist())
+            yield (create[i], create[k], destroy[k], destroy[i]), complex(next(draws))
+            for i2, k2 in rest:
+                g = complex(next(draws), next(draws))
+                yield (create[i], create[k], destroy[k2], destroy[i2]), g
+                yield (create[i2], create[k2], destroy[k], destroy[i]), g.conjugate()
 
     def iter_terms(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -100,10 +102,11 @@ class SykSource(HamiltonianSource):
             yield chunk
 
     def _build(self) -> FermionOperator:
-        op = FermionOperator()
-        for term, coeff in self._iter_raw():
-            op.add_term(term, coeff)
-        return op
+        # Every term of the stream is distinct, so add_term reduces to its
+        # tolerance drop.
+        return FermionOperator(
+            {term: c for term, c in self._iter_raw() if abs(c) > _COEFF_TOLERANCE}
+        )
 
     def describe(self) -> dict:
         doc = super().describe()

@@ -165,6 +165,41 @@ class TestConvertOnce:
         assert len(conversions) == 2
 
 
+class TestMapOnce:
+    """A cold service-backed compile maps the Hamiltonian once: the mapping
+    compile records the weight from the mapped operator it hands on, and
+    the ``mapping_apply`` stage reuses it."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        from repro.mappings import FermionQubitMapping
+
+        calls = []
+        original = FermionQubitMapping.map
+
+        def counting(mapping, op):
+            calls.append(mapping.name)
+            return original(mapping, op)
+
+        monkeypatch.setattr(FermionQubitMapping, "map", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["hatt", "hatt-unopt", "jw"])
+    def test_cold_compile_maps_once(self, maps, kind, tmp_path):
+        h = build_case("hubbard:2x2")
+        service = MappingService(cache_dir=str(tmp_path))
+        cold = CompilationPipeline(service=service).compile_one(h, kind, "sycamore")
+        assert len(maps) == 1
+        # Mapping warm, circuit cold: the stage maps the loaded mapping.
+        fresh = CompilationPipeline(service=service)
+        other = fresh.compile_one(h, kind, "montreal")
+        assert len(maps) == 2
+        assert other.pauli_weight == cold.pauli_weight
+        assert cold.pauli_weight == service.get_or_compile(
+            h, MappingSpec(kind=kind, n_modes=h.n_modes)
+        ).pauli_weight(h)
+
+
 class TestSweep:
     def test_sweep_covers_grid(self, h2):
         report = CompilationPipeline().sweep(

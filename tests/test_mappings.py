@@ -212,3 +212,84 @@ def test_mode_number_operator_expectation():
         nj = m.mode_number_operator(j)
         # Vacuum expectation must be 0 for a vacuum-preserving mapping.
         assert abs(nj.expectation_basis_state(0)) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# FermionQubitMapping.check: the packed algebra check against the loops
+# ----------------------------------------------------------------------
+def _oracle_ok(mapping: FermionQubitMapping, vacuum: bool) -> bool:
+    """The loop checks ``check`` packs: non-identity, pairwise
+    anticommuting and, with ``vacuum``, vacuum-preserving strings."""
+    return (
+        all(not s.is_identity for s in mapping.strings)
+        and mapping.anticommutation_ok()
+        and (not vacuum or mapping.preserves_vacuum())
+    )
+
+
+def _check_ok(mapping: FermionQubitMapping, vacuum: bool) -> bool:
+    try:
+        mapping.check(vacuum=vacuum)
+    except ValueError:
+        return False
+    return True
+
+
+def _hatt(n: int, vacuum: bool) -> FermionQubitMapping:
+    from repro.hatt import hatt_mapping
+    from repro.sources import build_case
+
+    return hatt_mapping(build_case(f"random:syk:n={n},seed=1"), vacuum=vacuum)
+
+
+@pytest.mark.parametrize("factory", ALL_MAPPINGS, ids=MAPPING_IDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_check_accepts_stock_mappings(factory, n):
+    factory(n).check(vacuum=True)
+
+
+def test_check_vacuum_matches_loop_on_hatt():
+    """HATT's Algorithm 3 pairing preserves the vacuum; the unpaired
+    construction generally does not, and ``check`` must say so exactly when
+    the loop does."""
+    for n in (4, 6, 7):
+        for vacuum in (True, False):
+            mapping = _hatt(n, vacuum)
+            assert _check_ok(mapping, vacuum=False)
+            assert _check_ok(mapping, vacuum=True) == mapping.preserves_vacuum()
+    assert not _check_ok(_hatt(6, vacuum=False), vacuum=True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_matches_loops_on_corrupted_strings(seed):
+    """Flip one Pauli, or one phase, of one string of a valid mapping: the
+    packed check rejects exactly what the loop checks reject."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    base = [jordan_wigner, bravyi_kitaev, balanced_ternary_tree][seed % 3](n)
+    if seed % 4 == 3:
+        base = _hatt(max(n, 4), vacuum=True)
+        n = base.n_qubits
+    strings = list(base.strings)
+    i, q = int(rng.integers(len(strings))), int(rng.integers(n))
+    s = strings[i]
+    flip = int(rng.integers(4))  # x bit, z bit, both bits, or phase only
+    x = s.x ^ ((flip in (0, 2)) << q)
+    z = s.z ^ ((flip in (1, 2)) << q)
+    phase = (s.phase + int(rng.integers(1, 4))) % 4 if flip == 3 else s.phase
+    strings[i] = PauliString(n, x, z, phase)
+    mapping = FermionQubitMapping(strings)
+    for vacuum in (False, True):
+        assert _check_ok(mapping, vacuum) == _oracle_ok(mapping, vacuum)
+
+
+def test_check_reports_the_failure():
+    strings = list(jordan_wigner(3).strings)
+    with pytest.raises(ValueError, match="commute"):
+        FermionQubitMapping([strings[0], strings[0]] + strings[2:]).check()
+    with pytest.raises(ValueError, match="identity"):
+        FermionQubitMapping([PauliString(3)] + strings[1:]).check()
+    swapped = [strings[1], strings[0]] + strings[2:]
+    FermionQubitMapping(swapped).check()
+    with pytest.raises(ValueError, match="vacuum"):
+        FermionQubitMapping(swapped).check(vacuum=True)

@@ -182,6 +182,24 @@ class TestJobQueue:
         assert done.wall_seconds is not None
         assert queue.stats()["executed"] == 1
 
+    def test_warm_map_serves_the_stored_weight(self, queue, monkeypatch):
+        """A warm ``map`` reads the weight its artifact recorded at compile
+        time: no mapping is applied, and the figure is the cold one."""
+        from repro.mappings import FermionQubitMapping
+
+        request = CompileRequest(case="hubbard:2x2")
+        cold = queue.wait(queue.submit(request)[0].id, timeout=120)
+        calls = []
+        original = FermionQubitMapping.map
+        monkeypatch.setattr(
+            FermionQubitMapping, "map",
+            lambda self, op: calls.append(op) or original(self, op),
+        )
+        warm = queue.wait(queue.submit(request)[0].id, timeout=120)
+        assert (cold.source, warm.source) == ("compiled", "memory")
+        assert warm.result["pauli_weight"] == cold.result["pauli_weight"] == 76
+        assert calls == []
+
     def test_compile_job_routes_circuit(self, queue):
         record, _ = queue.submit(CompileRequest(
             case="hubbard:1x2", job="compile", kind="jw", arch="montreal"))

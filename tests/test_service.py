@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.fermion import FermionOperator, MajoranaOperator
 from repro.service import (
+    MAPPING_KINDS,
     ArtifactStore,
     MappingService,
     MappingSpec,
@@ -25,6 +26,7 @@ from repro.service import (
     fingerprint_request,
     iter_compile_suite,
 )
+from repro.service.fingerprint import DEFAULT_TOLERANCE, _term_line, canonical_terms
 from repro.sources import build_case
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -134,6 +136,22 @@ class TestFingerprint:
             "jw": "8c499b08dbfc6b5bb523e751a75fef1ab28600bd2174caab1b8e580be8757226",
         }
 
+    @pytest.mark.parametrize("case, digest", [
+        ("H2O_sto3g",
+         "7e318eebdcdff32c53c5d1b934e23021676bd5213754b7dfb1436a18793b86f2"),
+        ("neutrino:4x2F",
+         "746837434920f290829a74ca50bdaf99a6d890bd4eaf111e767d5e463a0c5415"),
+        ("hubbard:4x4",
+         "9d343bbcca973375d2a627c82f94f7d734fe2f6b015345805ee8e844869dae6b"),
+        ("random:syk:n=12,seed=5",
+         "db37c7227b044c96b675d94c5a12d829bd16241f03ecff9a17df0965dc5f8f7a"),
+    ])
+    def test_golden_operator_digests(self, case, digest):
+        """Digests recorded with the comprehension canonicalization (now the
+        oracle in ``TestCanonicalKernel``): the NumPy kernel must reach the
+        same keys on real Hamiltonians, so existing caches stay reachable."""
+        assert fingerprint_operator(build_case(case)) == digest
+
     def test_static_kinds_ignore_hamiltonian(self):
         a, b = build_case("hubbard:1x2"), build_case("H2_sto3g")
         assert a.n_modes == b.n_modes == 4
@@ -193,6 +211,103 @@ class TestFingerprint:
         fp1 = fingerprint_operator(m)
         m.add_term((0, 1), 0.5)
         assert fingerprint_operator(m) != fp1
+
+
+def _oracle_lines(op, tol=DEFAULT_TOLERANCE):
+    """The comprehension the NumPy kernel replaced, kept as its oracle:
+    normal-order through the operator algebra, sort the monomials, quantize
+    each coefficient and drop the all-zero lines."""
+    return [
+        line
+        for term, coeff in sorted(op.normal_order().terms())
+        if (line := _term_line(
+            " ".join(f"{m}{'^' if d else '_'}" for m, d in term), coeff, tol
+        )) is not None
+    ]
+
+
+#: Coefficients around the 1e-12 drop and grid, plus ordinary ones.
+_tiny = st.one_of(
+    st.sampled_from([3e-13, 5e-13, 7e-13, 1e-12, 1.2e-12, 1.5e-12]),
+    st.floats(0.5e-12, 1.5e-12),
+).flatmap(lambda v: st.sampled_from([v, -v, complex(0, v), complex(v, -v)]))
+kernel_coeffs = st.one_of(coeffs, _tiny, st.sampled_from([1.0, -1.0, 0.5, 2]))
+#: Small modes collide often (repeats, contractions, equal monomials);
+#: modes >= 64 cross a machine word.
+kernel_actions = st.tuples(
+    st.one_of(st.integers(0, 3), st.integers(62, 70)), st.booleans()
+)
+kernel_ops = st.lists(
+    st.tuples(
+        st.lists(kernel_actions, min_size=0, max_size=6).map(tuple),
+        kernel_coeffs,
+        st.sampled_from(["add", "cancel", "cancel-readd"]),
+    ),
+    max_size=12,
+)
+
+
+class TestCanonicalKernel:
+    """``canonical_terms`` on a ``FermionOperator`` against the oracle."""
+
+    @staticmethod
+    def _build(ops):
+        op = FermionOperator()
+        for term, coeff, how in ops:
+            op.add_term(term, coeff)
+            if how != "add":
+                # Cancel to within 1e-12 (the key is dropped) ...
+                op.add_term(term, -coeff + 4e-13)
+            if how == "cancel-readd":
+                op.add_term(term, coeff)  # ... then insert it again
+        return op
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_ops, st.sampled_from([DEFAULT_TOLERANCE, 1e-9, 1e-6]))
+    def test_kernel_matches_oracle(self, ops, tol):
+        op = self._build(ops)
+        assert canonical_terms(op, tol) == _oracle_lines(op, tol)
+
+    def test_sub_tolerance_residue_restarts_the_total(self):
+        """Three terms normal-order onto ``1^ 0^``: the first two leave a
+        4e-13 residue, which ``add_term`` drops, so the third starts from
+        zero (a kept residue would round the line to ...001)."""
+        op = FermionOperator()
+        op.add_term(((0, True), (1, True)), 1.0)                          # -1
+        op.add_term(((1, True), (0, True)), 1 + 4e-13)                    # +1 + 4e-13
+        op.add_term(((1, True), (0, True), (2, False), (2, True)), 0.75 + 3e-13)
+        assert canonical_terms(op) == _oracle_lines(op)
+        assert canonical_terms(op)[0] == "1^ 0^:750000000000:0"
+
+    def test_products_sum_in_term_order(self):
+        """The contraction of the first term reaches ``1^ 0^`` as its second
+        product, the other two terms as their first: summing by term, then
+        product, gives ...789001; summing products first would give ...000."""
+        op = FermionOperator()
+        op.add_term(((1, True), (0, True), (2, False), (2, True)), 1e4)
+        op.add_term(((1, True), (0, True)), 0.123456789)
+        op.add_term(((0, True), (1, True)), 3299.99975)
+        assert canonical_terms(op) == _oracle_lines(op)
+        assert canonical_terms(op)[0] == "1^ 0^:6700123706789001:0"
+
+    @pytest.mark.parametrize("case", [
+        "H2O_sto3g", "neutrino:4x2F", "hubbard:4x4", "random:syk:n=10,seed=3",
+    ])
+    def test_real_cases_match_oracle(self, case):
+        h = build_case(case)
+        assert canonical_terms(h) == _oracle_lines(h)
+
+    def test_grid_points_beyond_int64_stay_exact(self):
+        """A 1e8 coefficient sits at grid point 1e20; Python's round() is
+        exact there, so the kernel's ints must be too."""
+        op = FermionOperator({((0, True), (0, False)): 1e8 + 3j, (): -2.5e15})
+        assert canonical_terms(op) == _oracle_lines(op)
+        assert canonical_terms(op)[1] == "0^ 0_:100000000000000000000:3000000000000"
+
+    def test_empty_and_all_vanishing_operators(self):
+        assert canonical_terms(FermionOperator()) == []
+        op = FermionOperator({((2, True), (2, True)): 1.0, ((0, False), (0, False)): 2.0})
+        assert canonical_terms(op) == _oracle_lines(op) == []
 
 
 class TestArtifactStore:
@@ -600,6 +715,141 @@ class TestMappingService:
         r2 = fresh.get_or_compile(h, spec)
         assert r2.source == "compiled"
         assert r2.mapping.strings == r.mapping.strings
+
+
+def _spec(kind: str) -> MappingSpec:
+    return MappingSpec(kind, arch="sycamore") if kind == "hatt-arch" else MappingSpec(kind)
+
+
+class TestStoredWeight:
+    """The mapped Pauli weight recorded at compile time and served warm."""
+
+    @pytest.mark.parametrize("case", [
+        "H2O_sto3g", "neutrino:4x2F", "hubbard:4x4", "random:syk:n=10,seed=3",
+    ])
+    def test_memory_and_disk_hits_report_the_recomputed_weight(self, tmp_path, case):
+        h = build_case(case)
+        svc = MappingService(cache_dir=tmp_path)
+        for kind in MAPPING_KINDS:
+            spec = _spec(kind)
+            cold = svc.get_or_compile(h, spec)
+            memory = svc.get_or_compile(h, spec)
+            disk = MappingService(cache_dir=tmp_path).get_or_compile(h, spec)
+            assert (cold.source, memory.source, disk.source) == (
+                "compiled", "memory", "disk"
+            )
+            want = int(compile_mapping(h, spec).map(h).pauli_weight())
+            for result in (cold, memory, disk):
+                assert result.pauli_weight(h) == want, (case, kind, result.source)
+                # Only Hamiltonian-keyed artifacts carry a figure to serve.
+                assert (result.stored_weight is not None) == spec.hamiltonian_dependent
+            provenance = svc.store.provenance(cold.fingerprint)
+            if spec.hamiltonian_dependent:
+                assert provenance["mapped_terms"] == len(cold.mapping.map(h))
+            else:
+                assert "pauli_weight" not in provenance
+                assert "mapped_terms" not in provenance
+
+    def test_static_artifact_reports_each_hamiltonians_own_weight(self, tmp_path):
+        """One ``jw`` artifact serves every 8-mode problem, so its weight
+        must come from the Hamiltonian at hand, never from the artifact."""
+        a, b = build_case("hubbard:2x2"), build_case("random:syk:n=8,seed=1")
+        assert a.n_modes == b.n_modes == 8
+        spec = MappingSpec(kind="jw")
+        svc = MappingService(cache_dir=tmp_path)
+        ra, rb = svc.get_or_compile(a, spec), svc.get_or_compile(b, spec)
+        rb_disk = MappingService(cache_dir=tmp_path).get_or_compile(b, spec)
+        assert ra.fingerprint == rb.fingerprint
+        assert (ra.source, rb.source, rb_disk.source) == ("compiled", "memory", "disk")
+        jw = compile_mapping(a, spec)
+        assert ra.pauli_weight(a) == int(jw.map(a).pauli_weight())
+        assert rb.pauli_weight(b) == rb_disk.pauli_weight(b) == int(jw.map(b).pauli_weight())
+        assert ra.pauli_weight(a) != rb.pauli_weight(b)
+
+    def test_artifact_without_weight_maps_as_before(self, tmp_path):
+        """An artifact stored before the weight was recorded still serves."""
+        h = build_case("hubbard:2x2")
+        spec = MappingSpec(kind="hatt")
+        svc = MappingService(cache_dir=tmp_path)
+        fp = svc.get_or_compile(h, spec).fingerprint
+        path = svc.store.mapping_path(fp)
+        doc = json.loads(path.read_text())
+        del doc["provenance"]["pauli_weight"], doc["provenance"]["mapped_terms"]
+        path.write_text(json.dumps(doc))
+        old = MappingService(cache_dir=tmp_path).get_or_compile(h, spec)
+        assert old.source == "disk" and old.stored_weight is None
+        assert old.pauli_weight(h) == int(old.mapping.map(h).pauli_weight())
+
+
+class TestCheckedLoads:
+    """Every stored mapping passes ``FermionQubitMapping.check`` on load."""
+
+    @staticmethod
+    def _stored(tmp_path, kind="hatt", case="hubbard:2x2"):
+        h = build_case(case)
+        svc = MappingService(cache_dir=tmp_path)
+        result = svc.get_or_compile(h, MappingSpec(kind=kind))
+        path = svc.store.mapping_path(result.fingerprint)
+        return h, result, path, json.loads(path.read_text())
+
+    @staticmethod
+    def _flip_one_pauli(path, doc):
+        from repro.mappings.io import mapping_from_dict
+
+        label = doc["majorana_strings"][0]  # e.g. "Z7Z6Z5X0"
+        doc["majorana_strings"][0] = {"X": "Z", "Y": "Z", "Z": "X"}[label[0]] + label[1:]
+        doc["tree"] = None  # a bare string list, as in a v1 document
+        path.write_text(json.dumps(doc))
+        assert not mapping_from_dict(doc).anticommutation_ok()  # still parses
+
+    def test_one_flipped_pauli_is_recomputed_never_served(self, tmp_path):
+        from repro.obs.metrics import get_registry
+
+        h, result, path, doc = self._stored(tmp_path)
+        self._flip_one_pauli(path, doc)
+        store = ArtifactStore(tmp_path)
+        counter = get_registry().counter("repro_store_corrupt_dropped_total")
+        before = counter.value
+        assert store.get_mapping(result.fingerprint) is None
+        assert not path.exists()
+        assert store.stats()["corrupt_dropped"] == 1
+        assert counter.value == before + 1
+        fresh = MappingService(cache_dir=tmp_path).get_or_compile(h, MappingSpec("hatt"))
+        assert fresh.source == "compiled"
+        assert fresh.mapping.strings == result.mapping.strings
+
+    def test_raw_document_is_checked_too(self, tmp_path):
+        """``GET /v1/artifacts/{fp}`` reads ``get_mapping_doc``: a document
+        ``get_mapping`` would refuse is not served raw either."""
+        _, result, path, doc = self._stored(tmp_path)
+        store = ArtifactStore(tmp_path)
+        assert store.get_mapping_doc(result.fingerprint) == doc
+        self._flip_one_pauli(path, doc)
+        assert store.get_mapping_doc(result.fingerprint) is None
+        assert not path.exists() and store.stats()["corrupt_dropped"] == 1
+
+    def test_vacuum_is_checked_when_the_provenance_asks(self, tmp_path):
+        _, result, path, doc = self._stored(tmp_path)
+        doc["phases"][0] = (doc["phases"][0] + 2) % 4  # still anticommuting
+        path.write_text(json.dumps(doc))
+        assert ArtifactStore(tmp_path).get_mapping(result.fingerprint) is None
+        doc["provenance"]["vacuum"] = False
+        path.write_text(json.dumps(doc))
+        assert ArtifactStore(tmp_path).get_mapping(result.fingerprint) is not None
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "12", True, [3]])
+    def test_bad_stored_weight_is_corrupt(self, tmp_path, bad):
+        _, result, path, doc = self._stored(tmp_path)
+        doc["provenance"]["pauli_weight"] = bad
+        path.write_text(json.dumps(doc))
+        store = ArtifactStore(tmp_path)
+        assert store.get_mapping(result.fingerprint) is None
+        assert store.stats()["corrupt_dropped"] == 1
+
+    def test_good_stored_weight_loads(self, tmp_path):
+        h, result, path, doc = self._stored(tmp_path)
+        loaded = ArtifactStore(tmp_path).get_mapping(result.fingerprint)
+        assert loaded.provenance["pauli_weight"] == result.pauli_weight(h)
 
 
 class TestBatch:

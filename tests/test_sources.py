@@ -382,6 +382,68 @@ class TestSykSource:
         assert src.fingerprint_stream(spill_at=17) == \
             fingerprint_operator(src.build())
 
+    @staticmethod
+    def _reference_stream(src):
+        """The scalar-draw generator the per-pair block draws of
+        ``SykSource`` replaced, kept as its oracle."""
+        rng = np.random.default_rng(src.seed)
+        scale = src.j / float(src.n) ** 1.5
+        pairs = [(i, k) for i in range(src.n) for k in range(i + 1, src.n)]
+        for a, (i, k) in enumerate(pairs):
+            for i2, k2 in pairs[a:]:
+                if (i, k) == (i2, k2):
+                    g = complex(rng.standard_normal() * scale)
+                    yield ((i, True), (k, True), (k2, False), (i2, False)), g
+                else:
+                    re, im = rng.standard_normal(2)
+                    g = complex(re * scale, im * scale)
+                    yield ((i, True), (k, True), (k2, False), (i2, False)), g
+                    yield ((i2, True), (k2, True), (k, False), (i, False)), g.conjugate()
+
+    @pytest.mark.parametrize("spec", [
+        "random:syk:n=4,seed=0", "random:syk:n=7,seed=2,j=-3",
+        "random:syk:n=10,seed=3,j=0.5", "random:syk:n=12,seed=5",
+        # scale ~4e-12: some couplings fall inside the 1e-12 drop
+        "random:syk:n=9,seed=2,j=1e-10",
+        "random:syk:n=8,seed=1,j=0",
+    ])
+    def test_block_draw_build_matches_scalar_loop(self, spec):
+        """The streamed terms, and the built operator's terms, their order
+        and every coefficient bit, equal the old scalar-draw loop's."""
+        def bits(pairs):
+            return [(t, complex(c).real.hex(), complex(c).imag.hex()) for t, c in pairs]
+
+        src = resolve(spec)
+        want = FermionOperator()
+        for term, coeff in self._reference_stream(src):
+            want.add_term(term, coeff)
+        streamed = [pair for chunk in src.iter_terms(chunk_size=97) for pair in chunk]
+        assert bits(streamed) == bits(self._reference_stream(src))
+        assert bits(src.build().terms()) == bits(want.terms())
+
+    def test_stream_draws_one_pair_block_at_a_time(self, monkeypatch):
+        """The first chunk arrives after one outer pair's block of normals
+        (``2P - 1`` for ``P`` mode pairs), not the whole ``P²`` draw."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, size):
+                sizes.append(size)
+                return self.rng.standard_normal(size)
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        src = resolve("random:syk:n=12,seed=5")
+        n_pairs = 12 * 11 // 2
+        first = next(src.iter_terms(chunk_size=1))
+        assert len(first) == 1
+        assert sizes == [2 * n_pairs - 1]
+        assert sum(1 for _ in src._iter_raw()) == n_pairs**2
+        assert max(sizes) == 2 * n_pairs - 1
+
     def test_canonical_spec_normalizes(self):
         assert canonical_spec("random:syk:seed=7,n=8") == "random:syk:n=8,seed=7"
         assert canonical_spec("random:syk:n=8,seed=7,j=1") == \
