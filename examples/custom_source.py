@@ -29,6 +29,13 @@ class RingSource(HamiltonianSource):
     """``ring:<n>[,t=<f>]`` — n spinless modes on a periodic chain."""
 
     family = "ring"
+    # Not set here: ``identity_version = 1`` would tell the compilation
+    # service that the operator is a pure function of the canonical spec,
+    # so it may remember the spec's fingerprints and serve repeat requests
+    # without building or fingerprinting.  Opt in only when that holds
+    # (the spec keeps every digit of every parameter), and bump the number
+    # whenever ``_build`` changes what a spec produces.  Opted out, every
+    # request builds and fingerprints, which is always correct.
 
     def __init__(self, spec: str):
         body = spec.split(":", 1)[1]

@@ -15,6 +15,11 @@ full sweeps fast:
   single-flighted — keyed by operator × mapping fingerprint × architecture ×
   compile options, so a repeated sweep never re-routes.
 
+The pipeline takes a :class:`~repro.sources.HamiltonianSource` or a built
+operator.  With a service, both fingerprints of a source with an identity
+come from the service's alias cache, and its operator is built only when a
+mapping or a circuit must be compiled.
+
 Routing always runs the router's default (vector) engine; its bit-identical
 scalar reference is a test oracle (``test_routing.py``, the Table IV bench),
 not a pipeline option.
@@ -30,8 +35,8 @@ from ..analysis.tables import format_table
 from ..circuits import architecture, route_circuit, to_cx_u3, trotter_circuit
 from ..circuits.evolution import TERM_ORDERS
 from ..circuits.routing import DEFAULT_LOOKAHEAD
-from ..fermion import FermionOperator, MajoranaOperator
 from ..obs.trace import current_trace_id, span
+from ..sources.base import as_source
 from ..service import (
     MappingSpec,
     compile_mapping,
@@ -259,35 +264,42 @@ class CompilationPipeline:
             g = self._graphs[arch] = architecture(arch)
         return g
 
-    def _mapping(self, hamiltonian, spec: MappingSpec):
+    def _mapping(self, source, spec: MappingSpec):
         """``(mapping, fingerprint, mapped)``; ``mapped`` is the mapped
         Hamiltonian when the service just compiled (and so mapped) it."""
         if self.service is not None:
-            result = self.service.get_or_compile(hamiltonian, spec)
+            result = self.service.get_or_compile(source, spec)
             return result.mapping, result.fingerprint, result.mapped
-        return (
-            compile_mapping(hamiltonian, spec),
-            fingerprint_request(hamiltonian, spec),
-            None,
-        )
+        h = source.build()
+        return compile_mapping(h, spec), fingerprint_request(h, spec), None
+
+    def _operator_fingerprint(self, source) -> str:
+        if self.service is None:
+            return fingerprint_operator(source.build())
+        return self.service.alias(source, None, lambda: fingerprint_operator(source.build()))
 
     # ------------------------------------------------------------------
     def compile_one(
         self,
-        hamiltonian: FermionOperator | MajoranaOperator,
+        hamiltonian,
         kind: str,
         arch: str,
         n_modes: int | None = None,
     ) -> RoutedMetrics:
         """Metrics for one mapping kind routed onto one architecture.
 
+        ``hamiltonian`` is a :class:`~repro.sources.HamiltonianSource` or a
+        built operator.  With a service, a source with an identity whose
+        routed circuit is cached is served without building its operator.
+
         For ``hatt-arch`` the routing architecture doubles as the
         construction target, so the mapping fingerprint — and hence the
         ``mappings/v1`` entry — is distinct per architecture.
         """
+        source = as_source(hamiltonian)
         spec = MappingSpec(
             kind=kind,
-            n_modes=n_modes if n_modes is not None else hamiltonian.n_modes,
+            n_modes=n_modes,
             arch=arch if kind == "hatt-arch" else None,
             arch_weight=self.arch_weight if kind == "hatt-arch" else None,
         )
@@ -295,15 +307,16 @@ class CompilationPipeline:
         # registry, next to the service's own spans nested inside them.
         registry = self.service.registry if self.service is not None else None
         with span("construction", registry=registry):
-            mapping, mapping_fp, mapped = self._mapping(hamiltonian, spec)
+            mapping, mapping_fp, mapped = self._mapping(source, spec)
+        n = mapping.n_modes
         fp = circuit_fingerprint(
-            fingerprint_operator(hamiltonian), mapping_fp, arch, self.options
+            self._operator_fingerprint(source), mapping_fp, arch, self.options
         )
 
         def route() -> RoutedMetrics:
             opts = self.options
             with span("mapping_apply", registry=registry):
-                hq = mapped if mapped is not None else mapping.map(hamiltonian)
+                hq = mapped if mapped is not None else mapping.map(source.build())
                 table, _ = hq.to_table()
                 pauli_weight = int(table.weights().sum())
             with span("ordering", registry=registry):
@@ -324,7 +337,7 @@ class CompilationPipeline:
                 kind=kind,
                 mapping=mapping.name,
                 architecture=arch,
-                n_modes=spec.n_modes,
+                n_modes=n,
                 n_qubits=hq.n,
                 n_physical=graph.number_of_nodes(),
                 pauli_weight=pauli_weight,
@@ -338,7 +351,7 @@ class CompilationPipeline:
             )
             self.stats["routed"] += 1
             if kind == "hatt-arch":
-                metrics = self._arch_guard(hamiltonian, metrics, arch, spec.n_modes)
+                metrics = self._arch_guard(source, metrics, arch, n)
             return metrics
 
         if self.service is None:
@@ -365,7 +378,7 @@ class CompilationPipeline:
 
     def _arch_guard(
         self,
-        hamiltonian: FermionOperator | MajoranaOperator,
+        source,
         candidate: RoutedMetrics,
         arch: str,
         n_modes: int,
@@ -380,7 +393,7 @@ class CompilationPipeline:
         baseline is itself cache-shared with any ``hatt`` row of the sweep,
         so the guard costs at most one extra route per cold (case, arch).
         """
-        baseline = self.compile_one(hamiltonian, "hatt", arch, n_modes=n_modes)
+        baseline = self.compile_one(source, "hatt", arch, n_modes=n_modes)
         if (
             candidate.routed_cx <= baseline.routed_cx
             and candidate.routed_depth <= baseline.routed_depth
@@ -395,18 +408,20 @@ class CompilationPipeline:
 
     def sweep(
         self,
-        hamiltonian: FermionOperator | MajoranaOperator,
+        hamiltonian,
         kinds: tuple[str, ...] = DEFAULT_KINDS,
         architectures: tuple[str, ...] = ARCHITECTURES,
         case: str = "?",
         n_modes: int | None = None,
     ) -> SweepReport:
-        """Table IV analogue: every mapping kind on every architecture."""
-        n = n_modes if n_modes is not None else hamiltonian.n_modes
+        """Table IV analogue: every mapping kind on every architecture
+        (``hamiltonian`` is a source or a built operator)."""
+        source = as_source(hamiltonian)
+        n = n_modes if n_modes is not None else source.build().n_modes
         metrics: dict[str, dict[str, RoutedMetrics]] = {}
         for arch in architectures:
             metrics[arch] = {
-                kind: self.compile_one(hamiltonian, kind, arch, n_modes=n)
+                kind: self.compile_one(source, kind, arch, n_modes=n)
                 for kind in kinds
             }
         return SweepReport(case=case, n_modes=n, options=self.options, metrics=metrics)

@@ -73,7 +73,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 
-from ..sources import build_case
+from ..sources import HamiltonianSource, build_case, resolve
 from ..obs.metrics import get_registry
 from ..obs.trace import TraceContext, activate, new_trace_id
 from ..service import MappingService, pool_context
@@ -220,14 +220,34 @@ class CircuitBreaker:
             }
 
 
+class _ServedCase(HamiltonianSource):
+    """A request's case: the registry's source, built through this module's
+    :func:`build_case` only when the service asks for the operator (an
+    alias, mapping or circuit miss), so a warm request never builds."""
+
+    def __init__(self, case: str):
+        self._resolved = resolve(case)
+        super().__init__(self._resolved.spec)
+
+    def identity(self) -> tuple | None:
+        return self._resolved.identity()
+
+    @property
+    def n_modes(self) -> int:
+        return self._resolved.n_modes
+
+    def _build(self):
+        return build_case(self._resolved)
+
+
 def _run_request(request: CompileRequest, service: MappingService) -> dict:
     """Execute one request against a service; the job-family dispatch."""
     faults.sleep_if("slow_compile")
-    h = build_case(request.case)
+    source = _ServedCase(request.case)
     if request.job == "map":
         # A warm hit of a Hamiltonian-keyed kind reads the weight stored at
         # compile time; nothing is mapped again.
-        result = service.get_or_compile(h, request.spec())
+        result = service.get_or_compile(source, request.spec())
         mapping = result.mapping
         return {
             "job": "map",
@@ -238,7 +258,7 @@ def _run_request(request: CompileRequest, service: MappingService) -> dict:
             "compile_seconds": round(result.compile_seconds, 6),
             "n_modes": mapping.n_modes,
             "n_qubits": mapping.n_qubits,
-            "pauli_weight": result.pauli_weight(h),
+            "pauli_weight": result.pauli_weight(source),
         }
     # job == "compile": mapping + Trotter synthesis + routing, via the
     # hardware pipeline (its circuits/ artifacts ride the same store).
@@ -249,7 +269,7 @@ def _run_request(request: CompileRequest, service: MappingService) -> dict:
         options=request.options(),
         arch_weight=request.arch_weight,
     )
-    metrics = pipeline.compile_one(h, request.kind, request.arch)
+    metrics = pipeline.compile_one(source, request.kind, request.arch)
     return {
         "job": "compile",
         "case": request.case,
@@ -495,7 +515,7 @@ class JobQueue:
                 dispatch = False
         if not dispatch:
             # Breaker open: only warm work passes.  The cache probe runs
-            # outside the lock (it fingerprints the Hamiltonian).
+            # outside the lock (on an alias miss it fingerprints).
             if not self._probe_warm(request):
                 with self._lock:
                     self._count("shed_breaker")
@@ -559,16 +579,16 @@ class JobQueue:
     def _probe_warm(self, request: CompileRequest) -> bool:
         """True when the request would be served from cache (breaker bypass).
 
-        Only ``map`` jobs have a cheap cache probe (fingerprint the
-        Hamiltonian, check the service tiers); compile jobs are always
-        treated as cold while the breaker is open.
+        Only ``map`` jobs have a cheap cache probe (the request fingerprint,
+        from the service's alias when the case has been served before, then
+        the service tiers); compile jobs are always treated as cold while
+        the breaker is open.
         """
         if request.job != "map":
             return False
         try:
-            h = build_case(request.case)
-            spec = request.spec().resolve(h)
-            return self.service.is_cached(self.service.fingerprint(h, spec))
+            fp = self.service.fingerprint(_ServedCase(request.case), request.spec())
+            return self.service.is_cached(fp)
         except Exception:  # noqa: BLE001 - a failing probe is just "cold"
             return False
 
@@ -770,7 +790,11 @@ class JobQueue:
 
         Every terminal transition funnels through here: the coalesce key is
         released, the live gauge drops, watchdogs die, and the settlement
-        future resolves so every waiter unblocks.
+        future resolves so every waiter unblocks.  The record then drops its
+        attempt and settlement futures: every reader of them (``wait``,
+        ``drain``, the server's ``?wait=1`` bridge, shutdown) reads them only
+        for unfinished records, and a finished record may stay in the table
+        for thousands of jobs.
         """
         if record.done:
             return
@@ -801,7 +825,8 @@ class JobQueue:
             timer = table.pop(record.id, None)
             if timer is not None:
                 timer.cancel()
-        settled = self._settled.get(record.id)
+        self._futures.pop(record.id, None)
+        settled = self._settled.pop(record.id, None)
         if settled is not None and not settled.done():
             settled.set_result(record)
 
@@ -815,11 +840,9 @@ class JobQueue:
             # A record is evictable only once finished AND unobserved: a
             # pinned record still has a ``wait()``/``?wait=1`` client about
             # to read it — evicting it would turn their poll into a 404.
+            # Settlement already dropped its futures and pool generation.
             if record.done and self._pins.get(jid, 0) == 0:
                 del self._jobs[jid]
-                self._futures.pop(jid, None)
-                self._settled.pop(jid, None)
-                self._job_gen.pop(jid, None)
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -865,13 +888,15 @@ class JobQueue:
             return self._jobs.get(job_id)
 
     def future(self, job_id: str) -> Future | None:
-        """The job's *current attempt's* executor future (may be superseded)."""
+        """The job's *current attempt's* executor future (may be superseded);
+        ``None`` once the job has settled."""
         with self._lock:
             return self._futures.get(job_id)
 
     def settlement(self, job_id: str) -> Future | None:
         """The job's settlement future — resolves with the record on any
-        terminal path (for ``asyncio.wrap_future`` bridging)."""
+        terminal path (for ``asyncio.wrap_future`` bridging); ``None`` once
+        the job has settled, when the record itself is the answer."""
         with self._lock:
             return self._settled.get(job_id)
 

@@ -1,13 +1,25 @@
 """Get-or-compile facade over the fingerprint keyspace and artifact store.
 
 ``MappingService`` is the single entry point the pipeline, CLI, and batch
-orchestrator share.  A request is ``(hamiltonian, MappingSpec)``; the service
+orchestrator share.  A request is ``(source, MappingSpec)``, where the source
+is a :class:`~repro.sources.HamiltonianSource` or a built operator (wrapped
+in an identity-free :class:`~repro.sources.OperatorSource`).  The service
 fingerprints it (:mod:`.fingerprint`) and asks its ``mappings``
 :class:`~repro.service.cache.ArtifactCache`, which tries the in-memory LRU,
 then the disk :class:`~repro.service.store.ArtifactStore`, then compiles —
 storing the artifact with provenance.  The service's second cache,
 ``circuits``, holds routed-circuit metrics for
 :class:`repro.compile.CompilationPipeline` under the same policy.
+
+The third cache, ``aliases``, is memory only: it maps a source's
+:meth:`~repro.sources.HamiltonianSource.identity` (plus the tolerance and the
+request config) to the content fingerprint that source produced, and to the
+mode count that resolves the spec.  Artifacts stay keyed by content; the
+alias only saves recomputing the key, so a repeated request for an opted-in
+source neither builds nor fingerprints its Hamiltonian, and the operator is
+built only when something must be compiled or mapped.  A miss fingerprints
+exactly as without the alias.  It is never written to disk, because it would
+have to outlive the generator code that makes an identity's content.
 
 Concurrent requests for one fingerprint are **single-flighted** by the cache,
 so a thundering herd of identical requests costs one compile.
@@ -18,8 +30,9 @@ writes are atomic and content-addressed.)
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import __version__
 from ..fermion import FermionOperator, MajoranaOperator
@@ -35,8 +48,9 @@ from ..obs.logging import get_logger, slow_compile_threshold
 from ..obs.metrics import get_registry
 from ..obs.trace import current_trace_id, span
 from ..paulis import QubitOperator
+from ..sources.base import as_source
 from .cache import ArtifactCache
-from .fingerprint import MappingSpec, fingerprint_request
+from .fingerprint import DEFAULT_TOLERANCE, MappingSpec, _request_payload, fingerprint_request
 from .store import ArtifactStore
 
 _log = get_logger("repro.service")
@@ -47,6 +61,10 @@ __all__ = ["MappingService", "CompileResult", "compile_mapping"]
 #: mapping keeps its strings, tree and selection trace but none of the
 #: construction's working state — about 14 KB at SYK n=10.
 _DEFAULT_MEMORY_CAPACITY = 128
+
+#: Alias entries held: each is a short key and a fingerprint, a few hundred
+#: bytes, so the cap is generous next to the artifact tiers.
+_ALIAS_CAPACITY = 4096
 
 
 def compile_mapping(
@@ -100,16 +118,17 @@ class CompileResult:
     def cache_hit(self) -> bool:
         return self.source != "compiled"
 
-    def pauli_weight(self, hamiltonian: FermionOperator | MajoranaOperator) -> int:
-        """Total Pauli weight of ``hamiltonian`` under this mapping.
+    def pauli_weight(self, source) -> int:
+        """Total Pauli weight of the Hamiltonian under this mapping.
 
-        ``hamiltonian`` must be the one the request was fingerprinted with.
-        A Hamiltonian-keyed artifact stores the figure at compile time, so
-        a warm hit reads it; otherwise the Hamiltonian is mapped now.
+        ``source`` (a source or an operator) must be the one the request
+        was fingerprinted with.  A Hamiltonian-keyed artifact stores the
+        figure at compile time, so a warm hit reads it without building;
+        otherwise the Hamiltonian is built and mapped now.
         """
         if self.stored_weight is not None:
             return self.stored_weight
-        return int(self.mapping.map(hamiltonian).pauli_weight())
+        return int(self.mapping.map(as_source(source).build()).pauli_weight())
 
 
 class MappingService:
@@ -148,11 +167,42 @@ class MappingService:
         self.mappings = ArtifactCache("mappings", memory_capacity, self.registry)
         #: Routed-circuit metrics, filled by :class:`repro.compile.CompilationPipeline`.
         self.circuits = ArtifactCache("circuits", memory_capacity, self.registry)
+        #: Source identity → content fingerprints (memory only; module docstring).
+        self.aliases = ArtifactCache("aliases", _ALIAS_CAPACITY, self.registry)
 
-    def fingerprint(
-        self, hamiltonian: FermionOperator | MajoranaOperator, spec: MappingSpec
-    ) -> str:
-        return fingerprint_request(hamiltonian, spec)
+    def alias(self, source, payload, compute):
+        """``compute()``, remembered under ``source``'s identity and ``payload``.
+
+        ``payload`` names what is computed (a request config, or ``None``
+        for the operator alone) and must be JSON-serializable.  A source
+        without an identity runs ``compute`` every time.
+        """
+        identity = source.identity()
+        if identity is None:
+            return compute()
+        key = json.dumps([identity, repr(DEFAULT_TOLERANCE), payload],
+                         separators=(",", ":"))
+        value, _ = self.aliases.get_or_compute(key, compute)
+        return value
+
+    def _resolve(self, source, spec: MappingSpec) -> tuple[str, MappingSpec]:
+        """``(request fingerprint, resolved spec)`` for one request.
+
+        An alias hit answers without building; a miss builds the operator
+        (once, cached on the source) and fingerprints it.
+        """
+
+        def compute() -> tuple[str, int]:
+            h = source.build()
+            resolved = spec.resolve(h)
+            return fingerprint_request(h, resolved), resolved.n_modes
+
+        fp, n_modes = self.alias(source, _request_payload(spec), compute)
+        return fp, replace(spec, n_modes=n_modes)
+
+    def fingerprint(self, source, spec: MappingSpec) -> str:
+        """The request fingerprint of ``(source, spec)``."""
+        return self._resolve(as_source(source), spec)[0]
 
     def is_cached(self, fingerprint: str) -> bool:
         """True when ``fingerprint`` would be served without compiling.
@@ -165,19 +215,18 @@ class MappingService:
             self.store is not None and self.store.contains(fingerprint)
         )
 
-    def get_or_compile(
-        self,
-        hamiltonian: FermionOperator | MajoranaOperator,
-        spec: MappingSpec,
-    ) -> CompileResult:
+    def get_or_compile(self, source, spec: MappingSpec) -> CompileResult:
+        """The mapping for ``(source, spec)``; ``source`` is a
+        :class:`~repro.sources.HamiltonianSource` or a built operator."""
+        source = as_source(source)
         with span("fingerprint", registry=self.registry):
-            spec = spec.resolve(hamiltonian)
-            fp = fingerprint_request(hamiltonian, spec)
+            fp, spec = self._resolve(source, spec)
         elapsed = 0.0
         mapped = None
 
         def compile_() -> FermionQubitMapping:
             nonlocal elapsed, mapped
+            hamiltonian = source.build()
             start = time.perf_counter()
             with span("tree_construction", registry=self.registry):
                 mapping = compile_mapping(hamiltonian, spec)
@@ -238,10 +287,11 @@ class MappingService:
         )
 
     def stats(self) -> dict:
-        """Mapping-namespace stats at the top level, plus ``circuits`` and
-        (with a disk tier) ``store`` sub-dicts."""
+        """Mapping-namespace stats at the top level, plus ``circuits``,
+        ``aliases`` and (with a disk tier) ``store`` sub-dicts."""
         out = self.mappings.stats()
         out["circuits"] = self.circuits.stats()
+        out["aliases"] = self.aliases.stats()
         if self.store is not None:
             out["store"] = self.store.stats()
         return out

@@ -20,9 +20,21 @@ Spec grammar (see ``repro cases --json`` / README for the full table):
 
 Importing this package registers the built-in families; user code adds
 its own with :func:`register_source` (``examples/custom_source.py``).
+Every built-in family opts in to :meth:`HamiltonianSource.identity`, which
+lets the compilation service serve a repeated spec without building or
+fingerprinting it; third-party sources stay opted out unless they declare
+``identity_version``.
 """
 
-from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource, format_params, parse_params
+from .base import (
+    DEFAULT_CHUNK_SIZE,
+    HamiltonianSource,
+    OperatorSource,
+    as_source,
+    format_number,
+    format_params,
+    parse_params,
+)
 from .registry import (
     SourceInfo,
     build_case,
@@ -45,6 +57,8 @@ from .synthetic import SykSource
 
 __all__ = [
     "HamiltonianSource",
+    "OperatorSource",
+    "as_source",
     "SourceInfo",
     "DEFAULT_CHUNK_SIZE",
     "register_source",
@@ -55,6 +69,7 @@ __all__ = [
     "source_catalog",
     "parse_params",
     "format_params",
+    "format_number",
     "HubbardSource",
     "NeutrinoSource",
     "ElectronicSource",

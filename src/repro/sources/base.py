@@ -24,6 +24,22 @@ consume:
     bit-identical to ``fingerprint_operator(build())``, with bounded
     memory, so a Hamiltonian too large to build can still hit the service
     cache.
+``identity()``
+    A cheap name for the operator's content (a tuple of strings and
+    numbers), or ``None``.  A
+    source whose operator is a pure function of something it can read
+    without building (its canonical spec; a file's bytes) opts in by
+    setting ``identity_version`` on its class, and the compilation
+    service then remembers the content fingerprints it produced under
+    that name, so a repeated request neither builds nor fingerprints.
+    The default is ``None``: a source that cannot vouch for its content
+    is built and fingerprinted on every request.  Only the class that
+    declares ``identity_version`` gets an identity; a subclass (which may
+    override ``_build``) starts opted out again.
+
+:class:`OperatorSource` wraps an operator that is already in memory, so
+callers holding a built Hamiltonian use the same source-taking APIs; it
+has no identity.
 """
 
 from __future__ import annotations
@@ -33,7 +49,15 @@ from typing import Iterator
 
 from ..fermion import FermionOperator
 
-__all__ = ["HamiltonianSource", "DEFAULT_CHUNK_SIZE", "parse_params", "format_params"]
+__all__ = [
+    "HamiltonianSource",
+    "OperatorSource",
+    "DEFAULT_CHUNK_SIZE",
+    "as_source",
+    "parse_params",
+    "format_params",
+    "format_number",
+]
 
 DEFAULT_CHUNK_SIZE = 4096
 
@@ -47,6 +71,9 @@ class HamiltonianSource(ABC):
     #: seeded generator): workers re-resolve the spec locally instead of
     #: receiving a pickled operator.
     file_backed: bool = False
+    #: Opt-in content identity (see :meth:`identity`): bump it whenever the
+    #: operator a spec builds changes.  Read from the concrete class only.
+    identity_version: int | None = None
 
     def __init__(self, spec: str):
         self.spec = spec
@@ -109,6 +136,15 @@ class HamiltonianSource(ABC):
             tmp_dir=tmp_dir,
         )
 
+    def identity(self) -> tuple | None:
+        """``(spec, class, version)`` when the concrete class declares
+        ``identity_version``, else ``None``; see the module docstring."""
+        cls = type(self)
+        version = vars(cls).get("identity_version")
+        if version is None:
+            return None
+        return (self.spec, f"{cls.__module__}.{cls.__qualname__}", version)
+
     def describe(self) -> dict:
         """Cheap metadata; subclasses extend with their parameters."""
         return {
@@ -120,6 +156,32 @@ class HamiltonianSource(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.spec!r})"
+
+
+class OperatorSource(HamiltonianSource):
+    """An operator already in memory, behind the source interface.
+
+    It has no identity, so a service fed one fingerprints it every time,
+    exactly as it fingerprints a bare operator.
+    """
+
+    family = "memory"
+
+    def __init__(self, operator):
+        super().__init__("memory:")
+        self._built = operator
+
+    @property
+    def n_modes(self) -> int:
+        return self._built.n_modes
+
+    def _build(self):
+        return self._built
+
+
+def as_source(obj) -> HamiltonianSource:
+    """``obj`` itself if it is a source, else an :class:`OperatorSource`."""
+    return obj if isinstance(obj, HamiltonianSource) else OperatorSource(obj)
 
 
 def parse_params(text: str, *, allowed: tuple[str, ...]) -> dict[str, str]:
@@ -138,6 +200,16 @@ def parse_params(text: str, *, allowed: tuple[str, ...]) -> dict[str, str]:
             raise ValueError(f"duplicate source parameter {key!r}")
         params[key] = value.strip()
     return params
+
+
+def format_number(value: float) -> str:
+    """Short ``%g`` text when it reads back as ``value``, else ``repr``.
+
+    Canonical specs must name one Hamiltonian: ``%g`` alone keeps six
+    digits, so ``u=4.0000001`` would print as ``u=4``.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def format_params(params: dict[str, object]) -> str:

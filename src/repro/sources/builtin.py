@@ -13,7 +13,7 @@ import re
 from ..fermion import FermionOperator
 from ..models.hubbard import fermi_hubbard
 from ..models.neutrino import collective_neutrino
-from .base import HamiltonianSource, format_params, parse_params
+from .base import HamiltonianSource, format_number, format_params, parse_params
 from .registry import register_source
 
 __all__ = ["HubbardSource", "NeutrinoSource", "ElectronicSource"]
@@ -40,6 +40,7 @@ class HubbardSource(HamiltonianSource):
     """
 
     family = "hubbard"
+    identity_version = 1
 
     def __init__(self, spec: str):
         body = spec.partition(":")[2]
@@ -66,9 +67,9 @@ class HubbardSource(HamiltonianSource):
             )
         tail_params: dict[str, object] = {}
         if self.t != 1.0:
-            tail_params["t"] = f"{self.t:g}"
+            tail_params["t"] = format_number(self.t)
         if self.u != 4.0:
-            tail_params["u"] = f"{self.u:g}"
+            tail_params["u"] = format_number(self.u)
         if self.bc != "periodic":
             tail_params["bc"] = self.bc
         if self.ordering != "interleaved":
@@ -102,6 +103,7 @@ class NeutrinoSource(HamiltonianSource):
     """``neutrino:<NxFF>[,mu=..]`` — collective oscillations, 2·N·F modes."""
 
     family = "neutrino"
+    identity_version = 1
 
     def __init__(self, spec: str):
         body = spec.partition(":")[2]
@@ -119,7 +121,7 @@ class NeutrinoSource(HamiltonianSource):
         self.mu = _fnum("mu", params.get("mu", "0.1"))
         tail_params: dict[str, object] = {}
         if self.mu != 0.1:
-            tail_params["mu"] = f"{self.mu:g}"
+            tail_params["mu"] = format_number(self.mu)
         super().__init__(
             f"neutrino:{self.n_momenta}x{self.n_flavors}F{format_params(tail_params)}"
         )
@@ -143,6 +145,7 @@ class ElectronicSource(HamiltonianSource):
     """``electronic:<name>`` (or a bare ``<name>``) — paper chemistry cases."""
 
     family = "electronic"
+    identity_version = 1
 
     def __init__(self, spec: str):
         from ..models.electronic import electronic_case_names

@@ -15,10 +15,19 @@ choices below:
   indices the file did not set.  Real MO tensors are symmetric to ~1e-16,
   not bitwise, and a silent symmetrization could flip a coefficient
   across the fingerprint quantization grid.
+
+Both opt in to :meth:`~repro.sources.HamiltonianSource.identity` with the
+SHA-256 of the file's bytes next to the spec, so a file rewritten in place
+names new content.  Hashing the bytes is far cheaper than parsing them.  A
+source reads its file once and hashes and parses those same bytes, so its
+identity always names the operator it builds, even if the file changes
+between the two.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 from pathlib import Path
 from typing import Iterator
 
@@ -39,6 +48,27 @@ __all__ = [
 ]
 
 _NPZ_SCHEMA = 1
+
+
+class _FileSnapshot:
+    """The file's bytes, read once per source (see the module docstring)."""
+
+    path: Path
+    _data: bytes | None = None
+    _sha256: str | None = None
+
+    def _bytes(self) -> bytes:
+        if self._data is None:
+            self._data = self.path.read_bytes()
+            self._sha256 = hashlib.sha256(self._data).hexdigest()
+        return self._data
+
+    def identity(self) -> tuple | None:
+        base = super().identity()
+        if base is None:
+            return None
+        self._bytes()
+        return (*base, self._sha256)
 
 
 # ----------------------------------------------------------------------
@@ -67,8 +97,8 @@ def save_npz(path: str | Path, op: FermionOperator) -> None:
     )
 
 
-def _npz_arrays(path: Path) -> dict:
-    with np.load(path) as data:
+def _npz_arrays(raw: bytes, path) -> dict:
+    with np.load(io.BytesIO(raw)) as data:
         if "schema" not in data or int(data["schema"]) != _NPZ_SCHEMA:
             raise ValueError(
                 f"{path} is not a repro operator archive "
@@ -96,16 +126,17 @@ def _iter_npz_terms(arrays: dict) -> Iterator[tuple[tuple, complex]]:
 def load_npz(path: str | Path) -> FermionOperator:
     """Rebuild an operator saved by :func:`save_npz` (bit-exact)."""
     op = FermionOperator()
-    for term, coeff in _iter_npz_terms(_npz_arrays(Path(path))):
+    for term, coeff in _iter_npz_terms(_npz_arrays(Path(path).read_bytes(), path)):
         op.add_term(term, coeff)
     return op
 
 
-class NpzSource(HamiltonianSource):
+class NpzSource(_FileSnapshot, HamiltonianSource):
     """``npz:<path>`` — a Hamiltonian archived by :func:`save_npz`."""
 
     family = "npz"
     file_backed = True
+    identity_version = 1
 
     def __init__(self, spec: str):
         path = spec.partition(":")[2].strip()
@@ -119,7 +150,7 @@ class NpzSource(HamiltonianSource):
 
     def _load(self) -> dict:
         if self._arrays is None:
-            self._arrays = _npz_arrays(self.path)
+            self._arrays = _npz_arrays(self._bytes(), self.path)
         return self._arrays
 
     @property
@@ -234,7 +265,11 @@ def read_fcidump(path: str | Path):
     original tensors bitwise while standard symmetry-compacted files from
     other programs still expand correctly.
     """
-    header, body = _split_fcidump(Path(path))
+    return _parse_fcidump(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _parse_fcidump(text: str, path):
+    header, body = _split_fcidump(text, path)
     norb = int(_header_field(header, "NORB"))
     n_electrons = int(_header_field(header, "NELEC", "0"))
     ms2 = int(_header_field(header, "MS2", "0"))
@@ -267,9 +302,8 @@ def read_fcidump(path: str | Path):
     return h, eri, core_energy, n_electrons, ms2
 
 
-def _split_fcidump(path: Path) -> tuple[str, list[str]]:
+def _split_fcidump(text: str, path) -> tuple[str, list[str]]:
     """Split the namelist header from the value lines."""
-    text = path.read_text(encoding="utf-8")
     upper = text.upper()
     for marker in ("&END", "/"):
         pos = upper.find(marker)
@@ -291,7 +325,7 @@ def _header_field(header: str, name: str, default: str | None = None) -> str:
     return default
 
 
-class FcidumpSource(HamiltonianSource):
+class FcidumpSource(_FileSnapshot, HamiltonianSource):
     """``fcidump:<path>`` — external integral files, second-quantized on load.
 
     Uses the same :func:`fermion_hamiltonian_from_integrals` as the
@@ -301,6 +335,7 @@ class FcidumpSource(HamiltonianSource):
 
     family = "fcidump"
     file_backed = True
+    identity_version = 1
 
     def __init__(self, spec: str):
         path = spec.partition(":")[2].strip()
@@ -315,15 +350,18 @@ class FcidumpSource(HamiltonianSource):
     @property
     def n_modes(self) -> int:
         if self._norb is None:
-            # Header-only read: the mode count never needs the integral body.
-            header, _ = _split_fcidump(self.path)
+            # Header-only parse: the mode count never needs the integral body.
+            header, _ = _split_fcidump(self._text(), self.path)
             self._norb = int(_header_field(header, "NORB"))
         return 2 * self._norb
 
     def _build(self) -> FermionOperator:
-        h, eri, core_energy, _, _ = read_fcidump(self.path)
+        h, eri, core_energy, _, _ = _parse_fcidump(self._text(), self.path)
         self._norb = h.shape[0]
         return fermion_hamiltonian_from_integrals(h, eri, core_energy)
+
+    def _text(self) -> str:
+        return self._bytes().decode("utf-8")
 
     def describe(self) -> dict:
         doc = super().describe()

@@ -130,9 +130,10 @@ def canonical_spec(spec: str) -> str:
     return resolve(spec).spec
 
 
-def build_case(spec: str) -> FermionOperator:
-    """Resolve ``spec`` and build its operator."""
-    return resolve(spec).build()
+def build_case(spec: str | HamiltonianSource) -> FermionOperator:
+    """Resolve ``spec`` (unless it already is a source) and build its operator."""
+    source = spec if isinstance(spec, HamiltonianSource) else resolve(spec)
+    return source.build()
 
 
 def source_catalog() -> list[dict]:

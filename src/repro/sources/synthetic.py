@@ -20,7 +20,7 @@ import numpy as np
 
 from ..fermion import FermionOperator
 from ..fermion.operators import _COEFF_TOLERANCE
-from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource, parse_params
+from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource, format_number, parse_params
 from .registry import register_source
 
 __all__ = ["SykSource"]
@@ -30,6 +30,7 @@ class SykSource(HamiltonianSource):
     """``random:syk:n=<modes>,seed=<s>[,j=<coupling>]``."""
 
     family = "random"
+    identity_version = 1
     # The terms never live in a file, but like file-backed sources the spec
     # is the cheap, process-portable representation — ship it, not the op.
     file_backed = True
@@ -58,7 +59,7 @@ class SykSource(HamiltonianSource):
             raise ValueError(f"random:syk j= must be a number in {spec!r}") from None
         tail_out = f"n={self.n},seed={self.seed}"
         if self.j != 1.0:
-            tail_out += f",j={self.j:g}"
+            tail_out += f",j={format_number(self.j)}"
         super().__init__(f"random:syk:{tail_out}")
 
     @property

@@ -515,6 +515,33 @@ class TestHttpServer:
         assert usage["evictions"] >= 1
 
 
+class TestSettledJobState:
+    """A settled job keeps its record but drops its attempt and settlement
+    futures, so a long-lived queue holds no per-job synchronization state."""
+
+    def test_settled_jobs_release_futures_and_still_answer(self, served):
+        q, bg = served
+        ids = [q.submit(CompileRequest(case=case, kind="jw"))[0].id
+               for case in ("hubbard:1x2", "hubbard:2x2", "hubbard:1x3")]
+        for jid in ids:
+            assert q.wait(jid, timeout=120).status == JobStatus.DONE
+        with q._lock:
+            assert q._futures == {} and q._settled == {}
+        assert q.settlement(ids[0]) is None and q.future(ids[0]) is None
+        # A settled id still answers, locally and over HTTP with ?wait=1.
+        assert q.wait(ids[0], timeout=1).status == JobStatus.DONE
+        conn = http.client.HTTPConnection(bg.host, bg.port, timeout=30)
+        try:
+            conn.request("GET", f"/v1/jobs/{ids[0]}?wait=1")
+            resp = conn.getresponse()
+            doc = check_envelope(json.loads(resp.read()), "jobs.get")
+        finally:
+            conn.close()
+        assert resp.status == 200
+        assert doc["result"]["id"] == ids[0]
+        assert doc["result"]["status"] == JobStatus.DONE
+
+
 class TestRunServer:
     def test_serves_until_cancelled(self, tmp_path):
         """The blocking ``repro serve`` entry point, stopped from outside."""

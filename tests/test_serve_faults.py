@@ -473,6 +473,34 @@ class TestCircuitBreaker:
             assert done.status == JobStatus.DONE
             assert done.result["source"] in ("memory", "disk")
 
+    def test_warm_map_passes_open_breaker_without_building(self, tmp_path, monkeypatch):
+        """The breaker's cache probe and the served job both find a warm
+        ``map`` through the service's spec alias: nothing is built."""
+        builds = []
+        real_build = queue_mod.build_case
+        monkeypatch.setattr(
+            queue_mod, "build_case", lambda src: builds.append(src.spec) or real_build(src)
+        )
+        breaker = CircuitBreaker(window=60, min_samples=3, threshold=0.5,
+                                 cooldown=60)
+        with JobQueue(service=_service(tmp_path), workers=1, retry=False,
+                      breaker=breaker) as q:
+            request = CompileRequest(case="hubbard:2x2")
+            cold = q.wait(q.submit(request)[0].id, timeout=120)
+            assert cold.status == JobStatus.DONE and builds == ["hubbard:2x2"]
+            breaker.record(False)
+            breaker.record(False)
+            assert breaker.is_open()
+            builds.clear()
+            warm = q.wait(q.submit(request)[0].id, timeout=30)
+            assert warm.status == JobStatus.DONE and warm.source == "memory"
+            assert warm.fingerprint == cold.fingerprint
+            assert warm.result["pauli_weight"] == cold.result["pauli_weight"] == 76
+            assert builds == []
+            # A cold map is still shed (its probe misses the alias).
+            with pytest.raises(BreakerOpen):
+                q.submit(CompileRequest(case="hubbard:1x3"))
+
     def test_degraded_state_surfaces_over_http(self, tmp_path, monkeypatch):
         def boom(request, service):
             raise ValueError("poisoned")

@@ -919,6 +919,100 @@ class TestBatch:
         assert "hubbard:1x2" in report.table()
 
 
+# ----------------------------------------------------------------------
+# The spec alias: source identity -> content fingerprints
+# ----------------------------------------------------------------------
+_params = st.floats(-4, 4, allow_nan=False, allow_infinity=False).map(repr)
+builtin_specs = st.one_of(
+    st.builds(
+        "hubbard:{}x{},t={},u={},bc={},ordering={}".format,
+        st.integers(1, 3), st.integers(1, 2), _params, _params,
+        st.sampled_from(["open", "periodic"]),
+        st.sampled_from(["interleaved", "blocked"]),
+    ),
+    st.builds("neutrino:{}x{}F,mu={}".format,
+              st.integers(1, 2), st.integers(1, 2), _params),
+    st.builds("random:syk:n={},seed={},j={}".format,
+              st.integers(4, 7), st.integers(0, 2**31), _params),
+    st.sampled_from(["H2_sto3g", "electronic:LiH_sto3g"]),
+)
+
+
+def _unbuildable(spec: str):
+    """A fresh source for ``spec`` whose operator must not be needed."""
+    from repro.sources import resolve
+
+    src = resolve(spec)
+
+    def refuse():
+        raise AssertionError(f"{spec} was built on an alias hit")
+
+    src._build = refuse
+    return src
+
+
+class TestSpecAlias:
+    @settings(max_examples=40, deadline=None)
+    @given(builtin_specs, st.sampled_from(["hatt", "jw", "hatt-arch"]))
+    def test_alias_serves_the_content_fingerprints(self, case, kind):
+        from repro.compile import CompilationPipeline
+        from repro.sources import resolve
+
+        spec = _spec(kind)
+        svc = MappingService(use_disk=False)
+        pipeline = CompilationPipeline(service=svc)
+        primed = resolve(case)
+        svc.fingerprint(primed, spec)
+        pipeline._operator_fingerprint(primed)
+        # Served from the alias: a fresh source that refuses to build.
+        fresh = _unbuildable(case)
+        request_fp = svc.fingerprint(fresh, spec)
+        operator_fp = pipeline._operator_fingerprint(fresh)
+        h = resolve(case).build()
+        assert request_fp == fingerprint_request(h, spec.resolve(h))
+        assert operator_fp == fingerprint_operator(h)
+        stats = svc.aliases.stats()
+        assert (stats["hits_memory"], stats["misses"]) == (2, 2)
+
+    def test_warm_requests_neither_build_nor_fingerprint(self, tmp_path, monkeypatch):
+        """Served ``map`` and ``compile`` jobs build and fingerprint each
+        case once, on its cold request, and serve every repeat from the
+        alias (the mapping's weight and the circuit come from their caches)."""
+        import repro.compile.pipeline as pipeline_mod
+        import repro.serve.queue as queue_mod
+        import repro.service.service as service_mod
+        from repro.serve.schema import CompileRequest
+
+        calls = []
+        for module, name in ((queue_mod, "build_case"),
+                             (service_mod, "fingerprint_request"),
+                             (pipeline_mod, "fingerprint_operator")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _r=real:
+                                calls.append(_n) or _r(*a))
+        svc = MappingService(cache_dir=tmp_path)
+        requests = [CompileRequest(case="hubbard:2x2"),
+                    CompileRequest(case="hubbard:1x3", job="compile", arch="sycamore")]
+        cold = [queue_mod._run_request(r, svc) for r in requests]
+        assert sorted(calls) == sorted(["build_case", "fingerprint_request"] * 2
+                                       + ["fingerprint_operator"])
+        calls.clear()
+        for _ in range(3):
+            warm = [queue_mod._run_request(r, svc) for r in requests]
+            assert [w["fingerprint"] for w in warm] == [c["fingerprint"] for c in cold]
+            assert warm[0]["pauli_weight"] == cold[0]["pauli_weight"]
+            assert warm[1]["metrics"]["routed_cx"] == cold[1]["metrics"]["routed_cx"]
+        assert calls == []
+
+    def test_operator_callers_never_touch_the_alias(self):
+        h = build_case("hubbard:2x2")
+        svc = MappingService(use_disk=False)
+        for _ in range(2):
+            svc.get_or_compile(h, MappingSpec(kind="hatt"))
+        stats = svc.stats()["aliases"]
+        assert stats["hits_memory"] == stats["misses"] == stats["memory_entries"] == 0
+
+
 class TestPipelineIntegration:
     def test_compare_mappings_with_service_matches_direct(self, tmp_path):
         from repro.analysis import compare_mappings

@@ -164,6 +164,130 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
+# identity(): which sources may be served through the service's alias
+# ----------------------------------------------------------------------
+def _load_example(name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSourceIdentity:
+    @pytest.mark.parametrize("spec, cls", [
+        ("hubbard:2x3,u=8", "repro.sources.builtin.HubbardSource"),
+        ("neutrino:2x2F", "repro.sources.builtin.NeutrinoSource"),
+        ("H2_sto3g", "repro.sources.builtin.ElectronicSource"),
+        ("random:syk:n=6,seed=3", "repro.sources.synthetic.SykSource"),
+    ])
+    def test_generator_families_name_spec_class_and_version(self, spec, cls):
+        src = resolve(spec)
+        assert src.identity() == (src.spec, cls, 1)
+        assert resolve(src.spec).identity() == src.identity()
+
+    @pytest.mark.parametrize("spec", [
+        "hubbard:2x2,u=4.0000001", "hubbard:2x2,t=1.0000000001",
+        "neutrino:2x2F,mu=0.1000001", "random:syk:n=6,seed=1,j=1.0000001",
+    ])
+    def test_canonical_spec_keeps_every_digit(self, spec):
+        """Two parameter values must never share a canonical spec, or they
+        would share an identity (and a coalesce key)."""
+        src = resolve(spec)
+        assert src.spec == spec
+        default = resolve(spec.rsplit(",", 1)[0])
+        assert src.identity() != default.identity()
+        assert fingerprint_operator(src.build()) != fingerprint_operator(default.build())
+
+    def test_short_parameters_stay_short(self):
+        assert resolve("hubbard:3x3,bc=open,u=8.0").spec == "hubbard:3x3,bc=open,u=8"
+        assert resolve("neutrino:3x2F,mu=0.050").spec == "neutrino:3x2F,mu=0.05"
+
+    def test_subclass_overriding_build_has_no_identity(self):
+        from repro.sources import HubbardSource
+
+        class HalfHopping(HubbardSource):
+            def _build(self):
+                return super()._build() * 0.5
+
+        src = HalfHopping("hubbard:2x2")
+        assert src.spec == "hubbard:2x2"
+        assert src.identity() is None
+        assert HubbardSource("hubbard:2x2").identity() is not None
+
+    def test_replaced_registration_has_no_identity(self):
+        from repro.sources import HubbardSource
+
+        class Shadow(HubbardSource):
+            pass
+
+        original = registry_mod._REGISTRY["hubbard"]
+        try:
+            register_source("hubbard", Shadow, description="x", grammar="x",
+                            replace=True)
+            assert resolve("hubbard:2x2").identity() is None
+        finally:
+            registry_mod._REGISTRY["hubbard"] = original
+        assert resolve("hubbard:2x2").identity() is not None
+
+    def test_example_ring_source_never_hits_the_alias(self, monkeypatch):
+        import repro.service.service as service_mod
+
+        ring = _load_example("custom_source")
+        calls = []
+        real = service_mod.fingerprint_request
+        monkeypatch.setattr(service_mod, "fingerprint_request",
+                            lambda h, spec: calls.append(spec) or real(h, spec))
+        monkeypatch.setitem(registry_mod._REGISTRY, "ring", registry_mod.SourceInfo(
+            "ring", ring.RingSource, description="ring", grammar="ring:<n>"))
+        src = resolve("ring:6")
+        assert src.identity() is None
+        svc = MappingService(use_disk=False)
+        first = svc.get_or_compile(src, MappingSpec(kind="hatt"))
+        again = svc.get_or_compile(resolve("ring:6"), MappingSpec(kind="hatt"))
+        assert (first.source, again.source) == ("compiled", "memory")
+        assert len(calls) == 2
+        aliases = svc.aliases.stats()
+        assert aliases["hits_memory"] == aliases["misses"] == 0
+
+    @pytest.mark.parametrize("family", ["fcidump", "npz"])
+    def test_file_rewritten_in_place_misses_the_alias(self, tmp_path, family):
+        def write(scale):
+            h, eri, core, nelec = case_integrals("H2_sto3g")
+            path = tmp_path / f"h2.{family}"
+            if family == "fcidump":
+                write_fcidump(path, h * scale, eri, core, nelec)
+            else:
+                save_npz(path, fermion_hamiltonian_from_integrals(h * scale, eri, core))
+            return f"{family}:{path}"
+
+        spec = MappingSpec(kind="hatt")
+        svc = MappingService(use_disk=False)
+        case = write(1.0)
+        before = resolve(case).identity()
+        assert before[:3] == (case, type(resolve(case)).__module__ + "."
+                              + type(resolve(case)).__qualname__, 1)
+        held = resolve(case)
+        old = svc.fingerprint(held, spec)
+        assert svc.fingerprint(resolve(case), spec) == old
+        write(0.5)
+        # A source hashes and parses one read of the file, so one already
+        # read keeps naming (and building) the content it read.
+        assert held.identity() == before
+        assert svc.fingerprint(held, spec) == old
+        assert fingerprint_request(held.build(), spec.resolve(held.build())) == old
+        src = resolve(case)
+        assert src.identity() != before and src.identity()[:3] == before[:3]
+        new = svc.fingerprint(src, spec)
+        h = resolve(case).build()
+        assert new != old and new == fingerprint_request(h, spec.resolve(h))
+        assert svc.aliases.stats()["misses"] == 2
+
+
+# ----------------------------------------------------------------------
 # Streamed fingerprinting: bit-identity with the in-memory path
 # ----------------------------------------------------------------------
 class TestFingerprintStream:
