@@ -6,10 +6,10 @@ asserts the paper's qualitative finding — HATT's bias/variance is at most
 that of the worst constructive baseline everywhere, tracking its smaller
 circuits.
 
-The heatmap cells run on the batched trajectory engine
-(``backend="batched"``); ``test_backend_speedup_and_agreement`` times it
-against the per-trajectory scalar reference at 1000 trajectories and checks
-both engines report the same bias/variance within statistical error.
+The heatmap cells run on the batched trajectory engine;
+``test_backend_speedup_and_agreement`` times it against the per-trajectory
+scalar reference (``tests/reference/noise.py``) at 1000 trajectories and
+checks both engines report the same bias/variance within statistical error.
 
 Set ``REPRO_BENCH_SMOKE=1`` (as the CI smoke step does) for a toy-size run:
 one case, a short grid, reduced shots, and a loose speed floor, finishing in
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import full_run
+from reference.noise import scalar_noisy_energy_experiment
 from repro.analysis import format_table, noisy_energy_experiment, write_result
 from repro.hatt import hatt_mapping
 from repro.mappings import balanced_ternary_tree, bravyi_kitaev, jordan_wigner
@@ -114,20 +115,18 @@ def test_backend_speedup_and_agreement():
     mapping = jordan_wigner(case.n_modes)
     noise = NoiseModel(p1=1e-4, p2=1e-3)
 
-    def run(backend):
+    def run(experiment):
         start = time.perf_counter()
-        e = noisy_energy_experiment(
-            case, mapping, noise, shots=SPEEDUP_SHOTS, seed=5, backend=backend
-        )
+        e = experiment(case, mapping, noise, shots=SPEEDUP_SHOTS, seed=5)
         return e, time.perf_counter() - start
 
-    batched, t_batched = run("batched")
-    scalar, t_scalar = run("scalar")
+    batched, t_batched = run(noisy_energy_experiment)
+    scalar, t_scalar = run(scalar_noisy_energy_experiment)
     speedup = t_scalar / t_batched
 
     content = format_table(
-        f"Fig. 10 backends - H2, {SPEEDUP_SHOTS} trajectories",
-        ["backend", "time [s]", "mean E", "bias", "variance"],
+        f"Fig. 10 engines - H2, {SPEEDUP_SHOTS} trajectories",
+        ["engine", "time [s]", "mean E", "bias", "variance"],
         [
             ["scalar", f"{t_scalar:.3f}", f"{scalar.mean:.5f}",
              f"{scalar.bias:.5f}", f"{scalar.variance:.6f}"],
@@ -152,14 +151,16 @@ def test_backend_speedup_and_agreement():
     assert speedup >= MIN_SPEEDUP, f"batched speedup {speedup:.2f}x below floor"
 
 
-@pytest.mark.parametrize("backend", ["batched", "scalar"])
-def test_bench_noisy_trajectories(benchmark, fig10, backend):
+@pytest.mark.parametrize(
+    "experiment",
+    [noisy_energy_experiment, scalar_noisy_energy_experiment],
+    ids=["batched", "scalar"],
+)
+def test_bench_noisy_trajectories(benchmark, fig10, experiment):
     case = electronic_case("H2_sto3g")
     mapping = jordan_wigner(case.n_modes)
 
     def run():
-        return noisy_energy_experiment(
-            case, mapping, NoiseModel(p1=1e-4, p2=1e-3), shots=25, backend=backend
-        )
+        return experiment(case, mapping, NoiseModel(p1=1e-4, p2=1e-3), shots=25)
 
     benchmark.pedantic(run, rounds=2, iterations=1)

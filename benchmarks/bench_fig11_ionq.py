@@ -6,13 +6,14 @@ mean, HATT second-best mean and lowest variance, all adaptive methods above
 JW/BK/BTT.
 
 Trajectories run on the batched engine (``repro.sim.BatchedStatevector``);
-the scalar per-trajectory loop stays available through the benchmark's
-``backend`` parametrization for cross-checking.
+the timing benchmark also runs the scalar per-trajectory loop of
+``tests/reference/noise.py`` for comparison.
 """
 
 import pytest
 
 from conftest import full_run
+from reference.noise import scalar_noisy_energy_experiment
 from repro.analysis import format_table, noisy_energy_experiment, write_result
 from repro.fermihedral import fermihedral_mapping
 from repro.hatt import hatt_mapping
@@ -75,13 +76,17 @@ def test_fig11_hatt_bias_competitive(fig11):
     assert fig11["HATT"].bias <= worst + 0.02
 
 
-@pytest.mark.parametrize("backend", ["batched", "scalar"])
-def test_bench_ionq_experiment(benchmark, fig11, backend):
+@pytest.mark.parametrize(
+    "experiment",
+    [noisy_energy_experiment, scalar_noisy_energy_experiment],
+    ids=["batched", "scalar"],
+)
+def test_bench_ionq_experiment(benchmark, fig11, experiment):
     case = electronic_case("H2_sto3g")
     mapping = hatt_mapping(case.hamiltonian, n_modes=4)
     noise = ionq_forte_noise_model()
 
     def run():
-        return noisy_energy_experiment(case, mapping, noise, shots=25, backend=backend)
+        return experiment(case, mapping, noise, shots=25)
 
     benchmark.pedantic(run, rounds=2, iterations=1)

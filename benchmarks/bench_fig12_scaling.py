@@ -2,10 +2,10 @@
 
 Fermihedral's SAT search hits an exponential wall while both HATT variants
 scale polynomially, with the Alg.-3 caching giving a consistent speedup
-(the paper measures 59.73% at the top end).  We time construction under both
-engine backends (packed-bitmask ``vector`` kernels vs the ``scalar``
-reference scan), fit the log-log slopes, and assert the vectorized backend's
-speedup floor at the largest size.
+(the paper measures 59.73% at the top end).  We time construction by both
+engines (the packed-bitmask kernels of ``HattConstruction`` vs the scalar
+scan of ``tests/reference/hatt.py``), fit the log-log slopes, and assert the
+kernels' speedup floor at the largest size.
 
 Set ``REPRO_BENCH_SMOKE=1`` (as the CI smoke step does) for a toy-size run
 that still enforces the ≥5x vector-over-scalar floor at its largest size.
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import full_run
+from reference.hatt import ScalarHattConstruction
 from repro.analysis import format_table, write_bench_json, write_result
 from repro.fermion import MajoranaOperator
 from repro.fermihedral import fermihedral_mapping
@@ -29,8 +30,8 @@ from repro.hatt import HattConstruction
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "", "false")
 
 if SMOKE:
-    # Top size 48 keeps the smoke run in seconds while leaving the vector
-    # backend a comfortable margin over the 5x floor on slow CI runners.
+    # Top size 48 keeps the smoke run in seconds while leaving the kernels a
+    # comfortable margin over the 5x floor on slow CI runners.
     HATT_SIZES = [8, 16, 24, 48]
     FH_SIZES = [1]
 elif full_run():
@@ -58,11 +59,11 @@ def majorana_sum(n: int) -> MajoranaOperator:
     return h
 
 
-def _time_construction(h, n, vacuum, backend, repeats=3):
-    """Best-of-N wall time of HattConstruction.run() alone."""
+def _time_construction(h, n, vacuum, engine, repeats=3):
+    """Best-of-N wall time of ``engine(...).run()`` alone."""
     best = float("inf")
     for _ in range(repeats):
-        c = HattConstruction(h, n, vacuum=vacuum, backend=backend)
+        c = engine(h, n, vacuum=vacuum)
         start = time.perf_counter()
         c.run()
         best = min(best, time.perf_counter() - start)
@@ -81,10 +82,10 @@ def fig12():
     for n in HATT_SIZES:
         h = majorana_sum(n)
         repeats = 3 if (SMOKE or n <= 48) else 1
-        t_vec = _time_construction(h, n, True, "vector", repeats)
-        t_sca = _time_construction(h, n, True, "scalar", repeats)
-        t_vec_u = _time_construction(h, n, False, "vector", repeats)
-        t_sca_u = _time_construction(h, n, False, "scalar", repeats)
+        t_vec = _time_construction(h, n, True, HattConstruction, repeats)
+        t_sca = _time_construction(h, n, True, ScalarHattConstruction, repeats)
+        t_vec_u = _time_construction(h, n, False, HattConstruction, repeats)
+        t_sca_u = _time_construction(h, n, False, ScalarHattConstruction, repeats)
         times["HATT"].append((n, t_vec))
         times["HATT scalar"].append((n, t_sca))
         times["HATT (unopt)"].append((n, t_vec_u))
@@ -150,16 +151,16 @@ def test_fig12_backends_identical_trace():
     n = HATT_SIZES[0]
     h = majorana_sum(n)
     for vacuum in (True, False):
-        vec = HattConstruction(h, n, vacuum=vacuum, backend="vector")
+        vec = HattConstruction(h, n, vacuum=vacuum)
         t_vec = vec.run()
-        sca = HattConstruction(h, n, vacuum=vacuum, backend="scalar")
+        sca = ScalarHattConstruction(h, n, vacuum=vacuum)
         t_sca = sca.run()
         assert vec.trace == sca.trace
         assert t_vec.strings_by_leaf_index() == t_sca.strings_by_leaf_index()
 
 
 def test_fig12_vector_speedup_floor(fig12):
-    """The vectorized backend clears the acceptance floor at the top size."""
+    """The kernels clear the acceptance floor at the top size."""
     _, _, speedups = fig12
     assert speedups["vacuum"] >= MIN_SPEEDUP, speedups
     # The free scan is the asymptotically heavier kernel; hold it to the
@@ -187,11 +188,13 @@ def test_fig12_polynomial_slopes(fig12):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("backend", ["vector", "scalar"])
-def test_bench_hatt_scaling(benchmark, n, backend, fig12):
+@pytest.mark.parametrize(
+    "engine", [HattConstruction, ScalarHattConstruction], ids=["vector", "scalar"]
+)
+def test_bench_hatt_scaling(benchmark, n, engine, fig12):
     h = majorana_sum(n)
     benchmark.pedantic(
-        lambda: HattConstruction(h, n, backend=backend).run(),
+        lambda: engine(h, n).run(),
         rounds=3,
         iterations=1,
     )

@@ -1,8 +1,9 @@
-"""Scalar vs vectorized PauliTable backends on the bulk mapping hot path.
+"""The PauliTable mapping kernel against its scalar oracle on the bulk path.
 
-Times ``map_majorana_operator`` under both backends on the cached
-electronic-structure Hamiltonians (NH and BeH2), checks the results agree
-exactly, and asserts the vectorized backend delivers the expected speedup.
+Times ``map_majorana_operator`` and the per-term loop of
+``tests/reference/mapping.py`` on the cached electronic-structure
+Hamiltonians (NH and BeH2), checks the results agree exactly, and asserts
+the table kernel delivers the expected speedup.
 Results go to benchmarks/results/pauli_table.txt.
 
 Set ``REPRO_BENCH_SMOKE=1`` (as the CI smoke step does) to run a toy-size
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from conftest import full_run
+from reference.mapping import scalar_map_majorana_operator
 from repro.analysis import format_table, write_result
 from repro.fermion import MajoranaOperator
 from repro.mappings import balanced_ternary_tree, jordan_wigner
@@ -31,9 +33,9 @@ elif full_run():
 else:
     CASES = ["NH_sto3g", "BeH2_sto3g"]
 
-#: Acceptance floor for the vectorized backend.  The paper-size cases must
-#: clear 5x; the toy smoke case only guards against gross regressions (at 15
-#: terms the two backends are expected to tie).
+#: Acceptance floor for the table kernel.  The paper-size cases must clear
+#: 5x; the toy smoke case only guards against gross regressions (at 15 terms
+#: the kernel and the scalar loop are expected to tie).
 MIN_SPEEDUP = 5.0 if not SMOKE else 0.2
 REPEATS = 15
 
@@ -55,21 +57,17 @@ def speedup_rows():
         case = electronic_case(name)
         majorana = MajoranaOperator.from_fermion_operator(case.hamiltonian)
         mapping = jordan_wigner(case.n_modes)
-        scalar = map_majorana_operator(
-            majorana, mapping.strings, mapping.n_qubits, backend="scalar"
-        )
-        table = map_majorana_operator(
-            majorana, mapping.packed_table, mapping.n_qubits, backend="table"
-        )
-        assert table == scalar, f"backend mismatch on {name}"
+        scalar = scalar_map_majorana_operator(majorana, mapping.strings, mapping.n_qubits)
+        table = map_majorana_operator(majorana, mapping.packed_table, mapping.n_qubits)
+        assert table == scalar, f"kernel/reference mismatch on {name}"
         t_scalar = _best(
-            lambda: map_majorana_operator(
-                majorana, mapping.strings, mapping.n_qubits, backend="scalar"
+            lambda: scalar_map_majorana_operator(
+                majorana, mapping.strings, mapping.n_qubits
             )
         )
         t_table = _best(
             lambda: map_majorana_operator(
-                majorana, mapping.packed_table, mapping.n_qubits, backend="table"
+                majorana, mapping.packed_table, mapping.n_qubits
             )
         )
         rows.append(
@@ -83,7 +81,7 @@ def speedup_rows():
             ]
         )
     content = format_table(
-        "PauliTable backend - map_majorana_operator (JW mapping, best of "
+        "PauliTable kernel - map_majorana_operator (JW mapping, best of "
         f"{REPEATS})",
         ["case", "modes", "terms", "scalar ms", "table ms", "speedup"],
         rows,
@@ -101,14 +99,14 @@ def test_backends_agree_on_btt(speedup_rows):
     mapping = balanced_ternary_tree(case.n_modes)
     assert map_majorana_operator(
         majorana, mapping.packed_table, mapping.n_qubits
-    ) == map_majorana_operator(majorana, mapping.strings, mapping.n_qubits, backend="scalar")
+    ) == scalar_map_majorana_operator(majorana, mapping.strings, mapping.n_qubits)
 
 
 def test_table_backend_speedup(speedup_rows):
-    """The vectorized backend clears the acceptance floor on every case."""
+    """The table kernel clears the acceptance floor on every case."""
     for name, _, _, _, _, speedup in speedup_rows:
         assert float(speedup.rstrip("x")) >= MIN_SPEEDUP, (
-            f"{name}: table backend only {speedup} over scalar "
+            f"{name}: table kernel only {speedup} over scalar "
             f"(floor {MIN_SPEEDUP}x)"
         )
 
@@ -121,7 +119,7 @@ def test_bench_table_backend(benchmark, speedup_rows):
     majorana.packed_terms()  # warm the plan, as in the sweep workload
     benchmark(
         lambda: map_majorana_operator(
-            majorana, mapping.packed_table, mapping.n_qubits, backend="table"
+            majorana, mapping.packed_table, mapping.n_qubits
         )
     )
 

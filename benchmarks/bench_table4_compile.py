@@ -7,8 +7,8 @@ with the SABRE-lite router.  ``hatt-arch`` grows the tree against the same
 coupling graph it is routed onto (distance-biased candidate selection) and
 carries the pipeline's portfolio guard, so its routed CNOTs and depth are
 bounded above by plain HATT's per architecture — asserted below.  Supersedes the old ``bench_table4_tetris`` harness:
-it sweeps every mapping kind, records SWAP counts, cross-checks the two
-router engines, and enforces the vectorized router's speedup floor.
+it sweeps every mapping kind, records SWAP counts, cross-checks the router
+against its scalar oracle, and enforces the router's speedup floor.
 
 Paper-claim checks, honestly scoped:
 
@@ -20,9 +20,10 @@ Paper-claim checks, honestly scoped:
   only an aggregate bound is asserted there (see EXPERIMENTS.md note in
   the old harness).
 
-Router speedup: each SWAP decision of the ``vector`` engine is one batched
+Router speedup: each SWAP decision of ``route_circuit`` is one batched
 integer kernel whose cost is independent of the lookahead horizon, while
-the ``scalar`` reference scans every window position per candidate.  The
+the scalar reference (``tests/reference/routing.py``) scans every window
+position per candidate.  The
 floor is asserted at the deep-horizon configuration (lookahead=1024) on
 the largest case, where that structural difference is the measurement —
 both engines emit bit-identical circuits at every horizon.
@@ -49,6 +50,7 @@ from pathlib import Path
 import pytest
 
 from conftest import full_run
+from reference.routing import scalar_route_circuit
 from repro.analysis import write_bench_json, write_result
 from repro.circuits import (
     Circuit,
@@ -131,15 +133,13 @@ def speedup():
     graph = architecture("manhattan")
     times = {}
     routed = {}
-    for backend in ("vector", "scalar"):
+    for engine, route in (("vector", route_circuit), ("scalar", scalar_route_circuit)):
         best = float("inf")
         for _ in range(SPEEDUP_REPEATS):
             start = time.perf_counter()
-            routed[backend] = route_circuit(
-                circuit, graph, lookahead=DEEP_LOOKAHEAD, backend=backend
-            )
+            routed[engine] = route(circuit, graph, lookahead=DEEP_LOOKAHEAD)
             best = min(best, time.perf_counter() - start)
-        times[backend] = best
+        times[engine] = best
     return circuit, routed, times
 
 
@@ -193,7 +193,8 @@ def test_table4_electronic_aggregate(table4):
 
 
 def test_router_backends_bit_identical(table4):
-    """Both engines produce identical gate sequences at several horizons."""
+    """The router and its scalar oracle produce identical gate sequences at
+    several horizons."""
     from repro.circuits import architecture
 
     case = CASES[0]
@@ -203,8 +204,8 @@ def test_router_backends_bit_identical(table4):
     for arch in ARCHITECTURES:
         graph = architecture(arch)
         for lookahead in (4, 64, 256, DEEP_LOOKAHEAD):
-            vec = route_circuit(circuit, graph, lookahead=lookahead, backend="vector")
-            sca = route_circuit(circuit, graph, lookahead=lookahead, backend="scalar")
+            vec = route_circuit(circuit, graph, lookahead=lookahead)
+            sca = scalar_route_circuit(circuit, graph, lookahead=lookahead)
             assert vec.circuit.gates == sca.circuit.gates, (arch, lookahead)
             assert vec.final_layout == sca.final_layout, (arch, lookahead)
 

@@ -41,22 +41,21 @@ def noisy_energy_experiment(
     shots: int = 1000,
     trotter_time: float = 0.1,
     seed: int = 0,
-    backend: str = "batched",
     chunk: int | None = None,
 ) -> EnergyExperiment:
     """Run the paper's noisy-energy protocol for one mapping and noise point.
 
-    ``backend``/``chunk`` are forwarded to
-    :func:`repro.sim.noisy_expectations`: ``"batched"`` (default) runs the
-    vectorized trajectory engine with bounded-memory chunking, ``"scalar"``
-    the bit-identical per-trajectory reference.
+    ``shots``, ``seed`` and ``chunk`` are forwarded to
+    :func:`repro.sim.noisy_expectations`, which runs the vectorized
+    trajectory engine with bounded-memory chunking and rejects
+    ``shots < 1``.
     """
     hq = mapping.map(case.hamiltonian)
     prep = occupation_state_circuit(mapping, case.hf_occupation)
     evolution = trotter_circuit(hq, time=trotter_time)
     circuit = to_cx_u3(prep.compose(evolution))
     result: NoisyResult = noisy_expectations(
-        circuit, hq, noise, shots=shots, seed=seed, backend=backend, chunk=chunk
+        circuit, hq, noise, shots=shots, seed=seed, chunk=chunk
     )
     return EnergyExperiment(
         mapping=mapping.name,

@@ -25,7 +25,6 @@ from .gates import Gate, gate_matrix
 from .optimize import cancel_adjacent, fuse_single_qubit, optimize, to_cx_u3, zyz_angles
 from .routing import (
     DEFAULT_LOOKAHEAD,
-    ROUTER_BACKENDS,
     RoutedCircuit,
     distance_matrix,
     initial_layout,
@@ -60,7 +59,6 @@ __all__ = [
     "RoutedCircuit",
     "initial_layout",
     "distance_matrix",
-    "ROUTER_BACKENDS",
     "DEFAULT_LOOKAHEAD",
     "TERM_ORDERS",
     "mutual_support_chain",

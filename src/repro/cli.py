@@ -22,11 +22,11 @@ Conventions
 * **JSON envelope** — every ``--json`` path emits the same versioned wrapper
   the HTTP API speaks: ``{"schema": "repro/v1", "command": ..., "result":
   ...}`` (see :mod:`repro.serve.schema`).
-* **Engines** — there is no engine flag: every command runs the fast
-  kernels.  Their bit-identical reference engines are test oracles, reached
-  only through the kernels' own ``backend=`` parameters (the
+* **Engines** — there is no engine flag: every command runs the one fast
+  kernel per stage.  The scalar reference engines live in
+  ``tests/reference/`` as test oracles and are not part of the package (the
   ``--backend`` / ``--hatt-backend`` / ``--router-backend`` flags were
-  removed in repro 1.1).
+  removed in repro 1.1, the library's ``backend=`` parameters in 1.8).
 * **Cases** — every ``case`` argument is a Hamiltonian source spec resolved
   through the :mod:`repro.sources` registry: built-in generators
   (``hubbard:2x3``, ``neutrino:3x2F``, electronic names), files

@@ -2,7 +2,6 @@
 
 from .construction import (
     ARCH_WEIGHT_SCALE,
-    BACKENDS,
     DEFAULT_ARCH_WEIGHT,
     DEFAULT_MEMORY_BUDGET,
     HattConstruction,
@@ -14,7 +13,6 @@ __all__ = [
     "HattConstruction",
     "Selection",
     "hatt_mapping",
-    "BACKENDS",
     "DEFAULT_MEMORY_BUDGET",
     "ARCH_WEIGHT_SCALE",
     "DEFAULT_ARCH_WEIGHT",

@@ -171,8 +171,8 @@ def tree_from_uid_arrays(
     internal node under the bottom-up uid numbering used by the HATT
     construction: uids ``0..2·n_modes`` are leaves (uid == leaf index) and
     uid ``2·n_modes + 1 + q`` is qubit ``q``'s node.  All nodes are allocated
-    up front and wired in one pass, so a construction backend can work purely
-    on integer arrays and export the :class:`TreeNode` structure at the end.
+    up front and wired in one pass, so the construction kernels can work
+    purely on integer arrays and export the :class:`TreeNode` structure at the end.
 
     The root is the unique parentless node; callers should still
     :meth:`TernaryTree.validate` the result.

@@ -3,9 +3,8 @@
 A HATT compile is a pure function of the *physics* — the Hamiltonian's
 normal-ordered term content — and of the mapping configuration (mapping kind,
 vacuum pairing, mode count).  Everything else (term insertion order, floating
-point dust below tolerance, which construction backend evaluates the
-candidate kernels) must NOT change the result, so it must not change the
-cache key either.  This module produces a hex SHA-256 digest with exactly
+point dust below tolerance) must NOT change the result, so it must not
+change the cache key either.  This module produces a hex SHA-256 digest with exactly
 those invariances:
 
 * **order-invariant** — terms are canonically sorted before hashing, so two
@@ -14,9 +13,9 @@ those invariances:
   ``tol`` (default ``1e-12``, the algebra's own coefficient tolerance) and
   terms whose real and imaginary parts both snap to zero are dropped, so
   accumulation dust cannot fork the key;
-* **engine-free** — a spec names no construction engine: the kernel's
-  reference engines produce bit-identical trees (the property suite
-  enforces this), so they are test oracles, never cache-key material;
+* **engine-free** — a spec names no construction engine: the package has
+  one, and its scalar oracle in ``tests/reference/`` builds bit-identical
+  trees (the property suite enforces this);
 * **process-stable** — the digest is SHA-256 over a canonical JSON document,
   never Python's salted ``hash()``, so keys agree across interpreter runs
   and machines.

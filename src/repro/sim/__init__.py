@@ -1,8 +1,8 @@
 """Simulation substrate: statevector engines, noise models, state preparation.
 
-Two dense engines share the same amplitude convention: the scalar
+Two dense engines share the same amplitude convention: the single-state
 :class:`Statevector` and the vectorized :class:`BatchedStatevector`, which
-drives the ``backend="batched"`` noisy-trajectory path (see
+runs every noisy trajectory of :func:`noisy_expectations` (see
 :mod:`repro.sim.batched` for the memory model).
 """
 

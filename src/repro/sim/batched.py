@@ -3,8 +3,8 @@
 A :class:`BatchedStatevector` holds a ``(n_traj, 2^n)`` complex amplitude
 matrix — one dense statevector per row — and applies every gate **once**
 across all trajectories with reshaped einsum kernels, instead of looping a
-scalar simulator per trajectory.  This is the engine behind the vectorized
-``backend="batched"`` path of :func:`repro.sim.noise.noisy_expectations`:
+scalar simulator per trajectory.  This is the engine behind
+:func:`repro.sim.noise.noisy_expectations`:
 
 * **Gates** — a single-qubit gate contracts against the ``(traj, high, 2,
   low)`` view of the batch; a two-qubit gate against the six-axis

@@ -6,26 +6,21 @@ Forte 1.  This module reproduces both with stochastic Pauli-twirl
 trajectories: after every gate, with the gate-class error probability, a
 uniformly random non-identity Pauli error hits the gate's qubits.
 
-Two engines compute the trajectories (same pattern as the mapping layer's
-``backend=`` switch):
+The trajectories run on the vectorized
+:class:`~repro.sim.batched.BatchedStatevector` engine.  Noise is sampled
+vectorially, one ``rng`` draw of shape ``(shots,)`` per noisy gate, errors
+land as masked bit-flip/phase multiplications, every gate is applied once
+across the whole batch, and energies come from the packed
+:class:`~repro.paulis.PauliTable` expectation kernel.  Trajectories are
+processed in chunks (``chunk=`` — default sized so the resident amplitude
+batch stays around 64 MiB) so memory stays bounded at large shot counts;
+because all randomness is drawn *before* chunking, results are exactly
+independent of the chunk size.
 
-* ``backend="batched"`` (default) — the vectorized
-  :class:`~repro.sim.batched.BatchedStatevector` engine.  Noise is sampled
-  vectorially, one ``rng`` draw of shape ``(shots,)`` per noisy gate, errors
-  land as masked bit-flip/phase multiplications, every gate is applied once
-  across the whole batch, and energies come from the packed
-  :class:`~repro.paulis.PauliTable` expectation kernel.  Trajectories are
-  processed in chunks (``chunk=`` — default sized so the resident amplitude
-  batch stays around 64 MiB) so memory stays bounded at large shot counts;
-  because all randomness is drawn *before* chunking, results are exactly
-  independent of the chunk size.
-* ``backend="scalar"`` — the original per-trajectory Python loop over
-  :class:`~repro.sim.Statevector`, kept bit-identical as the cross-checked
-  reference.
-
-The two backends consume the seed through different draw orders, so
-individual trajectories differ; their energy distributions agree, which the
-cross-backend tests assert statistically.
+The per-trajectory Python loop over :class:`~repro.sim.Statevector` is the
+test oracle ``tests/reference/noise.py``.  It consumes the seed in a
+different draw order, so individual trajectories differ; the energy
+distributions agree, which the cross-engine tests assert statistically.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate
 from ..paulis import QubitOperator
 from .batched import CHUNK_AMPLITUDE_BUDGET, BatchedStatevector
 from .statevector import Statevector
@@ -50,28 +44,6 @@ _TWO_QUBIT_PAULIS = [
 
 #: Canonical (x, z) bit pairs per single-qubit error letter.
 _LETTER_BITS = {"i": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
-
-
-def _run_trajectory(
-    circuit: Circuit,
-    noise: "NoiseModel",
-    rng: np.random.Generator,
-    initial: Statevector,
-) -> Statevector:
-    """Reference scalar engine: one trajectory through a per-gate loop."""
-    state = initial.copy()
-    for gate in circuit.gates:
-        state.apply(gate)
-        if gate.is_two_qubit:
-            if noise.p2 > 0 and rng.random() < noise.p2:
-                err = _TWO_QUBIT_PAULIS[rng.integers(len(_TWO_QUBIT_PAULIS))]
-                for name, q in zip(err, gate.qubits):
-                    if name != "i":
-                        state.apply(Gate(name, (q,)))
-        elif noise.p1 > 0 and rng.random() < noise.p1:
-            err = _ONE_QUBIT_PAULIS[rng.integers(3)]
-            state.apply(Gate(err, gate.qubits))
-    return state
 
 
 @dataclass
@@ -94,7 +66,7 @@ def ionq_forte_noise_model() -> NoiseModel:
 
 def _gate_error_masks(gate) -> tuple[np.ndarray, np.ndarray]:
     """The (x, z) masks of every non-identity Pauli error on the gate's qubits,
-    ordered exactly like the scalar backend's error alphabets."""
+    ordered like the error alphabets above."""
     if gate.is_two_qubit:
         errors = _TWO_QUBIT_PAULIS
         qubits = gate.qubits
@@ -209,7 +181,6 @@ def noisy_expectations(
     shots: int = 1000,
     seed: int = 0,
     initial: Statevector | None = None,
-    backend: str = "batched",
     chunk: int | None = None,
 ) -> NoisyResult:
     """Paper-style experiment: ``shots`` noisy trajectories of ``circuit``,
@@ -217,35 +188,25 @@ def noisy_expectations(
     see DESIGN.md substitutions).  The noiseless value uses the same circuit
     without errors.
 
-    ``backend`` selects ``"batched"`` (vectorized engine, default) or
-    ``"scalar"`` (per-trajectory reference loop, bit-identical to the
-    original implementation).  ``chunk`` bounds how many trajectories the
-    batched engine holds in memory at once; the default targets ~64 MiB of
+    ``shots`` must be at least 1.  ``chunk`` bounds how many trajectories
+    the engine holds in memory at once; the default targets ~64 MiB of
     amplitudes and never changes the results (see module docstring).
     """
     noise.validate()
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     if initial is None:
         initial = Statevector(circuit.n_qubits)
     rng = np.random.default_rng(seed)
-    if backend == "batched":
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        energies, noiseless = _run_batched(
-            circuit,
-            observable,
-            noise,
-            rng,
-            initial,
-            shots,
-            chunk or _default_chunk(shots, circuit.n_qubits),
-        )
-        return NoisyResult(energies=energies, noiseless=noiseless)
-    if backend == "scalar":
-        ideal = initial.copy().apply_circuit(circuit)
-        noiseless = ideal.expectation(observable, backend="strings")
-        energies = np.empty(shots)
-        for s in range(shots):
-            state = _run_trajectory(circuit, noise, rng, initial)
-            energies[s] = state.expectation(observable, backend="strings")
-        return NoisyResult(energies=energies, noiseless=noiseless)
-    raise ValueError(f"unknown backend {backend!r}; expected 'batched' or 'scalar'")
+    energies, noiseless = _run_batched(
+        circuit,
+        observable,
+        noise,
+        rng,
+        initial,
+        shots,
+        chunk or _default_chunk(shots, circuit.n_qubits),
+    )
+    return NoisyResult(energies=energies, noiseless=noiseless)

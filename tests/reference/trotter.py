@@ -11,8 +11,7 @@ deletes anyway, so the two agree after ``_cancel`` and after ``to_cx_u3``
 cancel, fuse), including the two that are no-ops on a list without cz or
 swap.
 
-Not part of the package: tests import it as ``from trotter_reference
-import ...``.
+Tests import it as ``from reference.trotter import ...``.
 """
 
 from __future__ import annotations

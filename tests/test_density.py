@@ -7,7 +7,7 @@ from repro.circuits import Circuit, Gate, trotter_circuit
 from repro.paulis import QubitOperator
 from repro.sim import NoiseModel, Statevector, noisy_expectations
 
-from density import DensityMatrix
+from reference.density import DensityMatrix
 
 
 def op_from(labels):

@@ -23,7 +23,8 @@ from repro.circuits.evolution import _label_key
 from repro.circuits.gates import gate_matrix
 from repro.circuits.optimize import _cancel
 from repro.paulis import PauliString, QubitOperator
-from trotter_reference import (
+
+from reference.trotter import (
     hex_gates,
     reference_order,
     reference_term_gates,
@@ -419,7 +420,7 @@ def trotter_inputs(draw):
 class TestJunctionEmission:
     """Synthesis skips the junction gates cancellation deletes; after
     ``_cancel`` and after ``to_cx_u3`` it equals the full emission of
-    ``tests/trotter_reference.py`` bit for bit."""
+    ``tests/reference/trotter.py`` bit for bit."""
 
     @given(trotter_inputs())
     @example(

@@ -6,6 +6,13 @@ from repro.fermion import FermionOperator, MajoranaOperator
 from repro.hatt import HattConstruction, hatt_mapping
 from repro.mappings import balanced_ternary_tree, jordan_wigner
 
+from reference.hatt import ScalarHattConstruction, scalar_hatt_mapping
+
+#: The kernel and its scalar oracle (ids kept from the old engine names).
+ENGINES = pytest.mark.parametrize(
+    "engine", [HattConstruction, ScalarHattConstruction], ids=["vector", "scalar"]
+)
+
 
 def paper_eq3_hamiltonian() -> FermionOperator:
     """HF = a†0 a0 + 2 a†1 a†2 a1 a2 (paper Eq. 3)."""
@@ -22,21 +29,21 @@ def paper_motivation_hamiltonian() -> MajoranaOperator:
 
 
 class TestPaperExamples:
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
-    def test_eq3_first_step_matches_paper(self, backend):
+    @ENGINES
+    def test_eq3_first_step_matches_paper(self, engine):
         """The paper's first step picks O0, O1, O6 with qubit-0 weight 1."""
         hm = MajoranaOperator.from_fermion_operator(paper_eq3_hamiltonian())
-        c = HattConstruction(hm, 3, vacuum=True, backend=backend)
+        c = engine(hm, 3, vacuum=True)
         c.run()
         qubit, children, w = c.trace[0]
         assert qubit == 0
         assert sorted(children) == [0, 1, 6]
         assert w == 1
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
-    def test_eq3_second_step_weight(self, backend):
+    @ENGINES
+    def test_eq3_second_step_weight(self, engine):
         hm = MajoranaOperator.from_fermion_operator(paper_eq3_hamiltonian())
-        c = HattConstruction(hm, 3, vacuum=True, backend=backend)
+        c = engine(hm, 3, vacuum=True)
         c.run()
         assert c.trace[1][2] == 2  # paper: total Pauli weight 2 on qubit 1
 
@@ -110,16 +117,18 @@ class TestValidity:
 class TestCacheEquivalence:
     """Algorithm 3's O(1) maps must reproduce Algorithm 2's traversals exactly."""
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    @pytest.mark.parametrize(
+        "mapper", [hatt_mapping, scalar_hatt_mapping], ids=["vector", "scalar"]
+    )
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
-    def test_identical_trees(self, n, backend):
+    def test_identical_trees(self, n, mapper):
         hf = FermionOperator()
         for j in range(n):
             hf = hf + FermionOperator.number(j)
         for j in range(n - 1):
             hf = hf + FermionOperator.hopping(j, j + 1, 0.3 * (j + 1))
-        cached = hatt_mapping(hf, n_modes=n, cached=True, backend=backend)
-        uncached = hatt_mapping(hf, n_modes=n, cached=False, backend=backend)
+        cached = mapper(hf, n_modes=n, cached=True)
+        uncached = mapper(hf, n_modes=n, cached=False)
         assert cached.strings == uncached.strings
         assert cached.construction.trace == uncached.construction.trace
 

@@ -14,6 +14,8 @@ from repro.mappings import balanced_ternary_tree, jordan_wigner
 from repro.mappings.apply import map_majorana_operator
 from repro.paulis import PauliString, PauliTable, QubitOperator
 
+from reference.mapping import scalar_map_majorana_operator
+
 QUBIT_COUNTS = (1, 5, 63, 64, 65, 130)
 PHASES = st.integers(min_value=0, max_value=3)
 
@@ -125,15 +127,11 @@ def majorana_operators(draw, n_modes):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_map_majorana_backends_agree(n_modes, data):
-    """Scalar and table mapping backends agree on JW and BTT mappings."""
+    """The table kernel agrees with the scalar reference on JW and BTT."""
     op = data.draw(majorana_operators(n_modes))
     for mapping in (jordan_wigner(n_modes), balanced_ternary_tree(n_modes)):
-        scalar = map_majorana_operator(
-            op, mapping.strings, mapping.n_qubits, backend="scalar"
-        )
-        table = map_majorana_operator(
-            op, mapping.packed_table, mapping.n_qubits, backend="table"
-        )
+        scalar = scalar_map_majorana_operator(op, mapping.strings, mapping.n_qubits)
+        table = map_majorana_operator(op, mapping.packed_table, mapping.n_qubits)
         assert table == scalar
 
 
@@ -151,13 +149,7 @@ def test_map_majorana_validates_coverage():
     with pytest.raises(ValueError, match="2 per mode"):
         map_majorana_operator(op, strings, n_qubits=3)
     with pytest.raises(ValueError, match="2 per mode"):
-        map_majorana_operator(op, strings, n_qubits=3, backend="scalar")
-
-
-def test_map_majorana_rejects_unknown_backend():
-    op = MajoranaOperator({(0,): 1.0})
-    with pytest.raises(ValueError, match="unknown backend"):
-        map_majorana_operator(op, jordan_wigner(1).strings, 1, backend="nope")
+        scalar_map_majorana_operator(op, strings, n_qubits=3)
 
 
 def test_map_majorana_rejects_empty_strings():
@@ -173,8 +165,8 @@ def test_packed_terms_cache_invalidation():
     idx2, coeffs2 = op.packed_terms()
     assert idx2.shape[0] == 2 and len(coeffs2) == 2
     jw = jordan_wigner(2)
-    assert map_majorana_operator(op, jw.strings, 2) == map_majorana_operator(
-        op, jw.strings, 2, backend="scalar"
+    assert map_majorana_operator(op, jw.strings, 2) == scalar_map_majorana_operator(
+        op, jw.strings, 2
     )
 
 

@@ -17,6 +17,11 @@ from repro.circuits import (
     sycamore,
 )
 
+from reference.routing import scalar_route_circuit
+
+#: The kernel and its scalar oracle.
+ROUTERS = (route_circuit, scalar_route_circuit)
+
 
 class TestArchitectures:
     def test_qubit_counts(self):
@@ -205,15 +210,13 @@ class TestDistanceMatrix:
 class TestDeterminism:
     def test_route_twice_identical(self):
         """Regression: SWAP ties used to be broken by dict iteration order."""
-        from repro.circuits import ROUTER_BACKENDS
-
         circ = long_range_circuit(10)
         for arch in ("montreal", "sycamore"):
-            for backend in ROUTER_BACKENDS:
+            for route in ROUTERS:
                 g1, g2 = architecture(arch), architecture(arch)
-                r1 = route_circuit(circ, g1, backend=backend)
-                r2 = route_circuit(circ, g2, backend=backend)
-                assert r1.circuit.gates == r2.circuit.gates, (arch, backend)
+                r1 = route(circ, g1)
+                r2 = route(circ, g2)
+                assert r1.circuit.gates == r2.circuit.gates, (arch, route)
                 assert r1.initial_layout == r2.initial_layout
                 assert r1.final_layout == r2.final_layout
 
@@ -230,23 +233,18 @@ class TestBackendEquivalence:
     def test_vector_matches_scalar(self, arch, lookahead):
         g = architecture(arch)
         circ = long_range_circuit(12)
-        vec = route_circuit(circ, g, lookahead=lookahead, backend="vector")
-        sca = route_circuit(circ, g, lookahead=lookahead, backend="scalar")
+        vec = route_circuit(circ, g, lookahead=lookahead)
+        sca = scalar_route_circuit(circ, g, lookahead=lookahead)
         assert vec.circuit.gates == sca.circuit.gates
         assert vec.initial_layout == sca.initial_layout
         assert vec.final_layout == sca.final_layout
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            route_circuit(ghz_circuit(3), montreal(), backend="cuda")
-
     def test_negative_lookahead_rejected(self):
         """Regression: a negative horizon used to corrupt the vector
         engine's window bookkeeping and break cross-engine bit-identity."""
-        for backend in ("vector", "scalar"):
+        for route in ROUTERS:
             with pytest.raises(ValueError):
-                route_circuit(ghz_circuit(3), montreal(), lookahead=-1,
-                              backend=backend)
+                route(ghz_circuit(3), montreal(), lookahead=-1)
 
 
 def _random_circuit(draw_ints, n, n_gates):

@@ -1,14 +1,14 @@
-"""Property and cross-backend tests for the dense simulation engines.
+"""Property and cross-engine tests for the dense simulation engines.
 
-Covers the scalar :class:`Statevector` and the vectorized
+Covers the single-state :class:`Statevector` and the vectorized
 :class:`BatchedStatevector` against an *independent* dense-unitary model
 built directly from ``gate.matrix()`` entries (kron products for 1q gates,
 explicit bit-indexed embedding for arbitrary 2q placements), the masked
 Pauli-error kernel against per-trajectory ``apply_pauli``, the packed-table
 expectation kernel against the per-string reference, and the batched noisy
-trajectory engine against the scalar loop — including bit-identity of the
-``backend="scalar"`` path with golden values recorded from the original
-implementation.
+trajectory engine against the scalar loop of ``tests/reference/noise.py`` —
+including bit-identity of that loop with golden values recorded from the
+original implementation.
 """
 
 import numpy as np
@@ -23,6 +23,12 @@ from repro.sim import (
     NoiseModel,
     Statevector,
     noisy_expectations,
+)
+
+from reference.noise import (
+    scalar_noisy_energy_experiment,
+    scalar_noisy_expectations,
+    strings_expectation,
 )
 
 # ----------------------------------------------------------------------
@@ -253,7 +259,7 @@ class TestBulkExpectations:
         batch_vals = BatchedStatevector(n, amps.copy()).expectations(op)
         for t in range(n_traj):
             sv = Statevector(n, amps[t].copy())
-            ref = sv.expectation(op, backend="strings")
+            ref = strings_expectation(sv, op)
             assert sv.expectation(op) == pytest.approx(ref, abs=1e-10)
             assert batch_vals[t] == pytest.approx(ref, abs=1e-10)
 
@@ -274,14 +280,9 @@ class TestBulkExpectations:
         with pytest.raises(ValueError):
             BatchedStatevector.zeros_state(2, 1).expectations(op)
 
-    def test_rejects_unknown_backend(self):
-        op = QubitOperator.from_label_dict({"ZZ": 1.0})
-        with pytest.raises(ValueError):
-            Statevector(2).expectation(op, backend="sparse")
-
 
 # ----------------------------------------------------------------------
-# Cross-backend trajectory equivalence
+# Cross-engine trajectory equivalence
 # ----------------------------------------------------------------------
 
 
@@ -296,13 +297,12 @@ class TestCrossBackend:
         in the pinned environment; the asserts use a last-ulp-scale relative
         tolerance only so that a numpy/BLAS build with a different reduction
         order cannot break CI, while any implementation change still fails."""
-        res = noisy_expectations(
+        res = scalar_noisy_expectations(
             self.circuit,
             self.h,
             NoiseModel(p1=5e-3, p2=5e-2),
             shots=40,
             seed=123,
-            backend="scalar",
         )
         assert res.noiseless == pytest.approx(1.9938311777711542, rel=1e-12)
         assert float(res.energies.sum()) == pytest.approx(67.99488095648762, rel=1e-12)
@@ -312,9 +312,7 @@ class TestCrossBackend:
         nm = NoiseModel(p1=5e-3, p2=5e-2)
         shots = 3000
         batched = noisy_expectations(self.circuit, self.h, nm, shots=shots, seed=1)
-        scalar = noisy_expectations(
-            self.circuit, self.h, nm, shots=shots, seed=1, backend="scalar"
-        )
+        scalar = scalar_noisy_expectations(self.circuit, self.h, nm, shots=shots, seed=1)
         assert batched.noiseless == pytest.approx(scalar.noiseless, abs=1e-10)
         stderr = np.sqrt(
             batched.variance / shots + scalar.variance / shots
@@ -344,8 +342,6 @@ class TestCrossBackend:
     def test_rejects_bad_arguments(self):
         nm = NoiseModel(p1=1e-3)
         with pytest.raises(ValueError):
-            noisy_expectations(self.circuit, self.h, nm, shots=5, backend="aer")
-        with pytest.raises(ValueError):
             noisy_expectations(self.circuit, self.h, nm, shots=5, chunk=0)
 
 
@@ -361,9 +357,7 @@ class TestCrossBackendH2:
         case = electronic_case("H2_sto3g")
         mapping = jordan_wigner(4)
         nm = NoiseModel(p1=1e-4, p2=1e-3)
-        scalar = noisy_energy_experiment(
-            case, mapping, nm, shots=60, seed=5, backend="scalar"
-        )
+        scalar = scalar_noisy_energy_experiment(case, mapping, nm, shots=60, seed=5)
         # Golden values recorded from the pre-batching implementation (exact
         # == verified at recording time; see the tolerance note above).
         assert scalar.mean == pytest.approx(-1.0823764129957036, rel=1e-12)
@@ -373,8 +367,8 @@ class TestCrossBackendH2:
 
         shots = 600
         batched = noisy_energy_experiment(case, mapping, nm, shots=shots, seed=5)
-        scalar_big = noisy_energy_experiment(
-            case, mapping, nm, shots=shots, seed=5, backend="scalar"
+        scalar_big = scalar_noisy_energy_experiment(
+            case, mapping, nm, shots=shots, seed=5
         )
         assert batched.noiseless == pytest.approx(scalar_big.noiseless, abs=1e-9)
         stderr = np.sqrt((batched.variance + scalar_big.variance) / shots)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, trotter_circuit
+from repro.circuits import trotter_circuit
 from repro.hatt import hatt_mapping
 from repro.mappings import balanced_ternary_tree, bravyi_kitaev, jordan_wigner
 from repro.models.electronic import electronic_case
@@ -66,6 +66,20 @@ class TestNoisyExpectations:
         a = noisy_expectations(self.circuit, self.h, nm, shots=50, seed=7)
         b = noisy_expectations(self.circuit, self.h, nm, shots=50, seed=7)
         np.testing.assert_allclose(a.energies, b.energies)
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_nonpositive_shots_rejected(self, shots):
+        """``shots=0`` used to return NaN statistics with RuntimeWarnings and
+        ``shots=-1`` NumPy's "negative dimensions" error; both are a
+        ValueError naming ``shots`` now, also through the Fig. 10 protocol."""
+        from repro.analysis import noisy_energy_experiment
+
+        nm = NoiseModel(p1=1e-3, p2=1e-2)
+        with pytest.raises(ValueError, match="shots"):
+            noisy_expectations(self.circuit, self.h, nm, shots=shots)
+        case = electronic_case("H2_sto3g")
+        with pytest.raises(ValueError, match="shots"):
+            noisy_energy_experiment(case, jordan_wigner(4), nm, shots=shots)
 
 
 class TestStatePrep:

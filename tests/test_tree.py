@@ -144,14 +144,15 @@ class TestTreeFromUidArrays:
     """Bulk export from uid arrays must match node-by-node construction."""
 
     def test_matches_incremental_build(self):
+        from reference.hatt import ScalarHattConstruction
         from repro.fermion import FermionOperator, MajoranaOperator
-        from repro.hatt import HattConstruction
         from repro.mappings import tree_from_uid_arrays
 
         hf = FermionOperator.number(0) + FermionOperator.hopping(0, 1)
         hm = MajoranaOperator.from_fermion_operator(hf)
         for vacuum in (True, False):
-            c = HattConstruction(hm, 3, vacuum=vacuum, backend="scalar")
+            # The scalar reference grows its tree node by node.
+            c = ScalarHattConstruction(hm, 3, vacuum=vacuum)
             incremental = c.run()
             bulk = tree_from_uid_arrays(c.children_uids, 3)
             bulk.validate()
