@@ -152,6 +152,19 @@ class TestBackendApi:
         with pytest.raises(ValueError):
             HattConstruction(MajoranaOperator.zero(), 2, memory_budget=0)
 
+    def test_unknown_backend_rejected(self):
+        # The engine selector is gone: any backend= is an unexpected keyword.
+        with pytest.raises(TypeError, match="backend"):
+            HattConstruction(MajoranaOperator.zero(), 2, backend="gpu")
+
+    def test_default_backend_is_vector(self):
+        # The one engine is the packed-bitmask kernel; the scalar scan is
+        # reachable only as the test oracle subclass.
+        c = HattConstruction(MajoranaOperator.zero(), 2)
+        assert not hasattr(c, "backend")
+        assert isinstance(c._rows, np.ndarray) and c._rows.dtype == np.uint64
+        assert not isinstance(c, ScalarHattConstruction)
+
     def test_children_uids_round_trip(self):
         from repro.mappings import tree_from_uid_arrays
 

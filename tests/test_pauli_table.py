@@ -152,6 +152,13 @@ def test_map_majorana_validates_coverage():
         scalar_map_majorana_operator(op, strings, n_qubits=3)
 
 
+def test_map_majorana_rejects_unknown_backend():
+    # One mapping engine; backend= is an unexpected keyword.
+    op = MajoranaOperator({(0,): 1.0})
+    with pytest.raises(TypeError, match="backend"):
+        map_majorana_operator(op, jordan_wigner(1).strings, 1, backend="nope")
+
+
 def test_map_majorana_rejects_empty_strings():
     with pytest.raises(ValueError, match="no Majorana strings"):
         map_majorana_operator(MajoranaOperator(), [], 1)

@@ -239,6 +239,11 @@ class TestBackendEquivalence:
         assert vec.initial_layout == sca.initial_layout
         assert vec.final_layout == sca.final_layout
 
+    def test_unknown_backend_rejected(self):
+        # The router has one engine; backend= is an unexpected keyword.
+        with pytest.raises(TypeError, match="backend"):
+            route_circuit(ghz_circuit(3), montreal(), backend="cuda")
+
     def test_negative_lookahead_rejected(self):
         """Regression: a negative horizon used to corrupt the vector
         engine's window bookkeeping and break cross-engine bit-identity."""

@@ -273,6 +273,12 @@ class TestBulkExpectations:
         dense = np.vdot(amps, op.to_matrix() @ amps).real
         assert Statevector(3, amps).expectation(op) == pytest.approx(dense, abs=1e-10)
 
+    def test_rejects_unknown_backend(self):
+        # One expectation engine; backend= is an unexpected keyword.
+        op = QubitOperator.from_label_dict({"ZZ": 1.0})
+        with pytest.raises(TypeError, match="backend"):
+            Statevector(2).expectation(op, backend="sparse")
+
     def test_rejects_qubit_mismatch(self):
         op = QubitOperator.from_label_dict({"Z": 1.0})
         with pytest.raises(ValueError):
@@ -343,6 +349,8 @@ class TestCrossBackend:
         nm = NoiseModel(p1=1e-3)
         with pytest.raises(ValueError):
             noisy_expectations(self.circuit, self.h, nm, shots=5, chunk=0)
+        with pytest.raises(TypeError, match="backend"):
+            noisy_expectations(self.circuit, self.h, nm, shots=5, backend="aer")
 
 
 class TestCrossBackendH2:
