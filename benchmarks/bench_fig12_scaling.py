@@ -7,6 +7,12 @@ engines (the packed-bitmask kernels of ``HattConstruction`` vs the scalar
 scan of ``tests/reference/hatt.py``), fit the log-log slopes, and assert the
 kernels' speedup floor at the largest size.
 
+``HF`` has only ``2N`` single-index terms — one or two 64-term words per
+mask — so a second, kernel-only series times construction on SYK
+Hamiltonians (``random:syk:n=N,seed=0``: 79 words at N=10, 3058 at N=24),
+the multi-word regime that the word-blocked kernel is built for.  It reports
+a fitted slope only: no scalar run and no floor.
+
 Set ``REPRO_BENCH_SMOKE=1`` (as the CI smoke step does) for a toy-size run
 that still enforces the ≥5x vector-over-scalar floor at its largest size.
 Timings plus fitted slopes are also written to the committed repo-root
@@ -24,8 +30,10 @@ from conftest import full_run
 from reference.hatt import ScalarHattConstruction
 from repro.analysis import format_table, write_bench_json, write_result
 from repro.fermion import MajoranaOperator
+from repro.fermion.majorana import majorana_form
 from repro.fermihedral import fermihedral_mapping
 from repro.hatt import HattConstruction
+from repro.sources.registry import build_case
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "", "false")
 
@@ -34,15 +42,18 @@ if SMOKE:
     # comfortable margin over the 5x floor on slow CI runners.
     HATT_SIZES = [8, 16, 24, 48]
     FH_SIZES = [1]
+    SYK_SIZES = [8, 12]
 elif full_run():
     HATT_SIZES = [4, 8, 12, 16, 20, 28, 36, 48, 64]
     FH_SIZES = [1, 2, 3]
+    SYK_SIZES = [12, 16, 20, 24]
 else:
     # Top size 48 in every mode: the speedup floor is asserted at the top
     # size, and N=48 leaves it a comfortable margin (N=36 measures only
     # ~5-6x — too close to the floor for a load-sensitive hard assert).
     HATT_SIZES = [4, 8, 12, 16, 20, 28, 36, 48]
     FH_SIZES = [1, 2]
+    SYK_SIZES = [12, 16, 20, 24]
 FH_TIME_LIMIT = 120.0 if full_run() else 20.0
 
 #: Acceptance floor: vector construction must beat scalar by this factor at
@@ -50,6 +61,8 @@ FH_TIME_LIMIT = 120.0 if full_run() else 20.0
 MIN_SPEEDUP = 5.0
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_fig12.json"
+
+SYK_SPEC = "random:syk:n={n},seed=0"
 
 
 def majorana_sum(n: int) -> MajoranaOperator:
@@ -78,6 +91,7 @@ def fig12():
         "HATT scalar": [],
         "HATT (unopt)": [],
         "HATT (unopt) scalar": [],
+        "HATT (SYK)": [],
     }
     for n in HATT_SIZES:
         h = majorana_sum(n)
@@ -99,6 +113,13 @@ def fig12():
             f"{t_sca_u / t_vec_u:.1f}x",
             "--",
         ])
+    syk_rows = []
+    for n in SYK_SIZES:
+        h = majorana_form(build_case(SYK_SPEC.format(n=n)))
+        t_syk = _time_construction(h, n, True, HattConstruction)
+        times["HATT (SYK)"].append((n, t_syk))
+        n_terms = len(h.support_terms())
+        syk_rows.append([n, n_terms, -(-n_terms // 64), f"{t_syk:.4f}"])
     for n in FH_SIZES:
         h = majorana_sum(n)
         result = fermihedral_mapping(h, n_modes=n, time_limit=FH_TIME_LIMIT)
@@ -121,6 +142,8 @@ def fig12():
         f"(scalar ~ N^{slopes['HATT scalar']:.2f}), "
         f"HATT(unopt) ~ N^{slopes['HATT (unopt)']:.2f} "
         "(paper: N^3 vs N^4; FH exponential)\n"
+        f"kernel on SYK (N={SYK_SIZES[0]}..{SYK_SIZES[-1]}): "
+        f"HATT ~ N^{slopes['HATT (SYK)']:.2f}\n"
         f"vector-over-scalar construction speedup at N={n_top}: "
         f"{speedups['vacuum']:.1f}x (vacuum), {speedups['free']:.1f}x (free); "
         f"floor {MIN_SPEEDUP:.0f}x"
@@ -130,6 +153,10 @@ def fig12():
         ["modes", "HATT", "HATT scalar", "speedup", "HATT unopt",
          "unopt speedup", "Fermihedral"],
         rows,
+    ) + "\n" + format_table(
+        f"Fig. 12 - kernel construction time on {SYK_SPEC.format(n='N')} (seconds)",
+        ["modes", "monomials", "words", "HATT"],
+        syk_rows,
     ) + "\n" + footer
     write_result("fig12_scaling", content)
     payload = {
@@ -137,6 +164,8 @@ def fig12():
         "smoke": SMOKE,
         "full": full_run(),
         "sizes": HATT_SIZES,
+        "syk_workload": SYK_SPEC.format(n="N"),
+        "syk_sizes": SYK_SIZES,
         "timings_s": {name: points for name, points in times.items()},
         "slopes": slopes,
         "speedup_at_top": {"n": n_top, **{k: round(v, 2) for k, v in speedups.items()}},

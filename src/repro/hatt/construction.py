@@ -53,36 +53,34 @@ state and penalty table, so the two stay bit-identical in this mode too.
 
 Construction engine
 -------------------
-The per-node masks live in an ``(n_nodes, n_words)`` packed-uint64 matrix
+The per-node masks live in an ``(n_words, n_nodes)`` packed-uint64 matrix
 (:func:`repro.paulis.table.incidence_from_masks`, the transpose of the
-operator's monomial bitmasks) and the engine evaluates **all** candidate
-weights of a selection step in one broadcast NumPy kernel: the full
-upper-triangular ``(A, B, C)`` grid for Algorithm 1 and the ``(O_X, O_Z)``
-pair grid for Algorithms 2/3, chunked under ``memory_budget`` bytes of
-intermediate arrays.  State is maintained incrementally — row-XOR reduction
-into the matrix, ``mdown``/``mup`` as int arrays, O(1) swap-removal from the
-working array — and candidates are always enumerated over the uid-sorted
-working set, which reproduces the deterministic first-minimum tie-breaking
-of a per-candidate scan bit for bit.  That scan — Python big-int masks, one
-candidate at a time — is the test oracle ``tests/reference/hatt.py``; the
-property suite asserts identical traces and trees across the full
-``vacuum``/``cached``/architecture matrix.
+operator's monomial bitmasks, stored word-major).  Each selection step scores
+its candidates as one grid — ``(O_X, O_Y)`` pairs × ``O_Z`` for Algorithms
+2/3, ``(b, c)`` pairs × ``a`` for Algorithm 1 — in word blocks of at most
+``_BLOCK_ELEMS`` elements, each one ``bitwise_count`` summed over its word
+axis, with the grid chunked under ``memory_budget``.  State is maintained
+incrementally — column-XOR reduction, ``mdown``/``mup`` as int arrays, O(1)
+swap-removal from the working array — and candidates are always enumerated
+over the uid-sorted working set, which reproduces the deterministic
+first-minimum tie-breaking of a per-candidate scan bit for bit.  That scan
+is the test oracle ``tests/reference/hatt.py``; the property suites assert
+identical traces and trees across the ``vacuum``/``cached``/architecture
+matrix.
 
-Measured complexity (Fig. 12, ``HF = Σ_i M_i``)
------------------------------------------------
+Measured complexity (Fig. 12)
+-----------------------------
 Per selection step the paired scan evaluates ``O(N)`` candidate pairs times
 ``O(N)`` Z-choices and the free scan ``O(N³)`` triples, each costing
 ``O(terms/64)`` words; over ``N`` steps that is the paper's O(N³)
-(Algorithm 3) and O(N⁴) (Algorithm 1) term-popcount totals.  The fitted
-log-log slopes in ``BENCH_fig12.json`` sit *below* those exponents for both
-engines (scalar reference ≈ N^2.7 vs kernel ≈ N^1.2 for HATT, ≈ N^4.1 vs
-N^1.8–2.6 for the free variant on the bench sizes): the Fig. 12 Hamiltonian
-has only ``2N`` single-index terms, so the per-candidate popcount stays a word or
-two throughout and fixed Python/NumPy per-step constants — not the
-asymptotic word count — dominate at small ``N``, flattening the measured
-curves.  The paper's exponents are upper bounds that the sweep approaches
-from below as ``N`` (and the term count) grows — visibly so for the scalar
-free scan, whose measured slope already matches the predicted N⁴.
+(Algorithm 3) and O(N⁴) (Algorithm 1) at a fixed term count.  On the Fig. 12
+Hamiltonian ``HF = Σ_i M_i`` (``2N`` single-index terms, one or two words)
+the fitted slopes in ``BENCH_fig12.json`` sit well below those exponents
+(scalar reference ≈ N^2.7; kernel ≈ N^1.0 for HATT and ≈ N^1.7 for the free
+variant up to N=48), because fixed per-step constants, not words, dominate.
+SYK Hamiltonians grow their term count as N⁴ (79 words at N=10, 3058 at
+N=24), which makes the paired scan O(N⁷) words in total; the kernel's slope
+on N=12…24 measures ≈ N^6.1, approaching that bound from below.
 """
 
 from __future__ import annotations
@@ -126,6 +124,10 @@ DEFAULT_ARCH_WEIGHT = 0.5
 
 #: Sentinel weight for masked-out candidates in the broadcast kernels.
 _INF = np.iinfo(np.int64).max
+
+#: uint64 elements per popcount block: with its uint8 counts (~288 KiB) a
+#: block stays in L2 cache.
+_BLOCK_ELEMS = 32 * 1024
 
 
 class HattConstruction:
@@ -185,6 +187,8 @@ class HattConstruction:
         )
         if self.memory_budget <= 0:
             raise ValueError("memory_budget must be positive")
+        # Popcount block size (uint64 + uint8 count per element), in budget.
+        self._block = max(1, min(_BLOCK_ELEMS, self.memory_budget // 9))
         self.trace: list[Selection] = []
         #: Child-uid triples per qubit, appended by :meth:`_reduce`.
         self._children: list[tuple[int, int, int]] = []
@@ -200,13 +204,14 @@ class HattConstruction:
     # ------------------------------------------------------------------
     def _init_vector(self, hamiltonian: MajoranaOperator, n_leaves: int) -> None:
         n_total = n_leaves + self.n
-        # Packed term-membership masks, one row per uid, transposed straight
-        # from the non-identity monomial masks; parent rows are filled in
-        # place by the row-XOR reduction.
+        # Packed term-membership masks, one column per uid (word-major, so a
+        # step's candidate operands are contiguous column gathers), transposed
+        # straight from the non-identity monomial masks; parent columns are
+        # filled in place by the XOR reduction.
         masks, _ = hamiltonian.bitmasks()
         rows = incidence_from_masks(masks[masks.any(axis=1)], n_leaves)
-        self._rows = np.zeros((n_total, rows.shape[1]), dtype=np.uint64)
-        self._rows[:n_leaves] = rows
+        self._rows = np.zeros((rows.shape[1], n_total), dtype=np.uint64)
+        self._rows[:, :n_leaves] = rows.T
         self._n_nodes = n_leaves
         # Working set as a swap-managed prefix of _warr plus a position map:
         # removal moves the last live entry into the freed slot (O(1)).
@@ -321,127 +326,135 @@ class HattConstruction:
     # ------------------------------------------------------------------
     # Selection rules (vectorized broadcast kernels)
     # ------------------------------------------------------------------
-    def _sorted_working(self) -> np.ndarray:
-        """Live working-set uids in ascending order.
+    def _working_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Live working-set uids in ascending order and their mask columns.
 
         The swap-managed array is unordered; sorting restores the uid order
         a per-candidate scan visits, so the kernels break weight ties the
-        same way as the scalar reference.
+        same way as the scalar reference.  ``take`` (unlike ``[:, uids]``)
+        returns the ``(n_words, m)`` gather C-contiguous.
         """
-        return np.sort(self._warr[: self._n_working])
+        uids = np.sort(self._warr[: self._n_working])
+        return uids, self._rows.take(uids, axis=1)
 
     @staticmethod
     def _acc_dtype(n_words: int):
         """Smallest unsigned dtype that can hold a ``64 * n_words`` popcount."""
         return np.uint16 if n_words <= 1023 else np.uint32
 
-    def _select_free_vector(self, qubit: int) -> tuple[tuple[int, int, int], int]:
-        """Algorithm 1, one broadcast kernel over all C(m, 3) candidate triples.
+    def _grid_weights(self, pb: np.ndarray, pc: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Weights of a ``(pairs, singles)`` candidate grid, word-blocked.
 
-        Enumerates exactly the upper-triangular ``a < b < c`` candidates: the
-        ``(b, c)`` pairs come from ``np.triu_indices`` and each pair is
-        repeated once per valid ``a`` (``a < b``) via arange arithmetic, so
-        no dense cube is built and no sentinel masking is needed.  Pairs are
-        chunked so the candidate arrays stay under ``memory_budget`` bytes.
-        The winner is the minimum-weight candidate with the lexicographically
+        ``pb``/``pc`` hold each row's pair and ``z`` the singles, as
+        ``(n_words, ·)`` mask columns.  Per bit, ``(mA|mB|mC) & ~(mA&mB&mC)``
+        is ``z ? ~(b & c) : (b | c)`` = ``o ^ (z & d)`` with ``o = b | c``
+        and ``d = ~(b ^ c)``: two ops per block.  Callers keep a grid within
+        ``self._block`` cells, and each ``(words, rows, cols)`` block takes
+        as many words as fit ``self._block`` elements: one ``bitwise_count``
+        summed over its word axis into ``_acc_dtype``.
+        """
+        o, d = pb | pc, ~(pb ^ pc)
+        words = max(1, self._block // (o.shape[1] * z.shape[1]))
+        acc = self._acc_dtype(len(o))
+        w = None
+        for k0 in range(0, len(o), words):
+            k = slice(k0, k0 + words)
+            t = d[k, :, None] & z[k, None, :]
+            t ^= o[k, :, None]
+            part = np.bitwise_count(t).sum(axis=0, dtype=acc)
+            w = part if w is None else np.add(w, part, out=w)
+        return w
+
+    def _select_free_vector(self, qubit: int) -> tuple[tuple[int, int, int], int]:
+        """Algorithm 1, one word-blocked kernel over all C(m, 3) candidate triples.
+
+        Grid rows are the ``(b, c)`` pairs of ``np.triu_indices`` (``b ≥ 1``,
+        sorted by ``b``) and columns the ``a < b`` prefix of the working
+        set.  A chunk of rows spans the widest prefix among them, so chunks
+        end where rows × width would pass ``_BLOCK_ELEMS`` cells (capped by
+        ``memory_budget``) and the cells with ``a ≥ b`` are masked.  The
+        winner is the minimum-score candidate with the lexicographically
         smallest ``(a, b, c)`` — exactly the scalar scan's first strict
         minimum over ``combinations``.
         """
-        uids = self._sorted_working()
+        uids, z = self._working_operands()
         m = len(uids)
-        rows = self._rows[uids]
-        n_words = rows.shape[1]
-        acc_dtype = self._acc_dtype(n_words)
+        acc_dtype = self._acc_dtype(z.shape[0])
         arch = self._arch
         if arch:
             anc = np.array(self._anchor, dtype=np.intp)[uids]
             pen = self._pen
             aw_int = self._aw_int
-        # Per-word flat columns: every kernel pass stays 1-D, so popcounts
-        # are plain uint8 vectors accumulated across words instead of a
-        # (candidates, n_words) reduction.
-        cols = [rows[:, k] for k in range(n_words)]
         b_all, c_all = np.triu_indices(m, k=1)
         # Pairs with b == 0 admit no a < b.
         has_a = b_all > 0
         b_all, c_all = b_all[has_a], c_all[has_a]
-        # ~ (3 flat word temps per word pass + index/weight vectors, plus the
-        # int64 score/penalty temps in arch mode) per candidate; a pair
-        # contributes at most m candidates.  Each pair belongs to exactly one
-        # chunk, so the per-chunk OR/AND pair grids below cost no extra
-        # compute and keep peak memory under the budget.
-        per_pair = m * (3 * n_words + 4 + (6 if arch else 0)) * 8
-        chunk = max(1, self.memory_budget // per_pair)
+        n_pairs = len(b_all)
+        # Grid cells per chunk: weight, mask and (arch) int64 temps each.
+        cap = min(self._block, self.memory_budget // (8 * (2 + (6 if arch else 0))))
+        ends = np.arange(1, n_pairs + 1)
+        # Row b of guard is the sentinel from column b on: OR-ing a chunk's
+        # gathered rows into its scores masks every a >= b cell.
+        guard = np.triu(
+            np.full((m, m), _INF if arch else ~acc_dtype(0), np.int64 if arch else acc_dtype)
+        )
         best_w = None
         best_s = _INF
         best_key = None
         best: tuple[int, int, int] | None = None
         m2 = m * m
-        for p0 in range(0, len(b_all), chunk):
-            p1 = min(p0 + chunk, len(b_all))
-            b_chunk = b_all[p0:p1]
-            c_chunk = c_all[p0:p1]
-            counts = b_chunk  # number of valid a's per pair
-            total = int(counts.sum())
-            pair = np.repeat(np.arange(p1 - p0, dtype=np.intp), counts)
-            a = np.arange(total, dtype=np.intp) - np.repeat(
-                np.cumsum(counts) - counts, counts
+        p0 = 0
+        while p0 < n_pairs:
+            # b is sorted, so rows × widest prefix grows with the chunk end.
+            cells = (ends[p0:] - p0) * b_all[p0:]
+            p1 = p0 + max(1, int(np.searchsorted(cells, cap, side="right")))
+            b_chunk, c_chunk = b_all[p0:p1], c_all[p0:p1]
+            width = int(b_chunk[-1])
+            w = self._grid_weights(
+                z.take(b_chunk, axis=1), z.take(c_chunk, axis=1), z[:, :width]
             )
-            w = None
-            for col in cols:
-                or_k = col[b_chunk] | col[c_chunk]
-                and_k = col[b_chunk] & col[c_chunk]
-                aw = col[a]
-                wk = np.bitwise_count((aw | or_k[pair]) & ~(aw & and_k[pair]))
-                if w is None:
-                    w = wk if n_words == 1 else wk.astype(acc_dtype)
-                else:
-                    w += wk
             if arch:
                 # Blended integer score; the per-pair (b, c) penalty is
-                # computed once per pair and broadcast over the a's.
-                pen_b = pen[anc[b_chunk], anc[c_chunk]]
+                # broadcast over the a's.
                 s = w.astype(np.int64) * ARCH_WEIGHT_SCALE + aw_int * (
-                    pen[anc[a], anc[b_chunk][pair]]
-                    + pen[anc[a], anc[c_chunk][pair]]
-                    + pen_b[pair]
+                    pen[anc[b_chunk], anc[c_chunk]][:, None]
+                    + pen[anc[b_chunk][:, None], anc[None, :width]]
+                    + pen[anc[c_chunk][:, None], anc[None, :width]]
                 )
             else:
                 s = w
-            s_min = int(s.min())
-            if s_min < best_s or (best_key is not None and s_min == best_s):
-                sel = np.flatnonzero(s == s_min)
-                keys = a[sel] * m2 + b_chunk[pair[sel]] * m + c_chunk[pair[sel]]
-                j = int(np.argmin(keys))
-                k = int(keys[j])
-                if s_min < best_s or k < best_key:
-                    best_s = s_min
-                    best_key = k
-                    best_w = int(w[sel[j]])
-                    best = (
-                        int(uids[k // m2]),
-                        int(uids[(k // m) % m]),
-                        int(uids[k % m]),
-                    )
-            if best_s == 0 and p1 < len(b_all):
+            s |= guard.take(b_chunk, axis=0)[:, :width]
+            # Column-major first minimum: the chunk's smallest (a, b, c).
+            a, rr = divmod(int(np.argmin(s.T)), len(b_chunk))
+            s_min = int(s[rr, a])
+            b, c = int(b_chunk[rr]), int(c_chunk[rr])
+            k = a * m2 + b * m + c
+            if s_min < best_s or (s_min == best_s and k < best_key):
+                best_s = s_min
+                best_key = k
+                best_w = int(w[rr, a])
+                best = (int(uids[a]), int(uids[b]), int(uids[c]))
+            if best_s == 0 and p1 < n_pairs:
                 # Score floor reached; remaining chunks hold pairs that are
                 # lexicographically later, so their candidate keys all exceed
                 # best_key once the pair prefix alone does — safe to stop.
                 if best_key < int(b_all[p1]) * m + int(c_all[p1]):
                     break
+            p0 = p1
         assert best is not None and best_w is not None
         return best, best_w
 
     def _select_paired_vector(self, qubit: int) -> tuple[tuple[int, int, int], int]:
-        """Algorithms 2/3, one broadcast kernel over the (O_X, O_Z) grid.
+        """Algorithms 2/3, one word-blocked kernel over the (O_X, O_Z) grid.
 
         Valid ``O_X`` rows (pair partner exists and differs) are resolved via
         the int-array ``mdown``/``mup`` maps (or the explicit array
-        traversals when ``cached=False``), then every ``O_Z`` column is
-        scored at once; masked entries take a sentinel weight so the flat
-        row-major argmin reproduces the scalar double loop's tie-breaking.
+        traversals when ``cached=False``); each row's ``(O_X, O_Y)`` pair is
+        scored against every ``O_Z`` column by :meth:`_grid_weights`.
+        Masked entries take a sentinel weight so the flat row-major argmin
+        reproduces the scalar double loop's tie-breaking.
         """
-        uids = self._sorted_working()
+        uids, z = self._working_operands()
         m = len(uids)
         last_leaf = 2 * self.n
         if self.cached:
@@ -466,11 +479,13 @@ class HattConstruction:
             )
         ox_r = uids[r_idx]
         oy_r = oy[r_idx]
+        # O_Y is a working-set node: its column is its rank in uids.
+        oy_idx = np.searchsorted(uids, oy_r)
         even = (x_leaf[r_idx] & 1) == 0
         cx = np.where(even, ox_r, oy_r)
         cy = np.where(even, oy_r, ox_r)
-        n_words = self._rows.shape[1]
-        acc_dtype = self._acc_dtype(n_words)
+        acc_dtype = self._acc_dtype(z.shape[0])
+        bad = ~acc_dtype(0)
         arch = self._arch
         if arch:
             anc_all = np.array(self._anchor, dtype=np.intp)
@@ -480,32 +495,16 @@ class HattConstruction:
             pen = self._pen
             aw_int = self._aw_int
             pen_xy = pen[anc_x, anc_y]
-        # Per-word flat precomputations; see _select_free_vector.
-        cols = [self._rows[:, k] for k in range(n_words)]
-        pre_or = [(col[cx] | col[cy])[:, None] for col in cols]
-        pre_and = [(col[cx] & col[cy])[:, None] for col in cols]
-        z_rows = [col[uids][None, :] for col in cols]
-        # Weights on one word never exceed 64, so the dtype max is a safe
-        # larger-than-any-weight sentinel for the masked candidates.
-        bad = np.uint8(255) if n_words == 1 else acc_dtype(np.iinfo(acc_dtype).max)
-        per_row = m * (4 * n_words + 2 + (6 if arch else 0)) * 8
-        chunk = max(1, self.memory_budget // per_row)
+        # Weight, mask and (arch) int64 score temps per grid cell.
+        per_row = m * (2 + (6 if arch else 0)) * 8
+        chunk = max(1, min(self.memory_budget // per_row, self._block // m))
         best_w = None
         best_s = _INF
         best: tuple[int, int, int] | None = None
         for r0 in range(0, len(r_idx), chunk):
             r1 = min(r0 + chunk, len(r_idx))
-            w = None
-            for po_k, pa_k, z_k in zip(pre_or, pre_and, z_rows):
-                po = po_k[r0:r1]
-                pa = pa_k[r0:r1]
-                wk = np.bitwise_count((po | z_k) & ~(pa & z_k))
-                if w is None:
-                    w = wk if n_words == 1 else wk.astype(acc_dtype)
-                else:
-                    w += wk
-            mask = (uids[None, :] == ox_r[r0:r1, None]) | (
-                uids[None, :] == oy_r[r0:r1, None]
+            w = self._grid_weights(
+                z.take(r_idx[r0:r1], axis=1), z.take(oy_idx[r0:r1], axis=1), z
             )
             if arch:
                 # Blended score grid; w stays unmasked so the winner's pure
@@ -515,10 +514,11 @@ class HattConstruction:
                     + pen[anc_x[r0:r1, None], anc_z[None, :]]
                     + pen[anc_y[r0:r1, None], anc_z[None, :]]
                 )
-                s[mask] = _INF
             else:
-                w[mask] = bad
                 s = w
+            # O_Z may be neither O_X nor O_Y: two masked cells per row.
+            rows = np.arange(r1 - r0)
+            s[rows, r_idx[r0:r1]] = s[rows, oy_idx[r0:r1]] = _INF if arch else bad
             flat = int(np.argmin(s))
             s_min = int(s.reshape(-1)[flat])
             if s_min < best_s:
@@ -546,9 +546,8 @@ class HattConstruction:
         cx, cy, cz = children
         parent_uid = self._n_nodes
         self._n_nodes += 1
-        self._rows[parent_uid] = (
-            self._rows[cx] ^ self._rows[cy] ^ self._rows[cz]
-        )
+        rows = self._rows
+        rows[:, parent_uid] = rows[:, cx] ^ rows[:, cy] ^ rows[:, cz]
         for uid in children:
             self._parent[uid] = parent_uid
         self._child_z[parent_uid] = cz

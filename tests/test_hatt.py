@@ -1,10 +1,13 @@
 """Tests for the HATT construction (paper Algorithms 1-3)."""
 
+import numpy as np
 import pytest
 
 from repro.fermion import FermionOperator, MajoranaOperator
+from repro.fermion.majorana import majorana_form
 from repro.hatt import HattConstruction, hatt_mapping
 from repro.mappings import balanced_ternary_tree, jordan_wigner
+from repro.sources.registry import build_case
 
 from reference.hatt import ScalarHattConstruction, scalar_hatt_mapping
 
@@ -174,3 +177,34 @@ class TestDeterminism:
         mapping = hatt_mapping(paper_eq3_hamiltonian())
         assert len(mapping.construction.trace) == 3
         assert len(mapping.construction.step_weights) == 3
+
+
+class TestSykDustTerms:
+    """Pinned: one SYK n=10 seed maps to fewer terms than its neighbours.
+
+    Seeds 1055, 1056 and 1057 build the same HATT trace, and each has 5036
+    Majorana monomials.  Seed 1056 has two at |c| ≈ 1.25e-12: above the
+    1e-12 Majorana-form tolerance, below the 1e-10 dust tolerance of
+    ``PauliTable.to_qubit_operator``.  Its map therefore drops them, so a
+    single Pauli-weight record per SYK family and size does not hold for
+    every seed.  If the two tolerances are ever made to agree, this test
+    must change with them.
+    """
+
+    MAPPED = {1055: (5036, 27772), 1056: (5034, 27760), 1057: (5036, 27772)}
+
+    def test_seed_1056_drops_two_dust_monomials(self):
+        traces = set()
+        for seed, (n_terms, weight) in self.MAPPED.items():
+            h = build_case(f"random:syk:n=10,seed={seed}")
+            mapping = hatt_mapping(h)
+            traces.add(tuple(mapping.construction.trace))
+            majorana = majorana_form(h)
+            assert len(majorana) == 5036
+            mapped = mapping.map(h)
+            assert (len(mapped), mapped.pauli_weight()) == (n_terms, weight)
+            dust = np.abs(majorana.bitmasks()[1])
+            dust = dust[dust <= 1e-10]
+            assert len(dust) == (2 if seed == 1056 else 0)
+            assert (dust > 1e-12).all()
+        assert len(traces) == 1

@@ -18,6 +18,7 @@ from repro.fermion import MajoranaOperator
 from repro.hatt import DEFAULT_ARCH_WEIGHT, HattConstruction, hatt_mapping
 
 from reference.hatt import ScalarHattConstruction
+from test_hatt_backends import block_budgets, multiword_hamiltonians
 
 ARCHS = ("montreal", "sycamore", "ionq_forte")
 
@@ -163,6 +164,28 @@ class TestMultiwordAndChunking:
         vector = HattConstruction(op, n, graph=graph, memory_budget=512)
         vector.run()
         assert vector.trace == scalar.trace
+
+
+class TestMultiwordBlocks:
+    @given(multiword_hamiltonians(), st.sampled_from(ARCHS))
+    @settings(max_examples=10, deadline=None)
+    def test_blocked_kernel_matches_scalar(self, data, arch):
+        """Multi-word masks under every block shape, in both selection
+        rules, score the distance penalty exactly as the scalar scan."""
+        n, op = data
+        graph = architecture(arch)
+        for vacuum in (True, False):
+            scalar = ScalarHattConstruction(op, n, vacuum=vacuum, graph=graph)
+            tree_s = scalar.run()
+            for budget in block_budgets(n):
+                vector = HattConstruction(
+                    op, n, vacuum=vacuum, graph=graph, memory_budget=budget
+                )
+                tree_v = vector.run()
+                assert vector.trace == scalar.trace, (vacuum, budget)
+                assert (
+                    tree_v.strings_by_leaf_index() == tree_s.strings_by_leaf_index()
+                ), (vacuum, budget)
 
 
 class TestArchApi:

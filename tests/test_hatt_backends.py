@@ -9,6 +9,8 @@ to chunk.  Golden-value tests pin the H2/LiH construction traces so a
 silent behavior change in either engine fails loudly.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,27 @@ def majorana_hamiltonians(draw):
         coeff = 1j if (size * (size - 1) // 2) % 2 else 1.0
         op = op + MajoranaOperator.from_term(sorted(indices), coeff)
     return n, op
+
+
+@st.composite
+def multiword_hamiltonians(draw):
+    """65–400 distinct monomials on 4..8 modes: 2–7 words per mask row."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    pool = [t for size in (1, 2, 4) for t in combinations(range(2 * n), size)]
+    n_terms = draw(st.integers(min_value=65, max_value=min(400, len(pool))))
+    op = MajoranaOperator.zero()
+    for term in draw(st.randoms(use_true_random=False)).sample(pool, n_terms):
+        coeff = 1j if (len(term) * (len(term) - 1) // 2) % 2 else 1.0
+        op = op + MajoranaOperator.from_term(list(term), coeff)
+    return n, op
+
+
+def block_budgets(n):
+    """The default budget, 512 bytes (a few grid rows and words per block),
+    and two budgets whose popcount blocks split the word axis: one word
+    per block, and about four."""
+    m = 2 * n + 1
+    return (None, 512, 9 * m * m, 36 * m * m)
 
 
 def _run_both(op, n, **kwargs):
@@ -108,6 +131,26 @@ class TestBitIdenticalTraces:
             s, ts, v, tv = _run_both(op, n, vacuum=vacuum)
             assert v.trace == s.trace
             assert tv.strings_by_leaf_index() == ts.strings_by_leaf_index()
+
+
+class TestMultiwordBlocks:
+    """Multi-word masks under every block shape of the word-blocked kernel."""
+
+    @given(multiword_hamiltonians())
+    @settings(max_examples=15, deadline=None)
+    def test_blocked_kernel_matches_scalar(self, data):
+        n, op = data
+        assert len(op.support_terms()) > 64
+        for kwargs in ({}, {"cached": False}, {"vacuum": False}):
+            scalar = ScalarHattConstruction(op, n, **kwargs)
+            tree_s = scalar.run()
+            for budget in block_budgets(n):
+                vector = HattConstruction(op, n, memory_budget=budget, **kwargs)
+                tree_v = vector.run()
+                assert vector.trace == scalar.trace, (kwargs, budget)
+                assert (
+                    tree_v.strings_by_leaf_index() == tree_s.strings_by_leaf_index()
+                ), (kwargs, budget)
 
 
 class TestGoldenTraces:
