@@ -76,7 +76,7 @@ Per selection step the paired scan evaluates ``O(N)`` candidate pairs times
 (Algorithm 3) and O(N⁴) (Algorithm 1) at a fixed term count.  On the Fig. 12
 Hamiltonian ``HF = Σ_i M_i`` (``2N`` single-index terms, one or two words)
 the fitted slopes in ``BENCH_fig12.json`` sit well below those exponents
-(scalar reference ≈ N^2.7; kernel ≈ N^1.0 for HATT and ≈ N^1.7 for the free
+(scalar reference ≈ N^2.8; kernel ≈ N^1.0 for HATT and ≈ N^1.7 for the free
 variant up to N=48), because fixed per-step constants, not words, dominate.
 SYK Hamiltonians grow their term count as N⁴ (79 words at N=10, 3058 at
 N=24), which makes the paired scan O(N⁷) words in total; the kernel's slope
