@@ -390,7 +390,7 @@ class HattConstruction:
         has_a = b_all > 0
         b_all, c_all = b_all[has_a], c_all[has_a]
         n_pairs = len(b_all)
-        # Grid cells per chunk: weight, mask and (arch) int64 temps each.
+        # Grid cells per chunk: weight, guard and (arch) int64 temps each.
         cap = min(self._block, self.memory_budget // (8 * (2 + (6 if arch else 0))))
         ends = np.arange(1, n_pairs + 1)
         # Row b of guard is the sentinel from column b on: OR-ing a chunk's
@@ -495,7 +495,7 @@ class HattConstruction:
             pen = self._pen
             aw_int = self._aw_int
             pen_xy = pen[anc_x, anc_y]
-        # Weight, mask and (arch) int64 score temps per grid cell.
+        # Weight and (arch) int64 score temps per grid cell.
         per_row = m * (2 + (6 if arch else 0)) * 8
         chunk = max(1, min(self.memory_budget // per_row, self._block // m))
         best_w = None
