@@ -20,13 +20,15 @@ Paper-claim checks, honestly scoped:
   only an aggregate bound is asserted there (see EXPERIMENTS.md note in
   the old harness).
 
-Router speedup: each SWAP decision of ``route_circuit`` is one batched
-integer kernel whose cost is independent of the lookahead horizon, while
-the scalar reference (``tests/reference/routing.py``) scans every window
-position per candidate.  The
-floor is asserted at the deep-horizon configuration (lookahead=1024) on
-the largest case, where that structural difference is the measurement —
-both engines emit bit-identical circuits at every horizon.
+Router speedup: ``route_circuit`` does no window work on a gate that needs
+no SWAP, and at a decision it scores each candidate by the change it makes
+to the weighted window pairs on the two swapped logicals (one ``bincount``
+of the horizon slice, then a scan of the touched slots), while the scalar
+reference (``tests/reference/routing.py``) scans every window position per
+candidate.  The floor is asserted at the deep-horizon configuration
+(lookahead=1024) on the largest case, where that structural difference is
+the measurement — both engines emit bit-identical circuits at every
+horizon.
 
 Peephole scaling guard: ``to_cx_u3`` runs each pass as one sweep, so its
 time on nested palindromes (``w·w⁻¹``, which cancel from the middle out)
@@ -89,8 +91,9 @@ KINDS = ("jw", "bk", "btt", "hatt", "hatt-arch")
 MIN_SPEEDUP = 3.0
 
 #: Deep-horizon routing configuration for the speedup measurement (the
-#: vector engine's decision cost is flat in the horizon; the scalar
-#: reference's is linear).
+#: engine's decision cost follows the slots on the two swapped logicals,
+#: plus one C-level ``bincount`` of the horizon; the scalar reference's is
+#: linear in the horizon per candidate).
 DEEP_LOOKAHEAD = 1024
 
 #: Electronic aggregate bound: routed HATT within this factor of routed JW

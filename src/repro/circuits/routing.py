@@ -11,20 +11,27 @@ Lookahead model: the window is the next ``lookahead`` two-qubit gates with
 Near-term gates dominate (routing quality matches a short uniform window)
 while the long tail still breaks ties toward globally useful SWAPs.
 
-Engine: the window is kept as an incrementally maintained *weighted pair
-multiset* — Trotter circuits repeat the same logical pairs constantly, so
-the ``lookahead``-gate window collapses to a bounded set of (pair, weight)
-slots — and each SWAP decision scores all candidate edges against all slots
-as one integer ``(2, max_degree, K)`` kernel over the cached all-pairs
-distance matrix.  Decision cost is independent of the window length.
+Engine: each distinct logical pair gets a slot id once per route, and the
+two-qubit gates become one slot-id array.  A gate whose endpoints are
+already adjacent does no window work at all.  At a SWAP decision with two
+or more candidates, one ``np.bincount`` of the horizon slice of that array,
+weighted by the tiers, gives every slot its window weight ``w_s``; each
+candidate ``(anchor, nb)`` then scores
+``32·d_front + Σ w_s·(d_after − d_before)``, the sum running only over the
+weighted slots that touch the logicals on ``anchor`` and ``nb``.  A swap
+moves only those two logicals, so no other slot changes distance — and
+neither does the slot joining the two, which is skipped.  The score is the
+full window sum minus one per-decision constant, so it ranks candidates
+exactly as the full sum does, at a cost set by the slots touching two
+logicals rather than by the horizon.
 
 The test oracle ``tests/reference/routing.py`` makes the same decisions by
 per-candidate Python dict scans over every window position, accumulating
 the float score ``d_front + Σ_k w_k/32 · d_k``.  All weights are exact
 binary fractions and all partial sums stay far below 2^53, so that float
-arithmetic is exact and order-independent; the kernel's integer scores are
-exactly 32x the oracle's, so both rank every candidate identically and emit
-bit-identical gate sequences.
+arithmetic is exact and order-independent; the engine's integer-valued
+score is exactly 32x the oracle's minus a per-decision constant, so both
+rank every candidate identically and emit bit-identical gate sequences.
 
 Determinism: candidate swap edges are enumerated in sorted order (front-gate
 endpoints in gate order, neighbours ascending) and ties always break toward
@@ -52,8 +59,9 @@ __all__ = [
 ]
 
 #: Default lookahead horizon (number of upcoming two-qubit gates scored per
-#: candidate SWAP).  Deep horizons are nearly free — the weighted-multiset
-#: kernel is O(distinct pairs), not O(horizon).
+#: candidate SWAP).  Deep horizons are nearly free — a decision costs one
+#: ``bincount`` of the horizon slice plus a scan of the slots touching the
+#: two swapped logicals.
 DEFAULT_LOOKAHEAD = 256
 
 #: Decay schedule: window offsets below ``_TIER_BOUNDS[i]`` get weight
@@ -67,10 +75,6 @@ _FRONT_WEIGHT = 32
 #: Graph-attribute slots caching per-architecture routing tables.
 _DIST_KEY = "_repro_distance_matrix"
 _ADJ_KEY = "_repro_sorted_adjacency"
-_ADJM_KEY = "_repro_padded_adjacency"
-
-#: Sentinel score for masked-out candidates; larger than any reachable score.
-_SCORE_INF = np.int64(1) << 40
 
 
 def _offset_weight(k: int) -> int:
@@ -158,33 +162,21 @@ def _sorted_adjacency(graph: nx.Graph) -> list[list[int]]:
     )
 
 
-def _padded_adjacency(graph: nx.Graph) -> np.ndarray:
-    """Sorted adjacency as an ``(n, max_degree)`` matrix, rows padded with
-    the node itself (self-entries never reduce the front distance, so the
-    candidate filter drops them)."""
-
-    def build() -> np.ndarray:
-        adj = _sorted_adjacency(graph)
-        n = graph.number_of_nodes()
-        width = max(len(row) for row in adj)
-        mat = np.empty((n, width), dtype=np.int32)
-        for v, row in enumerate(adj):
-            mat[v, : len(row)] = row
-            mat[v, len(row) :] = v
-        return mat
-
-    return _cached_table(graph, _ADJM_KEY, build)
-
-
 def initial_layout(circuit: Circuit, graph: nx.Graph) -> dict[int, int]:
     """Greedy placement: most-interacting logical pairs onto adjacent,
     high-degree physical qubits.  Fully deterministic: nodes are ranked by
     ``(-degree, node)``, hot pairs by ``(-count, pair)``, and neighbourhoods
     scanned in ascending order."""
-    pair_usage = Counter()
-    for gate in circuit.gates:
-        if len(gate.qubits) == 2:
-            pair_usage[tuple(sorted(gate.qubits))] += 1
+    return _layout_from_pairs(_two_qubit_pairs(circuit), circuit.n_qubits, graph)
+
+
+def _layout_from_pairs(
+    pairs: list[tuple[int, ...]], n_qubits: int, graph: nx.Graph
+) -> dict[int, int]:
+    """:func:`initial_layout` from the circuit's two-qubit pair list."""
+    pair_usage: Counter = Counter()
+    for (a, b), count in Counter(pairs).items():
+        pair_usage[(a, b) if a < b else (b, a)] += count
     nodes_by_degree = sorted(graph.nodes, key=lambda v: (-graph.degree[v], v))
     layout: dict[int, int] = {}
     used: set[int] = set()
@@ -214,7 +206,7 @@ def initial_layout(circuit: Circuit, graph: nx.Graph) -> dict[int, int]:
                     used.add(v)
                     break
     # Any remaining logicals (including idle ones) go to leftover physicals.
-    for q in range(circuit.n_qubits):
+    for q in range(n_qubits):
         if q not in layout:
             spot = next(v for v in nodes_by_degree if v not in used)
             layout[q] = spot
@@ -241,9 +233,10 @@ def route_circuit(
             f"{graph.number_of_nodes()}"
         )
     dist = distance_matrix(graph)  # also validates node labels + connectivity
-    layout = initial_layout(circuit, graph)
+    pairs = _two_qubit_pairs(circuit)
+    layout = _layout_from_pairs(pairs, circuit.n_qubits, graph)
     started = _perf_counter()
-    routed = _route_vector(circuit, graph, dist, layout, lookahead)
+    routed = _route(circuit, graph, dist, layout, pairs, lookahead)
     from ..obs.metrics import get_registry
 
     get_registry().histogram(
@@ -285,163 +278,97 @@ def _swap_gate(p1: int, p2: int) -> Gate:
     return g
 
 
-class _WeightedWindow:
-    """Sliding lookahead window as a weighted logical-pair multiset.
-
-    Distinct pairs get stable slots (zero-weight slots score zero, so slots
-    are never compacted); sliding the window only bumps per-slot integer
-    weights in a plain Python list.  The numpy views the scoring kernel
-    needs are materialized lazily — most gates route without any SWAP, so
-    they never pay for an array build.  Total slot count is bounded by the
-    number of distinct two-qubit pairs in the circuit — for Trotter ladders
-    that is O(n_qubits), far below the horizon length.
-    """
-
-    def __init__(self, pairs: list[tuple[int, ...]], horizon: int):
-        self.pairs = pairs
-        self.horizon = horizon
-        self.slot_of: dict[tuple[int, ...], int] = {}
-        self.endpoints: list[int] = []  # slot i at [i] and [n + i] once baked
-        self.weights: list[int] = []
-        self._la: list[int] = []
-        self._lb: list[int] = []
-        self._baked: tuple[np.ndarray, np.ndarray] | None = None
-        # Weight bumps when the window slides one gate: the head leaves at
-        # full near weight; pairs crossing a tier bound gain the difference.
-        self.transitions = [
-            (bound, _offset_weight(bound - 1) - _offset_weight(bound))
-            for bound in _TIER_BOUNDS
-            if bound < horizon
-        ]
-        self.tail_weight = _offset_weight(horizon - 1)
-        for offset, pair in enumerate(pairs[1 : 1 + horizon]):
-            self._bump(pair, _offset_weight(offset))
-
-    def _bump(self, pair: tuple[int, ...], delta: int) -> None:
-        slot = self.slot_of.get(pair)
-        if slot is None:
-            self.slot_of[pair] = len(self.weights)
-            self._la.append(pair[0])
-            self._lb.append(pair[1])
-            self.weights.append(delta)
-        else:
-            self.weights[slot] += delta
-        self._baked = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index array ``[la..., lb...]`` and the weight vector."""
-        if self._baked is None:
-            self._baked = (
-                np.array(self._la + self._lb, dtype=np.int32),
-                np.array(self.weights, dtype=np.int64),
-            )
-        return self._baked
-
-    def advance(self, t: int) -> None:
-        """Slide from front-gate index ``t`` to ``t + 1``."""
-        pairs, n = self.pairs, len(self.pairs)
-        head = t + 1
-        if head < n:
-            self._bump(pairs[head], -_TIER_WEIGHTS[0])
-        for bound, gain in self.transitions:
-            idx = t + 1 + bound
-            if idx < n:
-                self._bump(pairs[idx], gain)
-        tail = t + 1 + self.horizon
-        if tail < n:
-            self._bump(pairs[tail], self.tail_weight)
-
-
-def _route_vector(
+def _route(
     circuit: Circuit,
     graph: nx.Graph,
     dist: np.ndarray,
     layout: dict[int, int],
+    pairs: list[tuple[int, ...]],
     lookahead: int,
 ) -> RoutedCircuit:
-    """Vectorized engine.
+    """Delta-scored engine (see the module docstring).
 
-    Layout bookkeeping stays in plain Python (a list mirror of the numpy
-    position array — single-element numpy indexing is slower than list
-    access), while each SWAP decision runs as one batched integer kernel:
-    every candidate edge is scored against every weighted window slot at
-    once, so the decision cost does not grow with the lookahead horizon.
+    Layout bookkeeping is two plain Python lists (logical -> physical and
+    physical -> logical); NumPy runs only the one ``bincount`` per scored
+    decision.
     """
     d: list[list[int]] = dist.tolist()
     adj = _sorted_adjacency(graph)
-    adjm = _padded_adjacency(graph)
-    n_logical = circuit.n_qubits
-    phys_list = [0] * n_logical
+    phys = [0] * circuit.n_qubits
+    logical_of: list[int | None] = [None] * graph.number_of_nodes()
     for q, p in layout.items():
-        phys_list[q] = p
-    phys_np = np.array(phys_list, dtype=np.int32)
-    logical_of: dict[int, int] = {p: q for q, p in layout.items()}
-    pairs = _two_qubit_pairs(circuit)
-    window = _WeightedWindow(pairs, lookahead)
+        phys[q] = p
+        logical_of[p] = q
+
+    # Slots are unordered logical pairs (distances are symmetric);
+    # ``touching[l]`` lists ``(slot, partner)`` for every slot on ``l``.
+    slot_of: dict[tuple[int, ...], int] = {}
+    touching: list[list[tuple[int, int]]] = [[] for _ in range(circuit.n_qubits)]
+    n_slots = 0
+    for a, b in dict.fromkeys(pairs):
+        slot = slot_of.get((b, a))
+        if slot is None:
+            slot, n_slots = n_slots, n_slots + 1
+            touching[a].append((slot, b))
+            touching[b].append((slot, a))
+        slot_of[a, b] = slot
+    pid = np.fromiter(map(slot_of.__getitem__, pairs), dtype=np.intp, count=len(pairs))
+    tiers = np.array(
+        [_offset_weight(k) for k in range(min(lookahead, len(pairs)))], dtype=np.float64
+    )
     out_gates: list[Gate] = []
 
-    # Reusable per-decision index buffers (the cube is a view of the column
-    # buffer, so the scalar assignments below update both).
-    anchor_col = np.empty((2, 1), dtype=np.int32)
-    other_col = np.empty((2, 1), dtype=np.int32)
-    anchor_cube = anchor_col[:, :, None]
-
-    t = 0
+    t = 0  # window start: the two-qubit gate after the front gate
     for gate in circuit.gates:
         if len(gate.qubits) == 1:
-            out_gates.append(_relabel(gate, (phys_list[gate.qubits[0]],)))
+            out_gates.append(_relabel(gate, (phys[gate.qubits[0]],)))
             continue
         a, b = gate.qubits
-        while d[phys_list[a]][phys_list[b]] > 1:
-            pa, pb = phys_list[a], phys_list[b]
-            front = d[pa][pb]
-            # Cheap pre-scan: with a single distance-reducing edge there is
-            # nothing to score (any scoring would pick it unconditionally).
-            sole = None
-            n_candidates = 0
-            for anchor, other in ((pa, pb), (pb, pa)):
-                row = d[other]
-                for nb_ in adj[anchor]:
-                    if row[nb_] < front:
-                        n_candidates += 1
-                        sole = (anchor, nb_)
-            if n_candidates == 1:
-                p1, p2 = sole
-            else:
-                anchor_col[0, 0] = pa
-                anchor_col[1, 0] = pb
-                other_col[0, 0] = pb
-                other_col[1, 0] = pa
-                win_ab, win_w = window.arrays()
-                nbs = adjm[(pa, pb), :]  # (2, M), padded with self
-                base = dist[nbs, other_col]  # (2, M)
-                keep = base < front
-                nb_cube = nbs[:, :, None]  # (2, M, 1)
-                pos = phys_np[win_ab]  # (2K,): la positions then lb positions
-                pos2 = np.where(pos == anchor_cube, nb_cube, pos)
-                pos2 = np.where(pos == nb_cube, anchor_cube, pos2)
-                half = win_w.shape[0]
-                future = dist[pos2[:, :, :half], pos2[:, :, half:]] @ win_w
-                scores = np.where(
-                    keep, base * _FRONT_WEIGHT + future, _SCORE_INF
-                )
-                k = int(np.argmin(scores))  # first minimum == scan-order tie-break
-                p1 = (pa, pb)[k // nbs.shape[1]]
-                p2 = int(nbs.flat[k])
-            out_gates.append(_swap_gate(p1, p2))
-            l1, l2 = logical_of.get(p1), logical_of.get(p2)
-            if l1 is not None:
-                phys_list[l1] = p2
-                phys_np[l1] = p2
-            if l2 is not None:
-                phys_list[l2] = p1
-                phys_np[l2] = p1
-            logical_of[p1], logical_of[p2] = l2, l1
-        out_gates.append(_relabel(gate, (phys_list[a], phys_list[b])))
-        window.advance(t)
         t += 1
+        pa, pb = phys[a], phys[b]
+        while d[pa][pb] > 1:
+            front = d[pa][pb]
+            candidates = [
+                (anchor, nb, row[nb])
+                for anchor, row in ((pa, d[pb]), (pb, d[pa]))
+                for nb in adj[anchor]
+                if row[nb] < front
+            ]
+            if len(candidates) == 1:
+                p1, p2, _ = candidates[0]
+            else:
+                window = pid[t : t + lookahead]
+                # Integer-valued float weights: every sum below is exact.
+                w = np.bincount(window, tiers[: len(window)], n_slots).tolist()
+                best_score = None
+                for anchor, nb, base in candidates:
+                    l1, l2 = logical_of[anchor], logical_of[nb]
+                    da, dn = d[anchor], d[nb]
+                    score = _FRONT_WEIGHT * base
+                    for slot, partner in touching[l1]:
+                        ws = w[slot]
+                        if ws and partner != l2:
+                            q = phys[partner]
+                            score += ws * (dn[q] - da[q])
+                    if l2 is not None:
+                        for slot, partner in touching[l2]:
+                            ws = w[slot]
+                            if ws and partner != l1:
+                                q = phys[partner]
+                                score += ws * (da[q] - dn[q])
+                    if best_score is None or score < best_score:
+                        best_score, p1, p2 = score, anchor, nb
+            out_gates.append(_swap_gate(p1, p2))
+            l1, l2 = logical_of[p1], logical_of[p2]
+            if l1 is not None:
+                phys[l1] = p2
+            if l2 is not None:
+                phys[l2] = p1
+            logical_of[p1], logical_of[p2] = l2, l1
+            pa, pb = phys[a], phys[b]
+        out_gates.append(_relabel(gate, (pa, pb)))
 
     # Trusted: every index is a valid physical qubit.
     out = Circuit.trusted(graph.number_of_nodes(), out_gates)
-    final = {q: phys_list[q] for q in range(n_logical)}
+    final = {q: phys[q] for q in range(circuit.n_qubits)}
     return RoutedCircuit(out, layout, final)

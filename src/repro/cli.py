@@ -296,6 +296,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("repro compile: error: --arch-weight only applies when "
               "--mappings includes hatt-arch", file=sys.stderr)
         return 2
+    opt_kwargs = {"term_order": args.order}
+    if args.lookahead is not None:
+        opt_kwargs["lookahead"] = args.lookahead
+    try:
+        options = CompileOptions(**opt_kwargs)
+    except ValueError as exc:
+        print(f"repro compile: error: {exc}", file=sys.stderr)
+        return 2
     h = build_case(args.case)
     cache_dir = _resolve_cache_dir(args, opt_in=True)
     # hatt-arch mappings are per-architecture; the mapping prewarm can only
@@ -306,12 +314,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
              arch=archs[0] if len(archs) == 1 else None,
              arch_weight=args.arch_weight)
     service = _make_service(cache_dir)
-    opt_kwargs = {"term_order": args.order}
-    if args.lookahead is not None:
-        opt_kwargs["lookahead"] = args.lookahead
     pipeline = CompilationPipeline(
         service=service,
-        options=CompileOptions(**opt_kwargs),
+        options=options,
         arch_weight=args.arch_weight,
     )
     from .obs.trace import TraceContext, activate

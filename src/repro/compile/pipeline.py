@@ -80,6 +80,14 @@ class CompileOptions:
             raise ValueError(
                 f"unknown term order {self.term_order!r}; expected one of {TERM_ORDERS}"
             )
+        if (
+            not isinstance(self.lookahead, int)
+            or isinstance(self.lookahead, bool)
+            or self.lookahead < 0
+        ):
+            raise ValueError(
+                f"lookahead must be a non-negative int, got {self.lookahead!r}"
+            )
 
     def cache_payload(self) -> dict:
         """The options as fingerprint payload."""

@@ -126,7 +126,9 @@ class CompileRequest:
                 f"unknown term order {self.term_order!r}; expected one of {TERM_ORDERS}"
             )
         if self.lookahead is not None and (
-            not isinstance(self.lookahead, int) or self.lookahead < 1
+            not isinstance(self.lookahead, int)
+            or isinstance(self.lookahead, bool)
+            or self.lookahead < 1
         ):
             raise ValueError(f"lookahead must be a positive int, got {self.lookahead!r}")
         if self.deadline is not None and (

@@ -2,10 +2,11 @@
 
 The oracle for :func:`repro.circuits.route_circuit`.  It scores each
 candidate SWAP by the float sum ``d_front + Σ_k w_k/32 · d_k`` over every
-window position, where the kernel scores a weighted pair multiset in
-integers exactly 32x larger; both keep the first minimum in the same
-candidate order, so they emit bit-identical gate sequences
-(``test_routing.py`` and the Table IV bench assert it).
+window position.  The engine scores, in integer-valued arithmetic, only the
+change a swap makes to the window pairs on the two swapped logicals; its
+score is exactly 32x this one minus a per-decision constant.  Both keep the
+first minimum in the same candidate order, so they emit bit-identical gate
+sequences (``test_routing.py`` and the Table IV bench assert it).
 """
 
 from __future__ import annotations

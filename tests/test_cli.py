@@ -341,6 +341,21 @@ class TestCompile:
     def test_bad_mappings_rejected(self, capsys):
         assert main(["compile", "H2_sto3g", "--mappings", "qiskit"]) == 2
 
+    def test_negative_lookahead_rejected_before_build(self, capsys, monkeypatch):
+        """Regression: ``--lookahead -1`` used to build, map and synthesize
+        before the router raised; it is a usage error caught up front."""
+        import repro.cli
+
+        def no_build(case):
+            raise AssertionError(f"built {case} for an invalid --lookahead")
+
+        monkeypatch.setattr(repro.cli, "build_case", no_build)
+        argv = ["compile", "hubbard:2x2", "--arch", "montreal", "--lookahead", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro compile: error: lookahead")
+        assert "Traceback" not in err
+
     def test_lexicographic_order_flag(self, capsys):
         mut = run_json(capsys, ["compile", "LiH_sto3g_frz", "--arch",
                                 "ionq_forte", "--json", "--mappings", "jw"])

@@ -35,6 +35,16 @@ class TestCompileOptions:
         with pytest.raises(ValueError):
             CompileOptions(term_order="alphabetical")
 
+    @pytest.mark.parametrize("lookahead", [-1, True, 2.0, "8", None])
+    def test_rejects_bad_lookahead(self, lookahead):
+        """The router's own rule (a non-negative int), checked before any
+        work instead of after synthesis."""
+        with pytest.raises(ValueError, match="lookahead"):
+            CompileOptions(lookahead=lookahead)
+
+    def test_zero_lookahead_accepted(self):
+        assert CompileOptions(lookahead=0).lookahead == 0
+
     def test_options_fork_fingerprint(self):
         base = CompileOptions()
         fp = circuit_fingerprint("ef" * 32, "ab" * 32, "montreal", base)

@@ -245,11 +245,54 @@ class TestBackendEquivalence:
             route_circuit(ghz_circuit(3), montreal(), backend="cuda")
 
     def test_negative_lookahead_rejected(self):
-        """Regression: a negative horizon used to corrupt the vector
-        engine's window bookkeeping and break cross-engine bit-identity."""
+        """A negative horizon has no meaning: both engines refuse it before
+        any work rather than route as if it were 0 (an empty window)."""
         for route in ROUTERS:
             with pytest.raises(ValueError):
                 route(ghz_circuit(3), montreal(), lookahead=-1)
+
+
+#: Horizons straddling every tier bound (4, 16, 64), the default and beyond.
+LOOKAHEADS = (0, 1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 256, 1024)
+ARCHS = ("manhattan", "montreal", "sycamore", "ionq_forte")
+_GRAPHS = {arch: architecture(arch) for arch in ARCHS}
+
+
+@st.composite
+def hot_pair_circuits(draw):
+    """A few hot pairs in both orientations, cold pairs and 1q gates among
+    the first ``active`` logicals; logicals past ``active`` stay idle."""
+    arch = draw(st.sampled_from(ARCHS))
+    n = draw(st.integers(2, min(30, _GRAPHS[arch].number_of_nodes())))
+    active = draw(st.integers(2, n))
+    rng = draw(st.randoms(use_true_random=False))
+    hot = [tuple(rng.sample(range(active), 2)) for _ in range(rng.randint(1, 4))]
+    circuit = Circuit(n)
+    for _ in range(draw(st.integers(0, 120))):
+        roll = rng.random()
+        if roll < 0.6:
+            a, b = rng.choice(hot)
+            circuit.add("cx", *((a, b) if rng.random() < 0.5 else (b, a)))
+        elif roll < 0.8:
+            circuit.add("cx", *rng.sample(range(active), 2))
+        else:
+            circuit.add(rng.choice(("h", "s", "t")), rng.randrange(active))
+    return arch, circuit
+
+
+class TestCrossEngineProperty:
+    """The router against its scalar oracle on random hot-pair circuits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hot_pair_circuits(), st.sampled_from(LOOKAHEADS))
+    def test_matches_scalar_oracle(self, arch_circuit, lookahead):
+        arch, circuit = arch_circuit
+        graph = _GRAPHS[arch]
+        vec = route_circuit(circuit, graph, lookahead=lookahead)
+        sca = scalar_route_circuit(circuit, graph, lookahead=lookahead)
+        assert vec.circuit.gates == sca.circuit.gates
+        assert vec.initial_layout == sca.initial_layout
+        assert vec.final_layout == sca.final_layout
 
 
 def _random_circuit(draw_ints, n, n_gates):

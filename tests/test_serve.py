@@ -62,6 +62,7 @@ class TestCompileRequestSchema:
         ({"case": "x", "term_order": "random"}, "unknown term order"),
         ({"case": "x", "lookahead": 0}, "positive int"),
         ({"case": "x", "lookahead": 1.5}, "positive int"),
+        ({"case": "x", "lookahead": True}, "positive int"),  # JSON true
         ({"case": "x", "job": "compile"}, "need arch"),
         ({"case": "x", "job": "compile", "arch": "osprey"}, "need arch"),
         ({"case": "x", "arch": "montreal"}, "map jobs take no arch"),
