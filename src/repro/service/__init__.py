@@ -17,7 +17,6 @@ cacheable, shareable artifacts keyed by the *physics* of the request:
 
 from .fingerprint import (
     ADAPTIVE_KINDS,
-    DEFAULT_SPILL_AT,
     DEFAULT_TOLERANCE,
     MAPPING_KINDS,
     STATIC_KINDS,
@@ -25,8 +24,6 @@ from .fingerprint import (
     canonical_terms,
     fingerprint_operator,
     fingerprint_request,
-    fingerprint_request_stream,
-    fingerprint_stream,
 )
 from .store import NAMESPACES, ArtifactStore, default_cache_dir
 from .service import CompileResult, MappingService, compile_mapping
@@ -46,12 +43,9 @@ __all__ = [
     "STATIC_KINDS",
     "ADAPTIVE_KINDS",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_SPILL_AT",
     "canonical_terms",
     "fingerprint_operator",
     "fingerprint_request",
-    "fingerprint_request_stream",
-    "fingerprint_stream",
     "ArtifactStore",
     "NAMESPACES",
     "default_cache_dir",

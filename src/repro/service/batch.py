@@ -8,16 +8,11 @@ each lands.  With a shared ``cache_dir`` the workers read and repair the
 same content-addressed store the serial service uses, so a warm suite is
 pure cache reads.
 
-Cases resolve through the :mod:`repro.sources` registry.  In-memory
-sources (built-in generators) are constructed once, in the parent, during
-fingerprint planning — some case generators run a Hartree–Fock solve,
-which must not be repeated per worker — and ship the built
-``FermionOperator`` to the pool.  **File-backed** sources (``npz:``,
-``fcidump:``, seeded ``random:`` ensembles) ship only their spec string:
-the parent fingerprints them via the streamed path without ever building,
-each worker re-resolves the spec locally, and the worker's
-fingerprint cross-check doubles as a live streamed-vs-in-memory
-bit-identity assertion.  Workers return the compiled mapping as its
+Cases resolve through the :mod:`repro.sources` registry.  Planning
+builds every case once, in the parent — some case generators run a
+Hartree–Fock solve, which must not be repeated per worker — and
+fingerprints each task on that operator; the pool receives the built
+``FermionOperator``.  Workers return the compiled mapping as its
 schema-v2 JSON document plus the per-fingerprint Pauli-weight evaluation
 (equal-fingerprint tasks share canonical terms, hence the weight).
 """
@@ -28,20 +23,15 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..analysis.tables import format_table
 from ..fermion import FermionOperator
 from ..mappings.io import mapping_from_dict, mapping_to_dict
 from ..obs.trace import TraceContext, activate, current_trace
-from ..sources import HamiltonianSource, resolve as resolve_source
-from .fingerprint import (
-    MAPPING_KINDS,
-    MappingSpec,
-    fingerprint_request,
-    fingerprint_request_stream,
-)
+from ..sources import resolve as resolve_source
+from .fingerprint import MAPPING_KINDS, MappingSpec, fingerprint_request
 from .service import MappingService
 
 __all__ = [
@@ -210,25 +200,21 @@ def _compile_worker(
 ) -> tuple[str, dict | None, str, float, str | None, list[dict], int | None]:
     """Compile one unique fingerprint in a worker process.
 
-    ``payload`` is ``("op", FermionOperator)`` for in-memory sources or
-    ``("spec", str)`` for file-backed ones — the worker re-resolves the
-    spec against its local filesystem/generator instead of unpickling a
-    shipped operator.  Returns ``(fingerprint, mapping_doc, source,
-    compile_seconds, error, spans, pauli_weight)``; the mapping travels
-    back as its schema-v2 JSON document (plain dict, no custom pickling
-    surface) and ``spans`` carries the worker-side stage timings — context
-    vars don't cross processes, so the trace rides the return value.
-
-    For spec-shipped cases the parent's fingerprint came from the streamed
-    path, so the cross-check against the service's in-memory fingerprint
-    is a live bit-identity assertion between the two canonicalizations.
+    ``h`` is the operator the parent built and fingerprinted.  Returns
+    ``(fingerprint, mapping_doc, source, compile_seconds, error, spans,
+    pauli_weight)``; the mapping travels back as its schema-v2 JSON
+    document (plain dict, no custom pickling surface) and ``spans`` carries
+    the worker-side stage timings — context vars don't cross processes, so
+    the trace rides the return value.  The operator arrives with its
+    memoized canonical lines, so the worker does not canonicalize again;
+    the service's fingerprint is still checked against the parent's, so a
+    worker that keys the request differently fails its tasks instead of
+    caching under the wrong key.
     """
-    (payload, kind, arch, arch_weight, cache_dir, use_disk, expected_fp,
+    (h, kind, arch, arch_weight, cache_dir, use_disk, expected_fp,
      evaluate) = args
     trace_ctx = TraceContext()
     try:
-        mode, value = payload
-        h = value if mode == "op" else resolve_source(value).build()
         spec = _spec_for(kind, arch, arch_weight)
         service = MappingService(cache_dir=cache_dir, use_disk=use_disk)
         with activate(trace_ctx):
@@ -267,63 +253,39 @@ def _plan(
     tasks: Iterable[BatchTask],
     arch: str | None = None,
     arch_weight: float | None = None,
-) -> tuple[
-    dict[str, HamiltonianSource | None],
-    dict[str, FermionOperator],
-    dict[str, list[BatchTask]],
-    list[TaskResult],
-]:
-    """Resolve sources, fingerprint every task, group tasks by fingerprint.
+) -> tuple[dict[str, FermionOperator], dict[str, list[BatchTask]], list[TaskResult]]:
+    """Build every case once, fingerprint every task, group tasks by fingerprint.
 
-    In-memory sources build their operator here (once, in the parent);
-    file-backed sources are fingerprinted via the streamed path and stay
-    unbuilt — workers resolve the spec themselves.
+    The canonical lines are memoized on the operator, so a case
+    canonicalizes once however many adaptive kinds it runs.  A case that
+    fails to resolve or build fails every one of its tasks with its error.
     """
-    srcs: dict[str, HamiltonianSource | None] = {}
     hams: dict[str, FermionOperator] = {}
+    failed: dict[str, str] = {}
     errors: list[TaskResult] = []
     by_fp: dict[str, list[BatchTask]] = {}
     for task in tasks:
-        if task.case not in srcs:
+        if task.case not in hams and task.case not in failed:
             try:
-                srcs[task.case] = resolve_source(task.case)
-            except Exception as exc:  # noqa: BLE001 - bad spec → per-task error
-                errors.append(
-                    TaskResult(task.case, task.kind,
-                               error=f"{type(exc).__name__}: {exc}")
-                )
-                srcs[task.case] = None
-                continue
-        src = srcs[task.case]
-        if src is None:
-            errors.append(
-                TaskResult(task.case, task.kind, error="case failed to resolve")
-            )
+                hams[task.case] = resolve_source(task.case).build()
+            except Exception as exc:  # noqa: BLE001 - bad spec or file → per-task error
+                failed[task.case] = f"{type(exc).__name__}: {exc}"
+        if task.case in failed:
+            errors.append(TaskResult(task.case, task.kind, error=failed[task.case]))
             continue
         try:
             spec = _spec_for(task.kind, arch, arch_weight)
-            if src.file_backed:
-                resolved = replace(spec, n_modes=src.n_modes)
-                terms = None
-                if resolved.hamiltonian_dependent:
-                    terms = (
-                        pair for chunk in src.iter_terms() for pair in chunk
-                    )
-                fp = fingerprint_request_stream(terms, resolved)
-            else:
-                if task.case not in hams:
-                    hams[task.case] = src.build()
-                fp = fingerprint_request(hams[task.case], spec)
+            fp = fingerprint_request(hams[task.case], spec)
         except ValueError as exc:  # e.g. hatt-arch without an arch
             errors.append(TaskResult(task.case, task.kind, error=str(exc)))
             continue
-        except Exception as exc:  # noqa: BLE001 - e.g. unreadable backing file
+        except Exception as exc:  # noqa: BLE001 - e.g. non-finite coefficients
             errors.append(
                 TaskResult(task.case, task.kind, error=f"{type(exc).__name__}: {exc}")
             )
             continue
         by_fp.setdefault(fp, []).append(task)
-    return srcs, hams, by_fp, errors
+    return hams, by_fp, errors
 
 
 def _task_result(
@@ -366,22 +328,15 @@ def iter_compile_suite(
     Stage spans land on the active trace, if any — worker spans included.
     """
     tasks = expand_tasks(cases, kinds)
-    srcs, hams, by_fp, errors = _plan(tasks, arch, arch_weight)
+    hams, by_fp, errors = _plan(tasks, arch, arch_weight)
     yield from errors
-
-    def ham_for(case: str) -> FermionOperator:
-        """The built operator of a planned case (file-backed build lazily;
-        the source instance caches, so one build serves every fp group)."""
-        if case not in hams:
-            hams[case] = srcs[case].build()  # type: ignore[union-attr]
-        return hams[case]
 
     if jobs <= 1 or len(by_fp) <= 1:
         service = MappingService(cache_dir=cache_dir, use_disk=use_cache)
         for fp, fp_tasks in by_fp.items():
             spec = _spec_for(fp_tasks[0].kind, arch, arch_weight)
+            h = hams[fp_tasks[0].case]
             try:
-                h = ham_for(fp_tasks[0].case)
                 result = service.get_or_compile(h, spec)
             except Exception as exc:  # noqa: BLE001 - keep the suite going
                 for task in fp_tasks:
@@ -396,21 +351,14 @@ def iter_compile_suite(
                                    result.compile_seconds, weight)
         return
 
-    # Parallel path: one pool task per unique fingerprint.  File-backed
-    # sources ship their spec string; workers resolve it locally and also
-    # run the Pauli-weight evaluation, so the parent never builds them.
-    def worker_payload(case: str):
-        src = srcs[case]
-        if src is not None and src.file_backed:
-            return ("spec", src.spec)
-        return ("op", ham_for(case))
-
+    # Parallel path: one pool task per unique fingerprint, shipping the
+    # operator planning built; workers also run the Pauli-weight evaluation.
     max_workers = min(jobs, len(by_fp), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=max_workers, mp_context=pool_context()) as pool:
         futures = {
             pool.submit(
                 _compile_worker,
-                (worker_payload(fp_tasks[0].case), fp_tasks[0].kind, arch,
+                (hams[fp_tasks[0].case], fp_tasks[0].kind, arch,
                  arch_weight, cache_dir, use_cache, fp, evaluate),
             ): fp
             for fp, fp_tasks in by_fp.items()

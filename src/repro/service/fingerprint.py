@@ -41,20 +41,16 @@ once and its products are gathered for every term that shares it.  Equal
 monomials are found with one lexsort on codes ``2·mode + dagger`` padded
 below every code (so row order is tuple order) and summed in term order with
 ``add_term``'s rule: a running total within ``1e-12`` is dropped and a later
-product restarts it.  The streamed path (:func:`canonical_lines_stream`)
-keeps the per-term rewrite, since it never holds the operator.
+product restarts it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
-import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -73,13 +69,10 @@ __all__ = [
     "STATIC_KINDS",
     "ADAPTIVE_KINDS",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_SPILL_AT",
     "FINGERPRINT_SCHEMA",
     "canonical_terms",
     "fingerprint_operator",
     "fingerprint_request",
-    "fingerprint_stream",
-    "fingerprint_request_stream",
 ]
 
 #: Bump when the canonical payload layout changes (old cache entries become
@@ -417,227 +410,3 @@ def fingerprint_request(
         payload["tol"] = repr(tol)
         payload["terms"] = canonical_terms(hamiltonian, tol)
     return _digest(payload)
-
-
-# ----------------------------------------------------------------------
-# Streamed fingerprinting (chunked, bounded memory, bit-identical)
-# ----------------------------------------------------------------------
-#: Entries buffered in memory before a sorted run spills to a temp file.
-#: The default keeps ~tens of MB resident; sources streaming Hamiltonians
-#: too large for memory lower it (or callers raise it to stay in RAM).
-DEFAULT_SPILL_AT = 1 << 18
-
-#: Run-file field separator: sorts below every character a term key or a
-#: fixed-width sort key uses (digits, space, ``^``, ``_``), so comparing
-#: composite lines compares ``(sort_key, sequence)`` pairs.
-_FIELD_SEP = "\x1f"
-
-#: Placeholder spliced into the JSON payload where the term array goes;
-#: cannot collide with any real payload value.
-_TERMS_SENTINEL = "\x00terms\x00"
-
-
-def _fermion_sort_key(term: tuple) -> str:
-    """Fixed-width encoding whose string order equals action-tuple order."""
-    return "".join(f"{mode:08d}{1 if dagger else 0}" for mode, dagger in term)
-
-
-def _majorana_sort_key(term: tuple) -> str:
-    return "".join(f"{index:08d}" for index in term)
-
-
-def _iter_entries(
-    terms: Iterable[tuple], form: str
-) -> Iterator[tuple[str, str, complex]]:
-    """Normal-ordered ``(sort_key, key_str, coeff)`` entries of a term stream.
-
-    Fermion monomials are normal-ordered one at a time — normal ordering is
-    linear, so per-term rewriting followed by a global merge of equal
-    monomials reproduces :meth:`FermionOperator.normal_order` of the sum.
-    The per-term rewrite uses the very same ``_normal_order_fast`` /
-    ``_normal_order_term`` machinery, so sub-term emission order (and hence
-    floating-point accumulation order downstream) matches the in-memory path.
-    """
-    if form == "fermion":
-        for term, coeff in terms:
-            term = tuple(term)
-            coeff = complex(coeff)
-            fast = _normal_order_fast(term)
-            if fast is not None:
-                ordered, sign = fast
-                yield _fermion_sort_key(ordered), _fermion_key(ordered), sign * coeff
-            else:
-                for ordered, sub_coeff in _normal_order_term(term, coeff):
-                    yield _fermion_sort_key(ordered), _fermion_key(ordered), sub_coeff
-    elif form == "majorana":
-        for term, coeff in terms:
-            term = tuple(term)
-            yield _majorana_sort_key(term), " ".join(map(str, term)), complex(coeff)
-    else:
-        raise ValueError(f"unknown operator form {form!r}; expected fermion|majorana")
-
-
-def _fermion_key(term: tuple) -> str:
-    return " ".join(f"{m}{'^' if d else '_'}" for m, d in term)
-
-
-def _sorted_entry_lines(
-    entries: Iterator[tuple[str, str, complex]],
-    spill_at: int,
-    tmp_dir: str | None,
-) -> Iterator[str]:
-    """Globally sorted run-file lines via a bounded-memory external sort.
-
-    Each entry becomes one composite line carrying ``(sort_key, sequence,
-    key, coeff)``; runs of ``spill_at`` lines are sorted and spilled to
-    anonymous temp files, then k-way merged.  The sequence number keeps
-    equal-key entries in stream order, so downstream coefficient summation
-    is sequential in exactly the order the in-memory accumulator uses.
-    """
-    runs: list = []
-    buf: list[str] = []
-    try:
-        for seq, (sort_key, key, coeff) in enumerate(entries):
-            buf.append(
-                f"{sort_key}{_FIELD_SEP}{seq:012d}{_FIELD_SEP}{key}"
-                f"{_FIELD_SEP}{coeff.real.hex()}{_FIELD_SEP}{coeff.imag.hex()}"
-            )
-            if len(buf) >= spill_at:
-                buf.sort()
-                run = tempfile.TemporaryFile(
-                    mode="w+", encoding="utf-8", dir=tmp_dir, prefix="repro-fp-"
-                )
-                run.write("\n".join(buf))
-                run.write("\n")
-                run.seek(0)
-                runs.append(run)
-                buf = []
-        buf.sort()
-        if not runs:
-            yield from buf
-        else:
-            streams = [(line.rstrip("\n") for line in run) for run in runs]
-            yield from heapq.merge(*streams, iter(buf))
-    finally:
-        for run in runs:
-            run.close()
-
-
-def canonical_lines_stream(
-    terms: Iterable[tuple],
-    *,
-    form: str = "fermion",
-    tol: float = DEFAULT_TOLERANCE,
-    spill_at: int = DEFAULT_SPILL_AT,
-    tmp_dir: str | None = None,
-) -> Iterator[str]:
-    """Streamed equivalent of :func:`canonical_terms` over ``(term, coeff)``
-    pairs — bounded memory via external-sorted runs, equal monomials merged
-    by summing coefficients in stream order, then the same drop/quantize
-    rules as the in-memory accumulator.
-    """
-    current_sort_key: str | None = None
-    current_key = ""
-    total = 0j
-    for line in _sorted_entry_lines(_iter_entries(terms, form), spill_at, tmp_dir):
-        sort_key, _, key, re_hex, im_hex = line.split(_FIELD_SEP)
-        coeff = complex(float.fromhex(re_hex), float.fromhex(im_hex))
-        if sort_key != current_sort_key:
-            if current_sort_key is not None and abs(total) > _COEFF_TOLERANCE:
-                out = _term_line(current_key, total, tol)
-                if out is not None:
-                    yield out
-            current_sort_key, current_key, total = sort_key, key, 0j
-        total += coeff
-        if abs(total) <= _COEFF_TOLERANCE:
-            # Mirror ``add_term``: a running total inside tolerance pops the
-            # key, so the next addition restarts from exact zero rather than
-            # the sub-tolerance residue.
-            total = 0j
-    if current_sort_key is not None and abs(total) > _COEFF_TOLERANCE:
-        out = _term_line(current_key, total, tol)
-        if out is not None:
-            yield out
-
-
-def _stream_digest(payload: dict, lines: Iterable[str]) -> str:
-    """SHA-256 of ``payload`` with ``terms`` spliced in lazily.
-
-    Produces byte-for-byte the blob :func:`_digest` hashes for the same
-    payload carrying the full term list, without ever materializing it: the
-    payload is serialized around a sentinel, and each line is JSON-encoded
-    into the hash as it streams past.
-    """
-    payload = dict(payload)
-    payload["terms"] = _TERMS_SENTINEL
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    marker = json.dumps(_TERMS_SENTINEL)
-    prefix, _, suffix = blob.partition(marker)
-    digest = hashlib.sha256()
-    digest.update(prefix.encode("utf-8"))
-    digest.update(b"[")
-    first = True
-    for line in lines:
-        if not first:
-            digest.update(b",")
-        digest.update(json.dumps(line).encode("utf-8"))
-        first = False
-    digest.update(b"]")
-    digest.update(suffix.encode("utf-8"))
-    return digest.hexdigest()
-
-
-def fingerprint_stream(
-    terms: Iterable[tuple],
-    *,
-    form: str = "fermion",
-    tol: float = DEFAULT_TOLERANCE,
-    spill_at: int = DEFAULT_SPILL_AT,
-    tmp_dir: str | None = None,
-) -> str:
-    """Streamed :func:`fingerprint_operator`: same digest, bounded memory.
-
-    ``terms`` is a flat iterable of ``(term, coeff)`` pairs (a chunked
-    source flattens its chunks into this).  The digest is bit-identical to
-    ``fingerprint_operator(op)`` for ``op`` the sum of the streamed terms,
-    in any stream order — the property suite and every file-backed
-    round-trip test enforce this.
-    """
-    payload = {"fp_schema": FINGERPRINT_SCHEMA, "form": form, "tol": repr(tol)}
-    lines = canonical_lines_stream(
-        terms, form=form, tol=tol, spill_at=spill_at, tmp_dir=tmp_dir
-    )
-    return _stream_digest(payload, lines)
-
-
-def fingerprint_request_stream(
-    terms: Iterable[tuple] | None,
-    spec: MappingSpec,
-    *,
-    form: str = "fermion",
-    tol: float = DEFAULT_TOLERANCE,
-    spill_at: int = DEFAULT_SPILL_AT,
-    tmp_dir: str | None = None,
-) -> str:
-    """Streamed :func:`fingerprint_request` for sources too big to build.
-
-    ``spec.n_modes`` must already be resolved (sources know their mode count
-    without materializing terms).  Static kinds never read the stream —
-    ``terms`` may be ``None`` for them; adaptive kinds consume it once.
-    """
-    if spec.n_modes is None:
-        raise ValueError(
-            "spec.n_modes must be resolved before streamed fingerprinting "
-            "(use dataclasses.replace(spec, n_modes=source.n_modes))"
-        )
-    payload = _request_payload(spec)
-    if not spec.hamiltonian_dependent:
-        return _digest(payload)
-    if terms is None:
-        raise ValueError(f"adaptive kind {spec.kind!r} needs a term stream")
-    payload["form"] = form
-    payload["tol"] = repr(tol)
-    lines = canonical_lines_stream(
-        terms, form=form, tol=tol, spill_at=spill_at, tmp_dir=tmp_dir
-    )
-    return _stream_digest(payload, lines)

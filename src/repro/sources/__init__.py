@@ -1,7 +1,6 @@
 """Pluggable Hamiltonian frontends (the ``HamiltonianSource`` API).
 
-Resolve a URI-style spec to a source, build or stream its terms, and
-fingerprint it without materializing:
+Resolve a URI-style spec to a source and build its operator:
 
     >>> from repro.sources import resolve
     >>> src = resolve("hubbard:2x3")
@@ -27,7 +26,6 @@ fingerprinting it; third-party sources stay opted out unless they declare
 """
 
 from .base import (
-    DEFAULT_CHUNK_SIZE,
     HamiltonianSource,
     OperatorSource,
     as_source,
@@ -60,7 +58,6 @@ __all__ = [
     "OperatorSource",
     "as_source",
     "SourceInfo",
-    "DEFAULT_CHUNK_SIZE",
     "register_source",
     "registered_prefixes",
     "resolve",

@@ -7,23 +7,14 @@ consume:
 
 ``spec``
     The canonical URI-style string naming this exact Hamiltonian
-    (``hubbard:2x3``, ``fcidump:path.fcid``, …).  Specs are the unit of
-    transport: batch workers and served requests ship the spec, not the
-    operator.
+    (``hubbard:2x3``, ``fcidump:path.fcid``, …).  Served requests carry
+    the spec; batch planning resolves it once in the parent and ships the
+    built operator to its workers.
 ``describe()``
     Cheap metadata (family, mode count, parameters) without building.
 ``build()``
     The full :class:`~repro.fermion.FermionOperator`, built once and cached
     on the source instance.
-``iter_terms()``
-    The same terms as chunks of ``(actions, coeff)`` pairs.  File-backed
-    and generator-backed sources override this to stream without ever
-    materializing the operator.
-``fingerprint_stream()``
-    Order-invariant content fingerprint computed from ``iter_terms()`` —
-    bit-identical to ``fingerprint_operator(build())``, with bounded
-    memory, so a Hamiltonian too large to build can still hit the service
-    cache.
 ``identity()``
     A cheap name for the operator's content (a tuple of strings and
     numbers), or ``None``.  A
@@ -45,21 +36,17 @@ has no identity.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator
 
 from ..fermion import FermionOperator
 
 __all__ = [
     "HamiltonianSource",
     "OperatorSource",
-    "DEFAULT_CHUNK_SIZE",
     "as_source",
     "parse_params",
     "format_params",
     "format_number",
 ]
-
-DEFAULT_CHUNK_SIZE = 4096
 
 
 class HamiltonianSource(ABC):
@@ -68,8 +55,7 @@ class HamiltonianSource(ABC):
     #: Registry prefix family this source belongs to (``"hubbard"``, …).
     family: str = ""
     #: True when the terms live outside process memory (a file on disk, a
-    #: seeded generator): workers re-resolve the spec locally instead of
-    #: receiving a pickled operator.
+    #: seeded generator); ``describe()`` and ``repro sources`` report it.
     file_backed: bool = False
     #: Opt-in content identity (see :meth:`identity`): bump it whenever the
     #: operator a spec builds changes.  Read from the concrete class only.
@@ -94,47 +80,6 @@ class HamiltonianSource(ABC):
         if self._built is None:
             self._built = self._build()
         return self._built
-
-    def iter_terms(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[list[tuple[tuple, complex]]]:
-        """Yield the Hamiltonian's terms in chunks of ``(actions, coeff)``.
-
-        The default materializes via :meth:`build`; streaming sources
-        override it to emit chunks straight from their backing store.
-        """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        chunk: list[tuple[tuple, complex]] = []
-        for term, coeff in self.build().terms():
-            chunk.append((term, coeff))
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
-    def fingerprint_stream(
-        self,
-        tol: float | None = None,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        spill_at: int | None = None,
-        tmp_dir: str | None = None,
-    ) -> str:
-        """Content fingerprint from the term stream; see module docstring."""
-        from ..service import fingerprint as _fp
-
-        flat = (
-            pair for chunk in self.iter_terms(chunk_size=chunk_size) for pair in chunk
-        )
-        return _fp.fingerprint_stream(
-            flat,
-            form="fermion",
-            tol=_fp.DEFAULT_TOLERANCE if tol is None else tol,
-            spill_at=_fp.DEFAULT_SPILL_AT if spill_at is None else spill_at,
-            tmp_dir=tmp_dir,
-        )
 
     def identity(self) -> tuple | None:
         """``(spec, class, version)`` when the concrete class declares

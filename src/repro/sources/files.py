@@ -35,7 +35,7 @@ import numpy as np
 
 from ..fermion import FermionOperator
 from ..models.electronic import fermion_hamiltonian_from_integrals
-from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource
+from .base import HamiltonianSource
 from .registry import register_source
 
 __all__ = [
@@ -162,20 +162,6 @@ class NpzSource(_FileSnapshot, HamiltonianSource):
         for term, coeff in _iter_npz_terms(self._load()):
             op.add_term(term, coeff)
         return op
-
-    def iter_terms(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[list[tuple[tuple, complex]]]:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        chunk: list[tuple[tuple, complex]] = []
-        for pair in _iter_npz_terms(self._load()):
-            chunk.append(pair)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
 
     def describe(self) -> dict:
         doc = super().describe()

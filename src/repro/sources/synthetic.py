@@ -7,9 +7,7 @@ Currently one kind: a seeded complex SYK₄ Hamiltonian,
 over ordered mode pairs ``p=(i<j)``, ``q=(k<l)`` with complex Gaussian
 couplings of scale ``J/n^{3/2}`` (real on the diagonal ``p=q``), Hermitian
 by construction.  Everything is a pure function of ``(n, seed, j)``, so
-the spec alone reproduces the Hamiltonian bit-for-bit in any process —
-batch workers rebuild from the spec instead of unpickling operators, and
-``iter_terms`` streams straight off the generator without materializing.
+the spec alone reproduces the Hamiltonian bit-for-bit in any process.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from ..fermion import FermionOperator
 from ..fermion.operators import _COEFF_TOLERANCE
-from .base import DEFAULT_CHUNK_SIZE, HamiltonianSource, format_number, parse_params
+from .base import HamiltonianSource, format_number, parse_params
 from .registry import register_source
 
 __all__ = ["SykSource"]
@@ -31,8 +29,8 @@ class SykSource(HamiltonianSource):
 
     family = "random"
     identity_version = 1
-    # The terms never live in a file, but like file-backed sources the spec
-    # is the cheap, process-portable representation — ship it, not the op.
+    # The terms never live in a file, but like a file's they come from
+    # outside process memory: the spec alone regenerates them.
     file_backed = True
 
     def __init__(self, spec: str):
@@ -87,20 +85,6 @@ class SykSource(HamiltonianSource):
                 g = complex(next(draws), next(draws))
                 yield (create[i], create[k], destroy[k2], destroy[i2]), g
                 yield (create[i2], create[k2], destroy[k], destroy[i]), g.conjugate()
-
-    def iter_terms(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[list[tuple[tuple, complex]]]:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        chunk: list[tuple[tuple, complex]] = []
-        for pair in self._iter_raw():
-            chunk.append(pair)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
 
     def _build(self) -> FermionOperator:
         # Every term of the stream is distinct, so add_term reduces to its

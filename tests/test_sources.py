@@ -1,27 +1,23 @@
 """Tests for the pluggable HamiltonianSource API (repro.sources).
 
 Covers the registry (every spec form, canonicalization, the satellite
-error contract), streamed fingerprinting bit-identity, ``.npz``/FCIDUMP round-trips (property-based
-via Hypothesis), the SYK ensemble, and the batch/serve integration.
+error contract), ``.npz``/FCIDUMP round-trips (property-based via
+Hypothesis), the SYK ensemble, the batch/serve integration, and the
+removed streamed-fingerprint surface.
 """
 
 import json
-import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fermion import FermionOperator, MajoranaOperator
+from repro.fermion import FermionOperator
 from repro.models.electronic import case_integrals, fermion_hamiltonian_from_integrals
 from repro.service import MappingService, MappingSpec, compile_suite
-from repro.service.fingerprint import (
-    fingerprint_operator,
-    fingerprint_request,
-    fingerprint_request_stream,
-    fingerprint_stream,
-)
+from repro.service.fingerprint import fingerprint_operator, fingerprint_request
 from repro.serve.schema import CompileRequest
 from repro.sources import (
     HamiltonianSource,
@@ -37,9 +33,6 @@ from repro.sources import (
     write_fcidump,
 )
 from repro.sources import registry as registry_mod
-
-BUILTIN_CASES = ["hubbard:2x3", "neutrino:2x2F", "H2_sto3g"]
-
 
 # ----------------------------------------------------------------------
 # Registry: every spec form + error contract
@@ -151,7 +144,6 @@ class TestRegistry:
             assert src.n_modes == 2
             assert len(src.build()) == 2
             assert any(s["prefix"] == "toy" for s in source_catalog())
-            assert src.fingerprint_stream() == fingerprint_operator(src.build())
         finally:
             registry_mod._REGISTRY.pop("toy", None)
 
@@ -287,84 +279,19 @@ class TestSourceIdentity:
         assert svc.aliases.stats()["misses"] == 2
 
 
-# ----------------------------------------------------------------------
-# Streamed fingerprinting: bit-identity with the in-memory path
-# ----------------------------------------------------------------------
-class TestFingerprintStream:
-    @pytest.mark.parametrize("case", BUILTIN_CASES)
-    def test_bit_identical_for_builtin_cases(self, case):
-        h = build_case(case)
-        expected = fingerprint_operator(h)
-        src = resolve(case)
-        assert src.fingerprint_stream() == expected
-        # Tiny spill threshold forces the external-sort path.
-        assert src.fingerprint_stream(spill_at=7) == expected
-        # Chunk size must not matter.
-        assert src.fingerprint_stream(chunk_size=3) == expected
-
-    @pytest.mark.parametrize("case", BUILTIN_CASES)
-    def test_order_invariance(self, case):
-        h = build_case(case)
-        items = list(h.terms())
-        rng = random.Random(11)
-        rng.shuffle(items)
-        assert fingerprint_stream(iter(items), spill_at=13) == \
-            fingerprint_operator(h)
-
-    def test_majorana_form(self):
-        m = MajoranaOperator.from_fermion_operator(build_case("hubbard:1x2"))
-        assert fingerprint_stream(m.terms(), form="majorana") == \
-            fingerprint_operator(m)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            fingerprint_stream(iter([]), form="pauli")
-
-    def test_request_stream_matches_request_adaptive(self):
-        h = build_case("hubbard:1x2")
-        spec = MappingSpec(kind="hatt")
-        expected = fingerprint_request(h, spec)
-        resolved = MappingSpec(kind="hatt", n_modes=h.n_modes)
-        assert fingerprint_request_stream(h.terms(), resolved) == expected
-
-    def test_request_stream_matches_request_static_without_terms(self):
-        h = build_case("hubbard:1x2")
-        spec = MappingSpec(kind="jw")
-        resolved = MappingSpec(kind="jw", n_modes=h.n_modes)
-        assert fingerprint_request_stream(None, resolved) == \
-            fingerprint_request(h, spec)
-
-    def test_request_stream_requires_resolved_modes(self):
-        with pytest.raises(ValueError, match="n_modes"):
-            fingerprint_request_stream(iter([]), MappingSpec(kind="hatt"))
-
-    def test_request_stream_adaptive_requires_terms(self):
-        with pytest.raises(ValueError, match="term stream"):
-            fingerprint_request_stream(None, MappingSpec(kind="hatt", n_modes=4))
-
-    # Property: for ANY term multiset in ANY order (duplicates included),
-    # the streamed digest equals the in-memory digest of the summed operator.
-    fermion_terms = st.lists(
-        st.tuples(
-            st.lists(
-                st.tuples(st.integers(0, 4), st.booleans()),
-                min_size=0, max_size=4,
-            ).map(tuple),
-            st.complex_numbers(
-                max_magnitude=10, allow_nan=False, allow_infinity=False
-            ),
+# Any term multiset in any order, duplicates included.
+fermion_terms = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.booleans()),
+            min_size=0, max_size=4,
+        ).map(tuple),
+        st.complex_numbers(
+            max_magnitude=10, allow_nan=False, allow_infinity=False
         ),
-        max_size=25,
-    )
-
-    @given(fermion_terms, st.integers(1, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_property_stream_equals_in_memory(self, items, spill_at):
-        op = FermionOperator()
-        for term, coeff in items:
-            op.add_term(term, coeff)
-        assert fingerprint_stream(iter(items), spill_at=spill_at) == \
-            fingerprint_operator(op)
+    ),
+    max_size=25,
+)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +307,6 @@ class TestNpzRoundTrip:
         assert src.file_backed
         assert src.n_modes == h.n_modes
         assert fingerprint_operator(src.build()) == fingerprint_operator(h)
-        assert src.fingerprint_stream() == fingerprint_operator(h)
         assert src.describe()["n_terms"] == len(h)
 
     def test_rejects_foreign_npz(self, tmp_path):
@@ -390,7 +316,7 @@ class TestNpzRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             src.n_modes
 
-    @given(TestFingerprintStream.fermion_terms)
+    @given(fermion_terms)
     @settings(max_examples=40, deadline=None)
     def test_property_save_load_fingerprint(self, items):
         import tempfile
@@ -428,7 +354,6 @@ class TestFcidumpRoundTrip:
         assert src.file_backed
         assert src.n_modes == 4
         assert fingerprint_operator(src.build()) == expected
-        assert src.fingerprint_stream(spill_at=5) == expected
 
     def test_reads_symmetry_compacted_external_file(self, tmp_path):
         # External-program style: one line per orbit, Fortran D exponents.
@@ -501,11 +426,6 @@ class TestSykSource:
         assert build_case("random:syk:n=6,seed=0").is_hermitian()
         assert build_case("random:syk:n=5,seed=2,j=0.5").is_hermitian()
 
-    def test_stream_matches_build(self):
-        src = resolve("random:syk:n=6,seed=9")
-        assert src.fingerprint_stream(spill_at=17) == \
-            fingerprint_operator(src.build())
-
     @staticmethod
     def _reference_stream(src):
         """The scalar-draw generator the per-pair block draws of
@@ -532,7 +452,7 @@ class TestSykSource:
         "random:syk:n=8,seed=1,j=0",
     ])
     def test_block_draw_build_matches_scalar_loop(self, spec):
-        """The streamed terms, and the built operator's terms, their order
+        """The generated terms, and the built operator's terms, their order
         and every coefficient bit, equal the old scalar-draw loop's."""
         def bits(pairs):
             return [(t, complex(c).real.hex(), complex(c).imag.hex()) for t, c in pairs]
@@ -541,12 +461,11 @@ class TestSykSource:
         want = FermionOperator()
         for term, coeff in self._reference_stream(src):
             want.add_term(term, coeff)
-        streamed = [pair for chunk in src.iter_terms(chunk_size=97) for pair in chunk]
-        assert bits(streamed) == bits(self._reference_stream(src))
+        assert bits(src._iter_raw()) == bits(self._reference_stream(src))
         assert bits(src.build().terms()) == bits(want.terms())
 
     def test_stream_draws_one_pair_block_at_a_time(self, monkeypatch):
-        """The first chunk arrives after one outer pair's block of normals
+        """The first term arrives after one outer pair's block of normals
         (``2P - 1`` for ``P`` mode pairs), not the whole ``P²`` draw."""
         sizes = []
 
@@ -562,8 +481,8 @@ class TestSykSource:
         monkeypatch.setattr(np.random, "default_rng", Recording)
         src = resolve("random:syk:n=12,seed=5")
         n_pairs = 12 * 11 // 2
-        first = next(src.iter_terms(chunk_size=1))
-        assert len(first) == 1
+        first, _ = next(src._iter_raw())
+        assert first == ((0, True), (1, True), (1, False), (0, False))
         assert sizes == [2 * n_pairs - 1]
         assert sum(1 for _ in src._iter_raw()) == n_pairs**2
         assert max(sizes) == 2 * n_pairs - 1
@@ -633,6 +552,27 @@ class TestSourcesThroughTheStack:
         bad = [t for t in report.tasks if not t.ok][0]
         assert "hubard" in (bad.error or "")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_task_of_a_failed_case_names_the_failure(self, tmp_path, jobs):
+        """A case that fails to resolve (misspelt prefix) or to build (an
+        ``.npz`` this package did not write) reports its own error on every
+        one of its tasks, and the healthy case still compiles."""
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, stuff=np.arange(3))
+        report = compile_suite(
+            ["hubard:2x3", f"npz:{foreign}", "hubbard:1x2"], ["hatt", "jw"],
+            cache_dir=str(tmp_path / "cache"), jobs=jobs,
+        )
+        assert report.n_tasks == 6 and report.n_errors == 4
+        for task in report.tasks:
+            if task.case == "hubbard:1x2":
+                assert task.ok and task.pauli_weight is not None
+            else:
+                assert re.search(
+                    "no source is registered|not a repro operator archive",
+                    task.error or "",
+                ), (task.case, task.kind, task.error)
+
     def test_service_cache_hit_across_frontends(self, tmp_path):
         fcid_spec = self._dump_h2(tmp_path)
         service = MappingService(cache_dir=str(tmp_path / "cache"))
@@ -651,3 +591,25 @@ class TestSourcesThroughTheStack:
         c = CompileRequest(case="no_such_case")
         d = CompileRequest(case="H2_sto3g")
         assert c.coalesce_key() != d.coalesce_key()
+
+
+# ----------------------------------------------------------------------
+# The streamed fingerprint and the chunked term protocol are gone
+# ----------------------------------------------------------------------
+def test_streamed_fingerprint_surface_is_removed():
+    """Every case is fingerprinted on its built operator by the one kernel;
+    the streamed canonicalizer and the chunked ``iter_terms`` feeding it
+    were removed in 1.11 and must not come back as a second path."""
+    import repro.service as service
+    import repro.service.fingerprint as fingerprint_module
+    import repro.sources as sources
+
+    for name in ("fingerprint_stream", "fingerprint_request_stream", "DEFAULT_SPILL_AT"):
+        assert name not in service.__all__
+        assert not hasattr(service, name)
+        assert not hasattr(fingerprint_module, name)
+    assert not hasattr(fingerprint_module, "canonical_lines_stream")
+    assert "DEFAULT_CHUNK_SIZE" not in sources.__all__
+    assert not hasattr(sources, "DEFAULT_CHUNK_SIZE")
+    for name in ("iter_terms", "fingerprint_stream"):
+        assert not hasattr(HamiltonianSource, name)
