@@ -86,7 +86,7 @@ class CompileOptions:
             or self.lookahead < 0
         ):
             raise ValueError(
-                f"lookahead must be a non-negative int, got {self.lookahead!r}"
+                f"lookahead must be 0 or a positive int, got {self.lookahead!r}"
             )
 
     def cache_payload(self) -> dict:

@@ -257,6 +257,8 @@ def _expand(op: FermionOperator) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, 1), dtype=np.uint64), np.zeros(0, dtype=complex)
     actions = list(ladder)
     coeffs = np.fromiter(ladder.values(), dtype=complex, count=len(ladder))
+    if not np.isfinite(coeffs).all():
+        raise ValueError("cannot expand non-finite coefficients to Majorana form")
     lengths = np.fromiter(map(len, actions), dtype=np.intp, count=len(actions))
     flat = np.fromiter(
         chain.from_iterable(chain.from_iterable(actions)),
@@ -330,8 +332,8 @@ class MajoranaOperator:
         #: Cached bulk-mapping plan (padded index matrix + coefficient vector);
         #: rebuilt lazily by :meth:`packed_terms`, cleared on mutation.
         self._packed = None
-        #: Service-layer memo for the canonical fingerprint form — owned by
-        #: repro.service.fingerprint, cleared on mutation like _packed.
+        #: Service-layer memo of the content digest, ``(tol, hex)`` — owned
+        #: by repro.service.fingerprint, cleared on mutation like _packed.
         self._fingerprint_cache = None
 
     @classmethod
@@ -535,10 +537,11 @@ def majorana_form(op: FermionOperator | MajoranaOperator) -> MajoranaOperator:
     """The Majorana form of ``op``, converted at most once per operator.
 
     A :class:`FermionOperator` memoizes its conversion in
-    ``_majorana_cache`` (cleared by ``add_term``, like its fingerprint memo),
-    so HATT construction, mapping apply and the ``hatt-arch`` guard of one
-    request share a single :meth:`MajoranaOperator.from_fermion_operator`
-    call.  Callers must treat the shared result as read-only.
+    ``_majorana_cache`` (cleared by ``add_term``), so the service
+    fingerprint, HATT construction, mapping apply and the ``hatt-arch``
+    guard of one request share a single
+    :meth:`MajoranaOperator.from_fermion_operator` call.  Callers must treat
+    the shared result as read-only.
     """
     if isinstance(op, MajoranaOperator):
         return op

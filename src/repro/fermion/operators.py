@@ -27,17 +27,14 @@ _COEFF_TOLERANCE = 1e-12
 class FermionOperator:
     """Weighted sum of products of fermionic creation/annihilation operators."""
 
-    __slots__ = ("_terms", "_fingerprint_cache", "_majorana_cache")
+    __slots__ = ("_terms", "_majorana_cache")
 
     def __init__(self, terms: dict[tuple[Action, ...], complex] | None = None):
         self._terms: dict[tuple[Action, ...], complex] = dict(terms) if terms else {}
-        #: Service-layer memo for the canonical (normal-ordered, quantized)
-        #: fingerprint form — owned by repro.service.fingerprint, cleared on
-        #: mutation (the same contract as MajoranaOperator._packed).
-        self._fingerprint_cache = None
         #: Memo of the Majorana form, owned by
         #: :func:`repro.fermion.majorana.majorana_form`; cleared on mutation
-        #: like the fingerprint memo.
+        #: (the same contract as MajoranaOperator._packed).  The service's
+        #: fingerprint is memoized on that form.
         self._majorana_cache = None
 
     # ------------------------------------------------------------------
@@ -104,7 +101,6 @@ class FermionOperator:
     # Building / arithmetic
     # ------------------------------------------------------------------
     def add_term(self, actions: tuple[Action, ...], coeff: complex) -> None:
-        self._fingerprint_cache = None
         self._majorana_cache = None
         new = self._terms.get(actions, 0.0) + coeff
         if abs(new) <= _COEFF_TOLERANCE:

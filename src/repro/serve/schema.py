@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from ..circuits.evolution import TERM_ORDERS
 from ..compile.pipeline import ARCHITECTURES, CompileOptions
 from ..service import MAPPING_KINDS, MappingSpec
 
@@ -121,16 +120,7 @@ class CompileRequest:
             raise ValueError(
                 f"unknown mapping kind {self.kind!r}; expected one of {MAPPING_KINDS}"
             )
-        if self.term_order not in TERM_ORDERS:
-            raise ValueError(
-                f"unknown term order {self.term_order!r}; expected one of {TERM_ORDERS}"
-            )
-        if self.lookahead is not None and (
-            not isinstance(self.lookahead, int)
-            or isinstance(self.lookahead, bool)
-            or self.lookahead < 1
-        ):
-            raise ValueError(f"lookahead must be a positive int, got {self.lookahead!r}")
+        self.options()  # CompileOptions validates term_order and lookahead
         if self.deadline is not None and (
             isinstance(self.deadline, bool)
             or not isinstance(self.deadline, (int, float))

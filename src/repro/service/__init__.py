@@ -5,7 +5,7 @@ pays a fresh O(N^3)–O(N^4) compile.  This package treats compiled mappings as
 cacheable, shareable artifacts keyed by the *physics* of the request:
 
 * :mod:`.fingerprint` — order-invariant, coefficient-tolerant content hashes
-  over normal-ordered Hamiltonian terms plus the mapping config;
+  over the Hamiltonian's Majorana form plus the mapping config;
 * :mod:`.store` — a content-addressed on-disk artifact store with atomic
   writes and corruption-safe loads;
 * :mod:`.cache` — ``ArtifactCache``, the one get-or-compute policy (memory
@@ -21,7 +21,6 @@ from .fingerprint import (
     MAPPING_KINDS,
     STATIC_KINDS,
     MappingSpec,
-    canonical_terms,
     fingerprint_operator,
     fingerprint_request,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "STATIC_KINDS",
     "ADAPTIVE_KINDS",
     "DEFAULT_TOLERANCE",
-    "canonical_terms",
     "fingerprint_operator",
     "fingerprint_request",
     "ArtifactStore",

@@ -12,9 +12,10 @@ Cases resolve through the :mod:`repro.sources` registry.  Planning
 builds every case once, in the parent — some case generators run a
 Hartree–Fock solve, which must not be repeated per worker — and
 fingerprints each task on that operator; the pool receives the built
-``FermionOperator``.  Workers return the compiled mapping as its
-schema-v2 JSON document plus the per-fingerprint Pauli-weight evaluation
-(equal-fingerprint tasks share canonical terms, hence the weight).
+``FermionOperator`` of every case in the fingerprint group.  Workers return
+the compiled mapping as its schema-v2 JSON document plus one Pauli-weight
+evaluation per case: a static kind's key omits the terms, so two cases that
+share a ``jw`` artifact still map to different weights.
 """
 
 from __future__ import annotations
@@ -195,36 +196,48 @@ def _spec_for(kind: str, arch: str | None, arch_weight: float | None) -> Mapping
 # ----------------------------------------------------------------------
 # Worker side (must stay module-level picklable)
 # ----------------------------------------------------------------------
+def _weigh(result, h) -> tuple[int | None, str | None]:
+    """``(pauli_weight, None)`` of ``h`` under ``result``, or ``(None, error)``."""
+    try:
+        return result.pauli_weight(h), None
+    except Exception as exc:  # noqa: BLE001 - e.g. non-finite coefficients
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _compile_worker(
     args: tuple,
-) -> tuple[str, dict | None, str, float, str | None, list[dict], int | None]:
+) -> tuple[str, dict | None, str, float, str | None, list[dict], dict]:
     """Compile one unique fingerprint in a worker process.
 
-    ``h`` is the operator the parent built and fingerprinted.  Returns
-    ``(fingerprint, mapping_doc, source, compile_seconds, error, spans,
-    pauli_weight)``; the mapping travels back as its schema-v2 JSON
+    ``hams`` maps each case of the fingerprint group to the operator the
+    parent built; the first one is compiled.  Returns ``(fingerprint,
+    mapping_doc, source, compile_seconds, error, spans, weights)``, with
+    ``weights`` mapping each case to its :func:`_weigh` pair when
+    ``evaluate`` is set.  The mapping travels back as its schema-v2 JSON
     document (plain dict, no custom pickling surface) and ``spans`` carries
     the worker-side stage timings — context vars don't cross processes, so
-    the trace rides the return value.  The operator arrives with its
-    memoized canonical lines, so the worker does not canonicalize again;
+    the trace rides the return value.  An operator arrives with its memoized
+    Majorana form and digest, so the worker does not convert or hash again;
     the service's fingerprint is still checked against the parent's, so a
     worker that keys the request differently fails its tasks instead of
     caching under the wrong key.
     """
-    (h, kind, arch, arch_weight, cache_dir, use_disk, expected_fp,
+    (hams, kind, arch, arch_weight, cache_dir, use_disk, expected_fp,
      evaluate) = args
     trace_ctx = TraceContext()
     try:
         spec = _spec_for(kind, arch, arch_weight)
         service = MappingService(cache_dir=cache_dir, use_disk=use_disk)
         with activate(trace_ctx):
-            result = service.get_or_compile(h, spec)
+            result = service.get_or_compile(next(iter(hams.values())), spec)
         if result.fingerprint != expected_fp:  # pragma: no cover - sanity
             raise RuntimeError(
                 f"worker fingerprint {result.fingerprint[:12]} != "
                 f"parent {expected_fp[:12]} — non-deterministic canonicalization?"
             )
-        weight = result.pauli_weight(h) if evaluate else None
+        weights = (
+            {case: _weigh(result, h) for case, h in hams.items()} if evaluate else {}
+        )
         return (
             expected_fp,
             mapping_to_dict(result.mapping),
@@ -232,7 +245,7 @@ def _compile_worker(
             result.compile_seconds,
             None,
             trace_ctx.spans,
-            weight,
+            weights,
         )
     except Exception as exc:  # noqa: BLE001 - reported per-task, never fatal
         return (
@@ -242,7 +255,7 @@ def _compile_worker(
             0.0,
             f"{type(exc).__name__}: {exc}",
             trace_ctx.spans,
-            None,
+            {},
         )
 
 
@@ -256,9 +269,10 @@ def _plan(
 ) -> tuple[dict[str, FermionOperator], dict[str, list[BatchTask]], list[TaskResult]]:
     """Build every case once, fingerprint every task, group tasks by fingerprint.
 
-    The canonical lines are memoized on the operator, so a case
-    canonicalizes once however many adaptive kinds it runs.  A case that
-    fails to resolve or build fails every one of its tasks with its error.
+    The Majorana form and its digest are memoized on the operator, so a
+    case converts and hashes once however many adaptive kinds it runs.  A
+    case that fails to resolve or build fails every one of its tasks with
+    its error.
     """
     hams: dict[str, FermionOperator] = {}
     failed: dict[str, str] = {}
@@ -288,24 +302,34 @@ def _plan(
     return hams, by_fp, errors
 
 
-def _task_result(
-    task: BatchTask,
+def _group_results(
     fp: str,
+    fp_tasks: list[BatchTask],
     mapping,
     source: str,
     compile_seconds: float,
-    weight: int | None,
-) -> TaskResult:
-    return TaskResult(
-        case=task.case,
-        kind=task.kind,
-        fingerprint=fp,
-        n_modes=mapping.n_modes if mapping is not None else None,
-        cache_hit=source in ("memory", "disk"),
-        source=source,
-        compile_seconds=compile_seconds,
-        pauli_weight=weight,
-    )
+    weights: dict,
+) -> Iterator[TaskResult]:
+    """One :class:`TaskResult` per task of a compiled fingerprint group.
+
+    ``weights`` maps a case to its :func:`_weigh` pair; a case whose
+    evaluation raised fails only its own tasks.
+    """
+    for task in fp_tasks:
+        weight, error = weights.get(task.case, (None, None))
+        if error is not None:
+            yield TaskResult(task.case, task.kind, fingerprint=fp, error=error)
+            continue
+        yield TaskResult(
+            case=task.case,
+            kind=task.kind,
+            fingerprint=fp,
+            n_modes=mapping.n_modes,
+            cache_hit=source in ("memory", "disk"),
+            source=source,
+            compile_seconds=compile_seconds,
+            pauli_weight=weight,
+        )
 
 
 def iter_compile_suite(
@@ -343,23 +367,25 @@ def iter_compile_suite(
                     yield TaskResult(task.case, task.kind, fingerprint=fp,
                                      error=f"{type(exc).__name__}: {exc}")
                 continue
-            # Equal-fingerprint tasks share canonical terms, so one mapped
-            # Pauli weight (from the group's representative) serves them all.
-            weight = result.pauli_weight(h) if evaluate else None
-            for task in fp_tasks:
-                yield _task_result(task, fp, result.mapping, result.source,
-                                   result.compile_seconds, weight)
+            # A static key omits the terms, so each case of the group is
+            # weighed on its own operator.
+            weights = {
+                task.case: _weigh(result, hams[task.case])
+                for task in fp_tasks if evaluate
+            }
+            yield from _group_results(fp, fp_tasks, result.mapping, result.source,
+                                      result.compile_seconds, weights)
         return
 
     # Parallel path: one pool task per unique fingerprint, shipping the
-    # operator planning built; workers also run the Pauli-weight evaluation.
+    # operators planning built; workers also run the Pauli-weight evaluation.
     max_workers = min(jobs, len(by_fp), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=max_workers, mp_context=pool_context()) as pool:
         futures = {
             pool.submit(
                 _compile_worker,
-                (hams[fp_tasks[0].case], fp_tasks[0].kind, arch,
-                 arch_weight, cache_dir, use_cache, fp, evaluate),
+                ({task.case: hams[task.case] for task in fp_tasks}, fp_tasks[0].kind,
+                 arch, arch_weight, cache_dir, use_cache, fp, evaluate),
             ): fp
             for fp, fp_tasks in by_fp.items()
         }
@@ -369,9 +395,8 @@ def iter_compile_suite(
             for future in done:
                 fp = futures[future]
                 fp_tasks = by_fp[fp]
-                weight = None
                 try:
-                    fp_result, doc, source, secs, err, spans, weight = future.result()
+                    fp_result, doc, source, secs, err, spans, weights = future.result()
                     trace_ctx = current_trace()
                     if trace_ctx is not None:
                         trace_ctx.extend(spans)
@@ -384,9 +409,8 @@ def iter_compile_suite(
                         yield TaskResult(task.case, task.kind, fingerprint=fp,
                                          source="error", error=err)
                     continue
-                mapping = mapping_from_dict(doc)
-                for task in fp_tasks:
-                    yield _task_result(task, fp, mapping, source, secs, weight)
+                yield from _group_results(fp, fp_tasks, mapping_from_dict(doc),
+                                          source, secs, weights)
 
 
 def compile_suite(

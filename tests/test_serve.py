@@ -60,7 +60,7 @@ class TestCompileRequestSchema:
         ({"case": 7}, "non-empty case"),  # JSON bodies can carry any type
         ({"case": "x", "lookahead": "8"}, "positive int"),
         ({"case": "x", "term_order": "random"}, "unknown term order"),
-        ({"case": "x", "lookahead": 0}, "positive int"),
+        ({"case": "x", "lookahead": -1}, "positive int"),
         ({"case": "x", "lookahead": 1.5}, "positive int"),
         ({"case": "x", "job": "compile"}, "need arch"),
         ({"case": "x", "job": "compile", "arch": "osprey"}, "need arch"),
@@ -435,6 +435,19 @@ class TestHttpServer:
             artifact = client.artifact(record.fingerprint)
             assert artifact["namespace"] == "circuits"
             assert artifact["artifact"]["routed_cx"] > 0
+
+    def test_compile_job_accepts_lookahead_zero(self, served):
+        """The served API takes the library's ``lookahead`` range: 0 routes
+        on the front gate alone."""
+        _q, bg = served
+        with ServiceClient(bg.host, bg.port) as client:
+            record = client.submit(
+                CompileRequest(case="hubbard:1x2", job="compile", kind="jw",
+                               arch="montreal", lookahead=0),
+                wait=True, timeout=300)
+            assert record.status == JobStatus.DONE, record.error
+            assert record.request.lookahead == 0
+            assert record.result["metrics"]["routed_cx"] > 0
 
     def test_malformed_fingerprint_is_400(self, served):
         _q, bg = served

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermion import FermionOperator, MajoranaOperator
+from repro.fermion.majorana import majorana_form
 from repro.service import (
     MAPPING_KINDS,
     ArtifactStore,
@@ -26,7 +27,7 @@ from repro.service import (
     fingerprint_request,
     iter_compile_suite,
 )
-from repro.service.fingerprint import DEFAULT_TOLERANCE, _term_line, canonical_terms
+from repro.service.fingerprint import DEFAULT_TOLERANCE
 from repro.sources import build_case
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -108,9 +109,8 @@ class TestFingerprint:
             fingerprint_request(h, MappingSpec(kind="hatt-unopt"))
 
     def test_golden_digests_pin_existing_caches(self):
-        """Digests recorded before the engine fields left ``MappingSpec`` and
-        ``CompileOptions``: stored ``mappings/`` and ``circuits/`` artifacts
-        must stay reachable."""
+        """Digests recorded with fingerprint schema 2: stored ``mappings/``
+        and ``circuits/`` artifacts must stay reachable."""
         from repro.compile import CompileOptions, circuit_fingerprint
 
         h = build_case("H2_sto3g")
@@ -119,12 +119,12 @@ class TestFingerprint:
             for kind in ("hatt", "jw")
         }
         assert mapping_fps == {
-            "hatt": "af8d001dbe56362a096ed26cafab3c4ee67b7c743539452a2dbd8ee1d05eaa39",
-            "jw": "34e470cc20895494bae3a5d233ddaf3237f3296c984f57cf2131d5b587b4048f",
+            "hatt": "8632d6499a9624a397a775ba8a7b18bab99b04d67b37036f98e2fff09bacb0bc",
+            "jw": "bc79a5a3651d858e77056fd1ba074079b3ac583618567b73d9bdbf04b8fb9b7b",
         }
         arch_spec = MappingSpec("hatt-arch", arch="sycamore").resolve(h)
         assert fingerprint_request(h, arch_spec) == (
-            "7581e46b5a2287c20bb34faa7dfa862ea080b1ba068ec39dd36b3e5df80a1c0b"
+            "61f33d6a1f66dde5ae33a1f4a5cdb4613c927ca87005077effb909a939edc839"
         )
         op_fp = fingerprint_operator(h)
         circuit_fps = {
@@ -132,24 +132,23 @@ class TestFingerprint:
             for kind, fp in mapping_fps.items()
         }
         assert circuit_fps == {
-            "hatt": "3e6c0bec69a74d673c001d92c9f7e2ce491ada1ae40b98c6eab79d22f74df346",
-            "jw": "8c499b08dbfc6b5bb523e751a75fef1ab28600bd2174caab1b8e580be8757226",
+            "hatt": "32e4fda0731e120a348e445f028696cec1db1dd013920c1b817139155017645a",
+            "jw": "a7833451904a07d21a92e58852e53126bc65e50dd5109f538eba2d920fda645c",
         }
 
     @pytest.mark.parametrize("case, digest", [
         ("H2O_sto3g",
-         "7e318eebdcdff32c53c5d1b934e23021676bd5213754b7dfb1436a18793b86f2"),
+         "dbd9b2918adb1618d92714c100af3e5f729c50cb6d8d954d9689d303893714fa"),
         ("neutrino:4x2F",
-         "746837434920f290829a74ca50bdaf99a6d890bd4eaf111e767d5e463a0c5415"),
+         "fab0b233edbc1964cfb2c210b81326fe4359136ed6c783004ebd9101e2cded9a"),
         ("hubbard:4x4",
-         "9d343bbcca973375d2a627c82f94f7d734fe2f6b015345805ee8e844869dae6b"),
+         "cc38573fb158c6f4e6e6e285c81d99b4d9fdc32dc57f63ccb69487b4fa7cef02"),
         ("random:syk:n=12,seed=5",
-         "db37c7227b044c96b675d94c5a12d829bd16241f03ecff9a17df0965dc5f8f7a"),
+         "da5eed3a8aaf043862aafad71e644a51d0088e13b732eb937d28fb5886fe327c"),
     ])
     def test_golden_operator_digests(self, case, digest):
-        """Digests recorded with the comprehension canonicalization (now the
-        oracle in ``TestCanonicalKernel``): the NumPy kernel must reach the
-        same keys on real Hamiltonians, so existing caches stay reachable."""
+        """Schema-2 digests of real Hamiltonians: a change to the Majorana
+        form or the digest would strand every existing cache entry."""
         assert fingerprint_operator(build_case(case)) == digest
 
     def test_static_kinds_ignore_hamiltonian(self):
@@ -213,19 +212,6 @@ class TestFingerprint:
         assert fingerprint_operator(m) != fp1
 
 
-def _oracle_lines(op, tol=DEFAULT_TOLERANCE):
-    """The comprehension the NumPy kernel replaced, kept as its oracle:
-    normal-order through the operator algebra, sort the monomials, quantize
-    each coefficient and drop the all-zero lines."""
-    return [
-        line
-        for term, coeff in sorted(op.normal_order().terms())
-        if (line := _term_line(
-            " ".join(f"{m}{'^' if d else '_'}" for m, d in term), coeff, tol
-        )) is not None
-    ]
-
-
 #: Coefficients around the 1e-12 drop and grid, plus ordinary ones.
 _tiny = st.one_of(
     st.sampled_from([3e-13, 5e-13, 7e-13, 1e-12, 1.2e-12, 1.5e-12]),
@@ -248,7 +234,7 @@ kernel_ops = st.lists(
 
 
 class TestCanonicalKernel:
-    """``canonical_terms`` on a ``FermionOperator`` against the oracle."""
+    """The operator key: one digest of the memoized Majorana form."""
 
     @staticmethod
     def _build(ops):
@@ -264,50 +250,51 @@ class TestCanonicalKernel:
 
     @settings(max_examples=400, deadline=None)
     @given(kernel_ops, st.sampled_from([DEFAULT_TOLERANCE, 1e-9, 1e-6]))
-    def test_kernel_matches_oracle(self, ops, tol):
+    def test_ladder_and_majorana_forms_share_the_key(self, ops, tol):
+        """An operator, its normal-ordered rewrite and its Majorana form are
+        one operator, so they must reach one key."""
         op = self._build(ops)
-        assert canonical_terms(op, tol) == _oracle_lines(op, tol)
+        key = fingerprint_operator(op, tol)
+        assert fingerprint_operator(op.normal_order(), tol) == key
+        assert fingerprint_operator(majorana_form(op), tol) == key
 
-    def test_sub_tolerance_residue_restarts_the_total(self):
-        """Three terms normal-order onto ``1^ 0^``: the first two leave a
-        4e-13 residue, which ``add_term`` drops, so the third starts from
-        zero (a kept residue would round the line to ...001)."""
-        op = FermionOperator()
-        op.add_term(((0, True), (1, True)), 1.0)                          # -1
-        op.add_term(((1, True), (0, True)), 1 + 4e-13)                    # +1 + 4e-13
-        op.add_term(((1, True), (0, True), (2, False), (2, True)), 0.75 + 3e-13)
-        assert canonical_terms(op) == _oracle_lines(op)
-        assert canonical_terms(op)[0] == "1^ 0^:750000000000:0"
-
-    def test_products_sum_in_term_order(self):
-        """The contraction of the first term reaches ``1^ 0^`` as its second
-        product, the other two terms as their first: summing by term, then
-        product, gives ...789001; summing products first would give ...000."""
-        op = FermionOperator()
-        op.add_term(((1, True), (0, True), (2, False), (2, True)), 1e4)
-        op.add_term(((1, True), (0, True)), 0.123456789)
-        op.add_term(((0, True), (1, True)), 3299.99975)
-        assert canonical_terms(op) == _oracle_lines(op)
-        assert canonical_terms(op)[0] == "1^ 0^:6700123706789001:0"
-
-    @pytest.mark.parametrize("case", [
-        "H2O_sto3g", "neutrino:4x2F", "hubbard:4x4", "random:syk:n=10,seed=3",
-    ])
-    def test_real_cases_match_oracle(self, case):
-        h = build_case(case)
-        assert canonical_terms(h) == _oracle_lines(h)
+    def test_request_key_shared_by_the_majorana_form(self):
+        h = build_case("hubbard:2x2")
+        spec = MappingSpec(kind="hatt")
+        m = MajoranaOperator.from_fermion_operator(h)
+        assert fingerprint_request(m, spec) == fingerprint_request(h, spec)
 
     def test_grid_points_beyond_int64_stay_exact(self):
-        """A 1e8 coefficient sits at grid point 1e20; Python's round() is
-        exact there, so the kernel's ints must be too."""
-        op = FermionOperator({((0, True), (0, False)): 1e8 + 3j, (): -2.5e15})
-        assert canonical_terms(op) == _oracle_lines(op)
-        assert canonical_terms(op)[1] == "0^ 0_:100000000000000000000:3000000000000"
+        """A 1e8 coefficient sits at grid point 1e20, beyond int64; the
+        imaginary parts 3 and 4 must still fork the key.  A grid point that
+        overflows float64 cannot be hashed."""
+        a = FermionOperator({((0, True), (0, False)): 1e8 + 3j, (): -2.5e15})
+        b = FermionOperator({((0, True), (0, False)): 1e8 + 4j, (): -2.5e15})
+        assert fingerprint_operator(a) != fingerprint_operator(b)
+        with pytest.raises(ValueError, match="non-finite"):
+            fingerprint_operator(FermionOperator({(): 1e300}))
 
     def test_empty_and_all_vanishing_operators(self):
-        assert canonical_terms(FermionOperator()) == []
+        empty = fingerprint_operator(FermionOperator())
         op = FermionOperator({((2, True), (2, True)): 1.0, ((0, False), (0, False)): 2.0})
-        assert canonical_terms(op) == _oracle_lines(op) == []
+        assert fingerprint_operator(op) == empty
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), complex(0, float("nan")),
+    ])
+    def test_non_finite_coefficients_raise(self, bad):
+        """A NaN would otherwise fail the conversion's dust test and vanish,
+        so the key and the mapping would silently drop the term."""
+        op = FermionOperator({((0, True), (1, False)): bad, ((1, True), (1, False)): 1.0})
+        with pytest.raises(ValueError, match="non-finite"):
+            majorana_form(op)
+        with pytest.raises(ValueError, match="non-finite"):
+            fingerprint_request(op, MappingSpec(kind="hatt"))
+
+    def test_non_finite_majorana_coefficient_raises(self):
+        m = MajoranaOperator({(0, 1): float("nan"), (2, 3): 1.0})
+        with pytest.raises(ValueError, match="non-finite"):
+            fingerprint_operator(m)
 
 
 class TestArtifactStore:
@@ -871,6 +858,41 @@ class TestBatch:
         h = build_case("hubbard:2x2")
         expected = compile_mapping(h, MappingSpec(kind="hatt").resolve(h))
         assert weights[("hubbard:2x2", "hatt")] == expected.map(h).pauli_weight()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_task_reports_its_own_weight(self, jobs):
+        """hubbard:1x2 and H2_sto3g share one ``jw`` artifact, but each maps
+        its own Hamiltonian to its own weight (20 and 32)."""
+        report = compile_suite(
+            ["H2_sto3g", "hubbard:1x2", "hubbard:2x2"], ["jw", "hatt"],
+            jobs=jobs, use_cache=False,
+        )
+        assert report.n_errors == 0 and report.n_unique == 5
+        for t in report.tasks:
+            h = build_case(t.case)
+            mapping = compile_mapping(h, MappingSpec(kind=t.kind).resolve(h))
+            assert t.pauli_weight == mapping.map(h).pauli_weight(), (t.case, t.kind)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_case_fails_only_its_own_tasks(self, tmp_path, jobs):
+        """A NaN term fails both tasks of its case, including the ``jw`` task
+        whose key it shares with hubbard:1x2; the other case is untouched."""
+        from repro.sources import save_npz
+
+        op = build_case("hubbard:1x2").copy()
+        op.add_term(((3, True), (0, False)), float("nan"))
+        assert op.n_modes == 4
+        save_npz(tmp_path / "nan.npz", op)
+        nan_case = f"npz:{tmp_path / 'nan.npz'}"
+        report = compile_suite(
+            [nan_case, "hubbard:1x2"], ["hatt", "jw"], jobs=jobs, use_cache=False
+        )
+        by_task = {(t.case, t.kind): t for t in report.tasks}
+        for kind in ("hatt", "jw"):
+            assert "non-finite" in by_task[(nan_case, kind)].error
+        assert by_task[("hubbard:1x2", "hatt")].pauli_weight == 16
+        assert by_task[("hubbard:1x2", "jw")].pauli_weight == 20
+        assert report.n_errors == 2
 
     def test_second_pass_all_cache_hits(self, tmp_path):
         compile_suite(self.CASES, ["hatt"], cache_dir=tmp_path)
