@@ -4,7 +4,9 @@ Each term ``exp(-i·θ·P)`` compiles to: basis changes (H for X, S†H for Y),
 a CNOT ladder entangling the support onto a target qubit, ``Rz(2θ)`` on the
 target, and the inverse ladder/basis changes.  Identity operators generate
 no gates — this is why the Hamiltonian Pauli weight is the paper's proxy for
-circuit cost.
+circuit cost.  The circuit is written in the packed form of :mod:`.circuit`
+(each gate appended as one int, decoded into the arrays at the end), so
+synthesis builds no :class:`~repro.circuits.Gate`.
 
 Term ordering and ladder shape
 ------------------------------
@@ -50,9 +52,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from ..paulis import PauliString, QubitOperator
-from .circuit import Circuit
-from .gates import Gate
+from .circuit import Circuit, Packed
+from .gates import OP_CODE
 
 __all__ = [
     "evolution_term_circuit",
@@ -70,15 +74,6 @@ TERM_ORDERS = ("lexicographic", "mutual", "given")
 #: pairs are skipped and the number of shared ladder CXs (both 0 for the
 #: first term and after an identical string).
 _Term = tuple[int, int, float, list[int], int, int]
-
-
-class _GateCache(dict):
-    """One shared parameter-free :class:`Gate` per ``(name, qubits)`` key —
-    gates are immutable, so a circuit may repeat the same instance."""
-
-    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> Gate:
-        gate = self[key] = Gate(*key)
-        return gate
 
 
 def _bits_desc(mask: int) -> list[int]:
@@ -166,12 +161,25 @@ def _plan(sequence: list[tuple[int, int, float]], align: bool, dt: float) -> lis
     return plan
 
 
-def _emit(plan: list[_Term]) -> list[Gate]:
-    """Gates of the plan's terms in order, without the junction pairs that
-    cancellation would delete between consecutive *different* strings."""
-    gates = _GateCache()
-    out: list[Gate] = []
+#: A gate as one int while it is emitted: op code in the low bits, then the
+#: first qubit, then the second qubit plus one (0 for a one-qubit gate).
+_OP_BITS, _QUBIT_BITS = 4, 24
+_SDG, _H, _S, _RZ, _CX = map(OP_CODE.get, ("sdg", "h", "s", "rz", "cx"))
+
+
+def _emit(plan: list[_Term], n_qubits: int) -> Packed:
+    """Packed gates of the plan's terms in order, without the junction pairs
+    that cancellation would delete between consecutive *different* strings."""
+    if n_qubits >= 1 << _QUBIT_BITS:
+        raise ValueError(f"{n_qubits} qubits exceed the emitter's {_QUBIT_BITS}-bit index")
+    shift = _OP_BITS + _QUBIT_BITS
+    h, sdg, s = (
+        [op | q << _OP_BITS for q in range(n_qubits)] for op in (_H, _SDG, _S)
+    )
+    out: list[int] = []
     append = out.append
+    rz_at: list[int] = []
+    angles: list[float] = []
     last = len(plan) - 1
     for k, (x, z, angle, chain, lead_mask, lead) in enumerate(plan):
         trail_mask, trail = plan[k + 1][4:] if k < last else (0, 0)
@@ -182,21 +190,29 @@ def _emit(plan: list[_Term]) -> list[Gate]:
             m ^= low
             if z & low:
                 # Map Y -> Z:  (S† then H); inverse is (H then S).
-                append(gates["sdg", (q,)])
-            append(gates["h", (q,)])
-        rungs = [gates["cx", pair] for pair in zip(chain, chain[1:])]
+                append(sdg[q])
+            append(h[q])
+        rungs = [_CX | p << _OP_BITS | (q + 1) << shift for p, q in zip(chain, chain[1:])]
         out += rungs[lead:]
-        append(Gate("rz", (chain[-1],), (angle,)))
+        rz_at.append(len(out))
+        angles.append(angle)
+        append(_RZ | chain[-1] << _OP_BITS)
         out += reversed(rungs[trail:])
         m = x & ~trail_mask
         while m:
             low = m & -m
             q = low.bit_length() - 1
             m ^= low
-            append(gates["h", (q,)])
+            append(h[q])
             if z & low:
-                append(gates["s", (q,)])
-    return out
+                append(s[q])
+    code = np.array(out, dtype=np.int64)
+    qubits = np.empty((len(code), 2), dtype=np.int32)
+    qubits[:, 0] = (code >> _OP_BITS) & ((1 << _QUBIT_BITS) - 1)
+    qubits[:, 1] = (code >> shift) - 1
+    params = np.zeros((len(code), 3))
+    params[rz_at, 0] = angles
+    return (code & ((1 << _OP_BITS) - 1)).astype(np.uint8), qubits, params
 
 
 def evolution_term_circuit(
@@ -216,11 +232,13 @@ def evolution_term_circuit(
     support = string.x | string.z
     if not support:
         return Circuit(n)  # global phase only — no gates (paper: weight 0)
+    if support >> n:
+        raise ValueError(f"{string} acts outside qubit range 0..{n - 1}")
     if chain is None:
         chain = _bits_desc(support)
     elif sorted(chain, reverse=True) != _bits_desc(support):
         raise ValueError("chain must be a permutation of the support")
-    return Circuit(n, _emit([(string.x, string.z, angle, list(chain), 0, 0)]))
+    return Circuit.from_packed(n, *_emit([(string.x, string.z, angle, list(chain), 0, 0)], n))
 
 
 def order_terms_lexicographic(
@@ -312,6 +330,6 @@ def trotter_circuit(
         per_step = half + half[::-1]
 
     # Every qubit index comes from a string on hamiltonian.n qubits, so the
-    # gate list is wrapped once at the end without a per-gate range check.
+    # packed gates are adopted without a per-gate range check.
     plan = _plan(per_step * steps, order == "mutual", dt)
-    return Circuit.trusted(hamiltonian.n, _emit(plan))
+    return Circuit.from_packed(hamiltonian.n, *_emit(plan, hamiltonian.n))

@@ -2,23 +2,31 @@
 
 A :class:`Gate` is a name, a qubit tuple, and a parameter tuple.  The native
 set covers everything the synthesis/optimization passes emit; the noisy-
-simulation basis is ``{cx, u3}`` as in the paper (§V-B3).
+simulation basis is ``{cx, u3}`` as in the paper (§V-B3).  A
+:class:`~repro.circuits.Circuit` stores each gate as its index in
+:data:`GATE_NAMES` (the op code), so that order is part of the packed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Gate", "gate_matrix", "ONE_QUBIT_GATES", "TWO_QUBIT_GATES"]
+__all__ = ["Gate", "gate_matrix", "GATE_NAMES", "ONE_QUBIT_GATES", "TWO_QUBIT_GATES"]
 
-ONE_QUBIT_GATES = frozenset(
-    {"i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u3"}
+#: Every gate name, in op-code order: one-qubit gates first, then two-qubit.
+GATE_NAMES = (
+    "i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u3",
+    "cx", "cz", "swap",
 )
-TWO_QUBIT_GATES = frozenset({"cx", "cz", "swap"})
+OP_CODE = {name: code for code, name in enumerate(GATE_NAMES)}
+ONE_QUBIT_GATES = frozenset(GATE_NAMES[:13])
+TWO_QUBIT_GATES = frozenset(GATE_NAMES[13:])
+
+#: Parameter count per gate name.
+N_PARAMS = dict.fromkeys(GATE_NAMES, 0) | {"rx": 1, "ry": 1, "rz": 1, "u3": 3}
 
 _SELF_INVERSE = frozenset({"i", "x", "y", "z", "h", "cx", "cz", "swap"})
 _INVERSE_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
@@ -33,15 +41,22 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        expected = 1 if self.name in ONE_QUBIT_GATES else 2
-        if self.name not in ONE_QUBIT_GATES and self.name not in TWO_QUBIT_GATES:
+        n_params = N_PARAMS.get(self.name)
+        if n_params is None:
             raise ValueError(f"unknown gate {self.name!r}")
+        expected = 1 if self.name in ONE_QUBIT_GATES else 2
         if len(self.qubits) != expected:
             raise ValueError(
                 f"gate {self.name} expects {expected} qubit(s), got {self.qubits}"
             )
+        if any(not isinstance(q, int) or isinstance(q, bool) for q in self.qubits):
+            raise ValueError(f"gate {self.name} qubits must be ints, got {self.qubits}")
         if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError("two-qubit gate with identical qubits")
+        if len(self.params) != n_params:
+            raise ValueError(
+                f"gate {self.name} takes {n_params} parameter(s), got {self.params}"
+            )
 
     @property
     def is_two_qubit(self) -> bool:

@@ -9,9 +9,15 @@ Passes:
 * :func:`optimize` / :func:`to_cx_u3` — the full pipeline; ``to_cx_u3``
   additionally rewrites cz/swap into the {CX, U3} basis the paper compiles to.
 
-Every pass is one sweep over a plain gate list, linear in the gate count
-(cancellation re-examines only the gates a cancellation made newly
-adjacent), and the pipelines build their :class:`Circuit` once at the end.
+Every pass maps the packed form of :mod:`.circuit` to a new one and builds
+no :class:`Gate`.  One stable sort of the gate slots by wire gives every
+gate its neighbours; Python then touches only what can change.
+Cancellation visits the gates whose neighbour matches them (under 2% of a
+Trotter or routed circuit) and those a cancellation blocks.  Fusion
+evaluates each distinct 1q run once, with the scalar complex arithmetic
+below (NumPy's ``arctan2``/``abs``/``angle`` differ from ``math``/``cmath``
+in the last bits).  The Gate-list passes these replaced are the test
+oracles in ``tests/reference/peephole.py``; outputs match them bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit
-from .gates import Gate, gate_matrix
+from .circuit import Circuit, Packed
+from .gates import GATE_NAMES, OP_CODE, gate_matrix
 
 __all__ = ["cancel_adjacent", "fuse_single_qubit", "optimize", "to_cx_u3", "zyz_angles"]
+
+_H, _RX, _RY, _U3, _CX, _CZ, _SWAP = map(OP_CODE.get, "h rx ry u3 cx cz swap".split())
 
 _INVERSE_PAIRS = {
     ("h", "h"), ("x", "x"), ("y", "y"), ("z", "z"),
@@ -33,6 +41,14 @@ _INVERSE_PAIRS = {
 }
 
 _ROTATIONS = {"rx", "ry", "rz"}
+
+#: ``_MATCH[earlier op, later op]``: how two neighbouring gates combine.
+_INVERSE, _SAME_ROTATION = 1, 2
+_MATCH = np.zeros((len(GATE_NAMES), len(GATE_NAMES)), dtype=np.uint8)
+for _a, _b in _INVERSE_PAIRS:
+    _MATCH[OP_CODE[_a], OP_CODE[_b]] = _INVERSE
+for _a in _ROTATIONS:
+    _MATCH[OP_CODE[_a], OP_CODE[_a]] = _SAME_ROTATION
 
 _ANGLE_EPS = 1e-12
 
@@ -45,109 +61,127 @@ _IDENTITY_ATOL = 1e-9
 _IDENTITY_RTOL = 1e-5
 
 
-def _cancel(gates: list[Gate]) -> list[Gate]:
+def _wire_order(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots ``2*i + k`` (the k-th qubit of gate ``i``) grouped by wire, in
+    circuit order along each wire, and the wire of each."""
+    wires = qubits.reshape(-1)
+    # NumPy's stable sort of 16-bit keys is a radix sort, several times faster.
+    keys = wires.astype(np.int16) if len(wires) and wires.max() < 1 << 15 else wires
+    order = np.argsort(keys, kind="stable")[np.count_nonzero(wires < 0):]
+    return order, wires[order]
+
+
+def _cancel(ops: np.ndarray, qubits: np.ndarray, params: np.ndarray) -> Packed:
     """Fixed point of the left-to-right cancellation sweep.
 
     One sweep compares each gate with the latest surviving gate on its
     qubits; after a cancellation that wire is *blocked* until the next gate
     on it passes, and the sweep repeats until nothing changes.  Only a gate
-    that was blocked can change anything in the following sweep (every
-    other gate meets the same neighbour as before), so each repeat visits
-    just those gates, in circuit order, along per-wire neighbour links.
-    Every cancellation blocks at most two gates, so the total work is
-    linear in the gate count, and the result (merged angles included) is
-    the one the repeated full sweeps give.
+    that was blocked can change anything in the following sweep, so each
+    repeat visits just those gates, in circuit order, along per-wire
+    neighbour links.  The first sweep visits only the *candidates*: gates
+    whose first-wire neighbour has the same qubits in the same order (and
+    neighbours them on both wires) and is their inverse or the same
+    rotation.  Any other gate meets a new neighbour only through a
+    cancellation, which blocks it, or a rotation merge, whose merged gate
+    keeps the name and qubits it replaced; so the result (merged angles
+    included) is the one the repeated full sweeps give.
     """
-    gates = list(gates)
-    # Wire links per slot 2*i + k (the k-th qubit of gate i): the slot of the
-    # neighbouring surviving gate on that same wire, or -1.
-    before = [-1] * (2 * len(gates))
-    after = [-1] * (2 * len(gates))
-    last: dict[int, int] = {}
-    for i, gate in enumerate(gates):
-        slot = 2 * i
-        for q in gate.qubits:
-            p = last.get(q, -1)
-            if p >= 0:
-                after[p] = slot
-                before[slot] = p
-            last[q] = slot
-            slot += 1
+    n = len(ops)
+    slots, wires = _wire_order(qubits)
+    same = wires[1:] == wires[:-1]
+    # Per slot, the slot of the neighbouring surviving gate on its wire, or -1.
+    before = np.full(2 * n, -1, dtype=np.int64)
+    after = np.full(2 * n, -1, dtype=np.int64)
+    before[slots[1:][same]] = slots[:-1][same]
+    after[slots[:-1][same]] = slots[1:][same]
+    p = before[0::2]
+    j = p >> 1
+    second = qubits[:, 1]
+    todo = np.flatnonzero(
+        (p >= 0) & (p & 1 == 0) & (second[j] == second)
+        & ((second < 0) | (before[1::2] == p + 1)) & (_MATCH[ops[j], ops] > 0)
+    ).tolist()
+    if not todo:
+        return ops, qubits, params
+    dead = np.zeros(n, dtype=bool)
+    angles = params[:, 0].copy()
 
     def unlink(i: int) -> None:
-        gates[i] = None
+        dead[i] = True
         for slot in (2 * i, 2 * i + 1):
-            p, n = before[slot], after[slot]
-            if p >= 0:
-                after[p] = n
-            if n >= 0:
-                before[n] = p
+            prev, nxt = before[slot], after[slot]
+            if prev >= 0:
+                after[prev] = nxt
+            if nxt >= 0:
+                before[nxt] = prev
 
-    todo = range(len(gates))
     while todo:
         blocked: set[int] = set()
         for i in todo:
-            gate = gates[i]
-            if gate is None or i in blocked:
+            if dead[i] or i in blocked:
                 continue
             p = before[2 * i]
             if p < 0:
                 continue
             j = p >> 1
-            prev = gates[j]
             # Same qubits in the same order, and j is also i's neighbour on
             # the second wire of a two-qubit pair.
-            if prev.qubits != gate.qubits or (
-                len(gate.qubits) == 2 and before[2 * i + 1] != p + 1
+            if qubits[j, 0] != qubits[i, 0] or second[j] != second[i] or (
+                second[i] >= 0 and before[2 * i + 1] != p + 1
             ):
                 continue
-            if (prev.name, gate.name) in _INVERSE_PAIRS and prev.params == ():
+            match = _MATCH[ops[j], ops[i]]
+            if match == _INVERSE:
                 merged = None
-            elif prev.name == gate.name and gate.name in _ROTATIONS:
-                angle = prev.params[0] + gate.params[0]
+            elif match == _SAME_ROTATION:
+                angle = angles[j] + angles[i]
                 merged = None if abs(angle) < _ANGLE_EPS else angle
             else:
                 continue
             nexts = (after[2 * i], after[2 * i + 1])
             unlink(i)
             if merged is not None:
-                gates[j] = Gate(gate.name, gate.qubits, (merged,))
+                angles[j] = merged
                 continue
             unlink(j)
-            blocked.update(n >> 1 for n in nexts if n >= 0)
-        todo = sorted(i for i in blocked if gates[i] is not None)
-    return [g for g in gates if g is not None]
+            blocked.update(int(nxt) >> 1 for nxt in nexts if nxt >= 0)
+        todo = sorted(i for i in blocked if not dead[i])
+    keep = ~dead
+    params = params[keep]
+    params[:, 0] = angles[keep]
+    return ops[keep], qubits[keep], params
 
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
     """Remove inverse pairs / merge rotations that are adjacent in the
     circuit DAG (no gate on any shared qubit in between), to a fixed point."""
-    return Circuit.trusted(circuit.n_qubits, _cancel(circuit.gates))
+    return Circuit.from_packed(circuit.n_qubits, *_cancel(*circuit.packed()))
 
 
 # 2x2 unitaries as row-major complex 4-tuples (a, b, c, d) = [[a, b], [c, d]]:
 # plain Python arithmetic beats numpy's per-call overhead at this size.
 _FIXED = {
-    name: tuple(complex(v) for v in gate_matrix(name).ravel())
+    OP_CODE[name]: tuple(complex(v) for v in gate_matrix(name).ravel())
     for name in ("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg")
 }
 
 
-def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
+def _matrix(op: int, params: list[float]) -> tuple[complex, complex, complex, complex]:
     """``gate_matrix`` of a one-qubit gate as a 4-tuple."""
-    fixed = _FIXED.get(gate.name)
+    fixed = _FIXED.get(op)
     if fixed is not None:
         return fixed
-    if gate.name == "u3":
-        theta, phi, lam = gate.params
+    if op == _U3:
+        theta, phi, lam = params
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         return (c, -cmath.exp(1j * lam) * s, cmath.exp(1j * phi) * s,
                 cmath.exp(1j * (phi + lam)) * c)
-    (t,) = gate.params
+    t = params[0]
     c, s = math.cos(t / 2), math.sin(t / 2)
-    if gate.name == "rx":
+    if op == _RX:
         return (c, -1j * s, -1j * s, c)
-    if gate.name == "ry":
+    if op == _RY:
         return (c, -s, s, c)
     return (cmath.exp(-0.5j * t), 0, 0, cmath.exp(0.5j * t))  # rz
 
@@ -185,94 +219,150 @@ def _is_identity(a: complex, b: complex, c: complex, d: complex) -> bool:
     )
 
 
-def _fuse(gates: list[Gate]) -> list[Gate]:
-    """One sweep: each wire's pending 1q product is flushed as a u3 when a
-    two-qubit gate touches the wire (and at the end, by ascending qubit)."""
-    pending: dict[int, tuple[complex, complex, complex, complex]] = {}
-    out: list[Gate] = []
+def _fused(run: list[tuple[int, list[float]]]) -> tuple[float, float, float] | None:
+    """u3 angles of a run's product (``(op, params)`` in circuit order), or
+    None when the product is the identity."""
+    u = None
+    for op, params in run:
+        a, b, c, d = _matrix(op, params)
+        if u is not None:
+            e, f, g, h = u
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        u = (a, b, c, d)
+    return None if _is_identity(*u) else _zyz(*u)
 
-    def flush(q: int) -> None:
-        u = pending.pop(q)
-        if not _is_identity(*u):
-            out.append(Gate("u3", (q,), _zyz(*u)))
 
-    for gate in gates:
-        if len(gate.qubits) == 1:
-            q = gate.qubits[0]
-            a, b, c, d = _matrix(gate)
-            u = pending.get(q)
-            if u is not None:
-                e, f, g, h = u
-                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            pending[q] = (a, b, c, d)
-        else:
-            for q in gate.qubits:
-                if q in pending:
-                    flush(q)
-            out.append(gate)
-    for q in sorted(pending):
-        flush(q)
-    return out
+def _run_angles(
+    ops: np.ndarray, params: np.ndarray, gates: np.ndarray, first: np.ndarray,
+    length: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep mask and u3 angles of each run ``gates[first : first + length]``.
+
+    Runs repeat, so each distinct one is fused once: a lone gate is keyed
+    on its op code and parameter bits, a parameter-free run of up to 15
+    gates on its op sequence (4 bits per gate); any other run is its own
+    key.  Only the fused runs become Python objects.
+    """
+    run_ops = ops[gates].astype(np.int64)
+    rank = np.arange(len(gates)) - np.repeat(first, length)
+    seq = np.add.reduceat((run_ops + 1) << 4 * np.minimum(rank, 14), first)
+    # Op codes below rx take no parameters.
+    shared = (length == 1) | np.logical_and.reduceat(run_ops < _RX, first) & (length <= 15)
+    seq[~shared] = -1 - np.flatnonzero(~shared)
+    lead = params[gates[first]].view(np.int64).T.tolist()
+    ids: dict[tuple[int, ...], int] = {}
+    inverse = np.array([ids.setdefault(k, len(ids)) for k in zip(seq.tolist(), *lead)])
+    pick = np.unique(inverse, return_index=True)[1]
+    lens = length[pick]
+    ends = np.cumsum(lens)
+    at = gates[np.repeat(first[pick] - (ends - lens), lens) + np.arange(ends[-1])]
+    flat = list(zip(ops[at].tolist(), params[at].tolist()))
+    rows = [_fused(flat[e - k : e]) for e, k in zip(ends.tolist(), lens.tolist())]
+    found = np.array([row is not None for row in rows])
+    return found[inverse], np.array([row or (0.0, 0.0, 0.0) for row in rows])[inverse]
+
+
+def _fuse(ops: np.ndarray, qubits: np.ndarray, params: np.ndarray) -> Packed:
+    """One pass: each wire's maximal 1q run becomes one u3 placed where the
+    run ends — just before the two-qubit gate that touches the wire (its
+    first qubit's run first) or, at the end, by ascending qubit."""
+    single = qubits[:, 1] < 0
+    if not single.any():
+        return ops, qubits, params
+    slots, wires = _wire_order(qubits)
+    gate = slots >> 1
+    on_single = single[gate]
+    follows = np.zeros(len(slots), dtype=bool)
+    follows[1:] = on_single[:-1] & (wires[1:] == wires[:-1])
+    # One-qubit slots, wire by wire in circuit order: each run is contiguous.
+    pos = np.flatnonzero(on_single)
+    first = np.flatnonzero(~follows[pos])
+    length = np.diff(first, append=len(pos))
+    last = pos[first + length - 1]
+    wire = wires[last]
+    # A run ends at the next slot on its wire (a two-qubit gate) or at the
+    # end; output keys sort flushed runs before their gate, then end runs.
+    nxt = np.minimum(last + 1, len(slots) - 1)
+    at_gate = (last + 1 < len(slots)) & (wires[nxt] == wire)
+    span = int(wires[-1]) + 3
+    run_key = np.where(at_gate, gate[nxt] * span + (slots[nxt] & 1), len(ops) * span + wire)
+    keep, angles = _run_angles(ops, params, gate[pos], first, length)
+
+    two = np.flatnonzero(~single)
+    order = np.argsort(np.concatenate([two * span + 2, run_key[keep]]))
+    run_qubits = np.column_stack([wire[keep], np.full(len(wire[keep]), -1)])
+    return (
+        np.concatenate([ops[two], np.full(len(run_qubits), _U3, dtype=np.uint8)])[order],
+        np.concatenate([qubits[two], run_qubits]).astype(np.int32)[order],
+        np.concatenate([params[two], angles[keep]])[order],
+    )
 
 
 def fuse_single_qubit(circuit: Circuit) -> Circuit:
     """Fuse maximal 1q-gate runs into single u3 gates (dropping identities)."""
-    return Circuit.trusted(circuit.n_qubits, _fuse(circuit.gates))
+    return Circuit.from_packed(circuit.n_qubits, *_fuse(*circuit.packed()))
 
 
-#: Gates :func:`_expand_to_cx` rewrites.
-_EXPANDED = frozenset({"cz", "swap"})
-
-
-def _expand_to_cx(gates: list[Gate]) -> list[Gate]:
+def _expand_to_cx(ops: np.ndarray, qubits: np.ndarray, params: np.ndarray) -> Packed:
     """Rewrite cz and swap into cx + 1q gates.
 
     A SWAP has two CX decompositions (``cx(a,b)·cx(b,a)·cx(a,b)`` and its
     mirror); both are palindromes, so the orientation fixes the *outer* CX
     pair.  Routed circuits constantly emit a SWAP right next to a CX on the
     same edge, so the orientation is chosen to match the neighbouring CX —
-    the cancellation pass then deletes the touching pair (2 CX per oriented
-    junction).
+    the gate before it in the output (a previous SWAP's outer CX included),
+    else the next input gate — and the cancellation pass then deletes the
+    touching pair (2 CX per oriented junction).
     """
-    out: list[Gate] = []
-    for i, gate in enumerate(gates):
-        if gate.name == "cz":
-            c, t = gate.qubits
-            h = Gate("h", (t,))
-            out += (h, Gate("cx", (c, t)), h)
-        elif gate.name == "swap":
-            a, b = gate.qubits
-            prev = out[-1] if out else None
-            nxt = gates[i + 1] if i + 1 < len(gates) else None
-            if (prev is not None and prev.name == "cx" and prev.qubits == (b, a)) or (
-                not (prev is not None and prev.name == "cx" and prev.qubits == (a, b))
-                and nxt is not None
-                and nxt.name == "cx"
-                and nxt.qubits == (b, a)
-            ):
-                a, b = b, a
-            outer = Gate("cx", (a, b))
-            out += (outer, Gate("cx", (b, a)), outer)
-        else:
-            out.append(gate)
-    return out
+    n = len(ops)
+    cz, swap = ops == _CZ, np.flatnonzero(ops == _SWAP)
+    width = np.where(cz, 3, 1)
+    width[swap] = 3
+    start = np.cumsum(width) - width
+    out_ops, out_qubits = np.repeat(ops, width), np.repeat(qubits, width, axis=0)
+    at = start[cz]
+    out_ops[at] = out_ops[at + 2] = _H
+    out_ops[at + 1] = _CX
+    out_qubits[at] = out_qubits[at + 2] = np.column_stack([qubits[cz, 1], np.full(len(at), -1)])
+
+    oriented, outer = [], None
+    nxt = np.minimum(swap + 1, n - 1)
+    for (a, b), prev_op, prev, next_op, after in zip(
+        qubits[swap].tolist(), np.where(swap > 0, ops[swap - 1], 0).tolist(),
+        map(tuple, qubits[swap - 1].tolist()), np.where(swap + 1 < n, ops[nxt], 0).tolist(),
+        map(tuple, qubits[nxt].tolist()),
+    ):
+        if prev_op == _SWAP:
+            prev = outer
+        elif prev_op != _CX:
+            prev = None
+        if prev == (b, a) or (prev != (a, b) and next_op == _CX and after == (b, a)):
+            a, b = b, a
+        outer = (a, b)
+        oriented.append(outer)
+    at = start[swap]
+    out_ops[at] = out_ops[at + 1] = out_ops[at + 2] = _CX
+    out_qubits[at] = out_qubits[at + 2] = np.reshape(oriented, (-1, 2))
+    out_qubits[at + 1] = out_qubits[at, ::-1]
+    return out_ops, out_qubits, np.repeat(params, width, axis=0)
 
 
 def optimize(circuit: Circuit) -> Circuit:
     """Cancellation followed by 1q fusion, then one more cancellation pass."""
-    return Circuit.trusted(circuit.n_qubits, _cancel(_fuse(_cancel(circuit.gates))))
+    packed = _cancel(*_fuse(*_cancel(*circuit.packed())))
+    return Circuit.from_packed(circuit.n_qubits, *packed)
 
 
 def to_cx_u3(circuit: Circuit) -> Circuit:
     """Full pipeline into the paper's {CX, U3} basis.
 
-    Cancellation, then — only when the cancelled list still holds a cz or
-    swap — their rewrite into cx + 1q gates and a second cancellation, then
-    1q fusion.  Without cz/swap (every logical Trotter circuit) the rewrite
-    would be a copy and the second cancellation would run on a fixed point,
-    so both are skipped; the result is the same gate for gate.
+    Cancellation, then — only when the cancelled circuit still holds a cz
+    or swap — their rewrite into cx + 1q gates and a second cancellation,
+    then 1q fusion.  Without cz/swap (every logical Trotter circuit) the
+    rewrite would be a copy and the second cancellation would run on a
+    fixed point, so both are skipped; the result is the same gate for gate.
     """
-    gates = _cancel(circuit.gates)
-    if any(g.name in _EXPANDED for g in gates):
-        gates = _cancel(_expand_to_cx(gates))
-    return Circuit.trusted(circuit.n_qubits, _fuse(gates))
+    packed = _cancel(*circuit.packed())
+    if np.isin(packed[0], (_CZ, _SWAP)).any():
+        packed = _cancel(*_expand_to_cx(*packed))
+    return Circuit.from_packed(circuit.n_qubits, *_fuse(*packed))

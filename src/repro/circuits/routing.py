@@ -11,27 +11,27 @@ Lookahead model: the window is the next ``lookahead`` two-qubit gates with
 Near-term gates dominate (routing quality matches a short uniform window)
 while the long tail still breaks ties toward globally useful SWAPs.
 
-Engine: each distinct logical pair gets a slot id once per route, and the
-two-qubit gates become one slot-id array.  A gate whose endpoints are
-already adjacent does no window work at all.  At a SWAP decision with two
-or more candidates, one ``np.bincount`` of the horizon slice of that array,
+Engine: each distinct unordered logical pair is a slot, and the two-qubit
+gates become one slot-id array.  A gate whose endpoints are already
+adjacent does no window work.  At a SWAP decision with two or more
+candidates, one ``np.bincount`` of the horizon slice of that array,
 weighted by the tiers, gives every slot its window weight ``w_s``; each
-candidate ``(anchor, nb)`` then scores
-``32·d_front + Σ w_s·(d_after − d_before)``, the sum running only over the
-weighted slots that touch the logicals on ``anchor`` and ``nb``.  A swap
-moves only those two logicals, so no other slot changes distance — and
-neither does the slot joining the two, which is skipped.  The score is the
-full window sum minus one per-decision constant, so it ranks candidates
-exactly as the full sum does, at a cost set by the slots touching two
-logicals rather than by the horizon.
+candidate ``(anchor, nb)`` scores ``32·d_front + Σ w_s·(d_after − d_before)``
+over the weighted slots touching the logicals on ``anchor`` and ``nb`` —
+a swap moves only those two, and the slot joining them keeps its distance,
+so it is skipped.  That is the full window sum minus a per-decision
+constant, so candidates rank exactly as under the full sum.  The decision
+loop walks the two-qubit gates alone; the routed circuit is written in
+packed form (:mod:`.circuit`), each stretch of gates between SWAPs
+relabelled by one gather through the layout in force as the stretch closes.
 
-The test oracle ``tests/reference/routing.py`` makes the same decisions by
-per-candidate Python dict scans over every window position, accumulating
-the float score ``d_front + Σ_k w_k/32 · d_k``.  All weights are exact
-binary fractions and all partial sums stay far below 2^53, so that float
-arithmetic is exact and order-independent; the engine's integer-valued
-score is exactly 32x the oracle's minus a per-decision constant, so both
-rank every candidate identically and emit bit-identical gate sequences.
+The test oracle ``tests/reference/routing.py`` scans every window position
+per candidate, accumulating the float score ``d_front + Σ_k w_k/32 · d_k``,
+and emits one :class:`~repro.circuits.Gate` per routed gate.  All weights
+are exact binary fractions and all partial sums stay far below 2^53, so
+that arithmetic is exact; the engine's integer-valued score is exactly 32x
+the oracle's minus a per-decision constant, so both emit bit-identical
+gate sequences.
 
 Determinism: candidate swap edges are enumerated in sorted order (front-gate
 endpoints in gate order, neighbours ascending) and ties always break toward
@@ -41,14 +41,13 @@ sequence.
 
 from __future__ import annotations
 
-from collections import Counter
 from time import perf_counter as _perf_counter
 
 import networkx as nx
 import numpy as np
 
 from .circuit import Circuit
-from .gates import Gate
+from .gates import GATE_NAMES
 
 __all__ = [
     "route_circuit",
@@ -71,6 +70,8 @@ DEFAULT_LOOKAHEAD = 256
 _TIER_BOUNDS = (4, 16, 64)
 _TIER_WEIGHTS = (8, 4, 2, 1)
 _FRONT_WEIGHT = 32
+
+_SWAP = GATE_NAMES.index("swap")
 
 #: Graph-attribute slots caching per-architecture routing tables.
 _DIST_KEY = "_repro_distance_matrix"
@@ -167,37 +168,42 @@ def initial_layout(circuit: Circuit, graph: nx.Graph) -> dict[int, int]:
     high-degree physical qubits.  Fully deterministic: nodes are ranked by
     ``(-degree, node)``, hot pairs by ``(-count, pair)``, and neighbourhoods
     scanned in ascending order."""
-    return _layout_from_pairs(_two_qubit_pairs(circuit), circuit.n_qubits, graph)
+    pairs, _, count = _pair_slots(circuit)
+    return _layout_from_pairs(pairs, count, circuit.n_qubits, graph)
+
+
+def _pair_slots(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct unordered qubit pairs of the two-qubit gates (``(k, 2)``,
+    ascending), each such gate's index into them, and each pair's count."""
+    n = circuit.n_qubits
+    qubits = circuit.packed()[1]
+    pairs = np.sort(qubits[qubits[:, 1] >= 0], axis=1).astype(np.int64)
+    keys, slot, count = np.unique(
+        pairs[:, 0] * n + pairs[:, 1], return_inverse=True, return_counts=True
+    )
+    return np.column_stack(divmod(keys, n)), slot.reshape(-1), count
 
 
 def _layout_from_pairs(
-    pairs: list[tuple[int, ...]], n_qubits: int, graph: nx.Graph
+    pairs: np.ndarray, count: np.ndarray, n_qubits: int, graph: nx.Graph
 ) -> dict[int, int]:
-    """:func:`initial_layout` from the circuit's two-qubit pair list."""
-    pair_usage: Counter = Counter()
-    for (a, b), count in Counter(pairs).items():
-        pair_usage[(a, b) if a < b else (b, a)] += count
+    """:func:`initial_layout` from the distinct pairs and their counts."""
     nodes_by_degree = sorted(graph.nodes, key=lambda v: (-graph.degree[v], v))
     layout: dict[int, int] = {}
     used: set[int] = set()
-    hot_pairs = sorted(pair_usage.items(), key=lambda item: (-item[1], item[0]))
-    for (a, b), _ in hot_pairs:
+    hot_pairs = sorted(zip((-count).tolist(), map(tuple, pairs.tolist())))
+    for _, (a, b) in hot_pairs:
         if a in layout and b in layout:
             continue
         if a not in layout and b not in layout:
-            # Find an adjacent free pair, preferring high degree.
-            placed = False
-            for u in nodes_by_degree:
-                if u in used:
-                    continue
-                for v in sorted(graph.neighbors(u)):
-                    if v not in used:
-                        layout[a], layout[b] = u, v
-                        used.update((u, v))
-                        placed = True
-                        break
-                if placed:
-                    break
+            # The first adjacent free pair, preferring high degree.
+            spot = next((
+                (u, v) for u in nodes_by_degree if u not in used
+                for v in sorted(graph.neighbors(u)) if v not in used
+            ), None)
+            if spot is not None:
+                layout[a], layout[b] = spot
+                used.update(spot)
         else:
             anchor, free = (a, b) if a in layout else (b, a)
             for v in sorted(graph.neighbors(layout[anchor])):
@@ -233,10 +239,10 @@ def route_circuit(
             f"{graph.number_of_nodes()}"
         )
     dist = distance_matrix(graph)  # also validates node labels + connectivity
-    pairs = _two_qubit_pairs(circuit)
-    layout = _layout_from_pairs(pairs, circuit.n_qubits, graph)
+    pairs, slot, count = _pair_slots(circuit)
+    layout = _layout_from_pairs(pairs, count, circuit.n_qubits, graph)
     started = _perf_counter()
-    routed = _route(circuit, graph, dist, layout, pairs, lookahead)
+    routed = _route(circuit, graph, dist, layout, pairs, slot, lookahead)
     from ..obs.metrics import get_registry
 
     get_registry().histogram(
@@ -246,85 +252,49 @@ def route_circuit(
     return routed
 
 
-def _two_qubit_pairs(circuit: Circuit) -> list[tuple[int, ...]]:
-    return [g.qubits for g in circuit.gates if len(g.qubits) == 2]
-
-
-_GATE_NEW = Gate.__new__
-_SET = object.__setattr__
-
-
-def _relabel(gate: Gate, qubits: tuple[int, ...]) -> Gate:
-    """Trusted Gate construction for the emission hot path.
-
-    Bypasses dataclass validation: the name/params come from an already
-    validated gate and the qubits are in-range physical indices by
-    construction.  The scalar reference emits through this too, so the
-    benchmarked gap between them is the scoring work, not object-construction
-    overhead.
-    """
-    g = _GATE_NEW(Gate)
-    _SET(g, "name", gate.name)
-    _SET(g, "qubits", qubits)
-    _SET(g, "params", gate.params)
-    return g
-
-
-def _swap_gate(p1: int, p2: int) -> Gate:
-    g = _GATE_NEW(Gate)
-    _SET(g, "name", "swap")
-    _SET(g, "qubits", (p1, p2))
-    _SET(g, "params", ())
-    return g
-
-
 def _route(
     circuit: Circuit,
     graph: nx.Graph,
     dist: np.ndarray,
     layout: dict[int, int],
-    pairs: list[tuple[int, ...]],
+    pairs: np.ndarray,
+    pid: np.ndarray,
     lookahead: int,
 ) -> RoutedCircuit:
     """Delta-scored engine (see the module docstring).
 
-    Layout bookkeeping is two plain Python lists (logical -> physical and
-    physical -> logical); NumPy runs only the one ``bincount`` per scored
-    decision.
+    The layout is two plain Python lists (logical -> physical and physical
+    -> logical); each move of a logical is also logged, so the output is
+    relabelled afterwards without keeping a layout per SWAP.
     """
     d: list[list[int]] = dist.tolist()
     adj = _sorted_adjacency(graph)
-    phys = [0] * circuit.n_qubits
+    n_logical = circuit.n_qubits
+    phys = [0] * n_logical
     logical_of: list[int | None] = [None] * graph.number_of_nodes()
     for q, p in layout.items():
         phys[q] = p
         logical_of[p] = q
 
-    # Slots are unordered logical pairs (distances are symmetric);
-    # ``touching[l]`` lists ``(slot, partner)`` for every slot on ``l``.
-    slot_of: dict[tuple[int, ...], int] = {}
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(circuit.n_qubits)]
-    n_slots = 0
-    for a, b in dict.fromkeys(pairs):
-        slot = slot_of.get((b, a))
-        if slot is None:
-            slot, n_slots = n_slots, n_slots + 1
-            touching[a].append((slot, b))
-            touching[b].append((slot, a))
-        slot_of[a, b] = slot
-    pid = np.fromiter(map(slot_of.__getitem__, pairs), dtype=np.intp, count=len(pairs))
-    tiers = np.array(
-        [_offset_weight(k) for k in range(min(lookahead, len(pairs)))], dtype=np.float64
-    )
-    out_gates: list[Gate] = []
+    # Slots are the distinct unordered logical pairs (distances are
+    # symmetric), ``pid`` is each two-qubit gate's slot, and ``touching[l]``
+    # lists ``(slot, partner)`` for every slot on ``l``.
+    n_slots = len(pairs)
+    touching: list[list[tuple[int, int]]] = [[] for _ in range(n_logical)]
+    for slot, (a, b) in enumerate(pairs.tolist()):
+        touching[a].append((slot, b))
+        touching[b].append((slot, a))
+    tiers = np.array([_offset_weight(k) for k in range(min(lookahead, len(pid)))], dtype=float)
+    ops, qubits, params = circuit.packed()
+    at_gate = np.flatnonzero(qubits[:, 1] >= 0)
+    swap_at: list[int] = []  # index of the gate each SWAP precedes
+    swaps: list[tuple[int, int]] = []
+    # (logical, SWAPs placed so far, its physical) at the start and per move.
+    moves = [(q, 0, p) for q, p in enumerate(phys)]
 
-    t = 0  # window start: the two-qubit gate after the front gate
-    for gate in circuit.gates:
-        if len(gate.qubits) == 1:
-            out_gates.append(_relabel(gate, (phys[gate.qubits[0]],)))
-            continue
-        a, b = gate.qubits
-        t += 1
+    # t: window start, the two-qubit gate after the front gate.
+    front_gates = zip(at_gate.tolist(), *qubits[at_gate].T.tolist())
+    for t, (i, a, b) in enumerate(front_gates, 1):
         pa, pb = phys[a], phys[b]
         while d[pa][pb] > 1:
             front = d[pa][pb]
@@ -358,17 +328,37 @@ def _route(
                                 score += ws * (da[q] - dn[q])
                     if best_score is None or score < best_score:
                         best_score, p1, p2 = score, anchor, nb
-            out_gates.append(_swap_gate(p1, p2))
+            swap_at.append(i)
+            swaps.append((p1, p2))
             l1, l2 = logical_of[p1], logical_of[p2]
             if l1 is not None:
                 phys[l1] = p2
+                moves.append((l1, len(swaps), p2))
             if l2 is not None:
                 phys[l2] = p1
+                moves.append((l2, len(swaps), p1))
             logical_of[p1], logical_of[p2] = l2, l1
             pa, pb = phys[a], phys[b]
-        out_gates.append(_relabel(gate, (pa, pb)))
 
-    # Trusted: every index is a valid physical qubit.
-    out = Circuit.trusted(graph.number_of_nodes(), out_gates)
-    final = {q: phys[q] for q in range(circuit.n_qubits)}
+    # Gate i runs after ``before[i]`` SWAPs; each of its qubits sits where
+    # that logical's last move up to then put it (-1 keys find no move).
+    n, n_swaps = len(ops), len(swaps)
+    swap_pos = np.array(swap_at, dtype=np.intp)
+    before = np.searchsorted(swap_pos, np.arange(n), side="right")
+    logical, when, where = np.array(moves, dtype=np.int64).T
+    keys = logical * (n_swaps + 1) + when
+    order = np.argsort(keys)
+    slot_keys = qubits.astype(np.int64) * (n_swaps + 1) + before[:, None]
+    last = np.searchsorted(keys[order], slot_keys, side="right")
+    at = np.arange(n) + before
+    swap_pos += np.arange(n_swaps)
+    out_ops = np.full(n + n_swaps, _SWAP, dtype=np.uint8)
+    out_qubits = np.empty((n + n_swaps, 2), dtype=np.int32)
+    out_params = np.zeros((n + n_swaps, 3))
+    out_ops[at], out_params[at] = ops, params
+    out_qubits[at] = np.where(qubits < 0, -1, where[order][last - 1])
+    out_qubits[swap_pos] = np.reshape(swaps, (-1, 2))
+    # Every index is a valid physical qubit.
+    out = Circuit.from_packed(graph.number_of_nodes(), out_ops, out_qubits, out_params)
+    final = {q: phys[q] for q in range(n_logical)}
     return RoutedCircuit(out, layout, final)

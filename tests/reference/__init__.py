@@ -11,6 +11,8 @@ noisy trajectories, in distribution):
   ``Statevector`` expectation;
 * :mod:`reference.trotter` — the full-ladder Trotter emission and the
   four-pass ``to_cx_u3``;
+* :mod:`reference.peephole` — the Gate-list cancellation, fusion and
+  cz/swap rewrite passes;
 * :mod:`reference.density` — the exact density-matrix simulator.
 
 Not part of the package.  ``tests/`` (and ``benchmarks/``, through its

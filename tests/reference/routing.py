@@ -6,7 +6,9 @@ window position.  The engine scores, in integer-valued arithmetic, only the
 change a swap makes to the window pairs on the two swapped logicals; its
 score is exactly 32x this one minus a per-decision constant.  Both keep the
 first minimum in the same candidate order, so they emit bit-identical gate
-sequences (``test_routing.py`` and the Table IV bench assert it).
+sequences (``test_routing.py`` and the Table IV bench assert it).  The
+oracle emits one :class:`Gate` per routed gate through ``_relabel``, the
+emission the engine used before it relabelled packed qubit arrays.
 """
 
 from __future__ import annotations
@@ -20,15 +22,37 @@ from repro.circuits.routing import (
     DEFAULT_LOOKAHEAD,
     RoutedCircuit,
     _offset_weight,
-    _relabel,
     _sorted_adjacency,
-    _swap_gate,
-    _two_qubit_pairs,
     distance_matrix,
     initial_layout,
 )
 
 __all__ = ["scalar_route_circuit"]
+
+_GATE_NEW = Gate.__new__
+_SET = object.__setattr__
+
+
+def _relabel(gate: Gate, qubits: tuple[int, ...]) -> Gate:
+    """Trusted Gate construction for the emission hot path.
+
+    Bypasses dataclass validation: the name/params come from an already
+    validated gate and the qubits are in-range physical indices by
+    construction.
+    """
+    g = _GATE_NEW(Gate)
+    _SET(g, "name", gate.name)
+    _SET(g, "qubits", qubits)
+    _SET(g, "params", gate.params)
+    return g
+
+
+def _swap_gate(p1: int, p2: int) -> Gate:
+    g = _GATE_NEW(Gate)
+    _SET(g, "name", "swap")
+    _SET(g, "qubits", (p1, p2))
+    _SET(g, "params", ())
+    return g
 
 
 def scalar_route_circuit(
@@ -63,7 +87,7 @@ def _route_scalar(
     phys_of = dict(layout)
     logical_of = {p: q for q, p in phys_of.items()}
     out_gates: list[Gate] = []
-    pairs = _two_qubit_pairs(circuit)
+    pairs = [g.qubits for g in circuit.gates if len(g.qubits) == 2]
 
     def do_swap(p1: int, p2: int) -> None:
         out_gates.append(_swap_gate(p1, p2))
@@ -109,6 +133,7 @@ def _route_scalar(
             assert best is not None, "no distance-reducing swap found"
             do_swap(*best)
         out_gates.append(_relabel(gate, (phys_of[a], phys_of[b])))
-    # Trusted: every index is a valid physical qubit.
-    out = Circuit.trusted(graph.number_of_nodes(), out_gates)
+    # Adopted unchecked: every index is a valid physical qubit.
+    out = Circuit(graph.number_of_nodes())
+    out.gates.extend(out_gates)
     return RoutedCircuit(out, layout, dict(phys_of))

@@ -7,9 +7,9 @@ parity chains computed from dense labels and Python sets.  The synthesis in
 deletes anyway, so the two agree after ``_cancel`` and after ``to_cx_u3``
 (compared bit for bit, with every parameter as ``float.hex``).
 
-``reference_to_cx_u3`` always runs all four passes (cancel, expand cz/swap,
-cancel, fuse), including the two that are no-ops on a list without cz or
-swap.
+``reference_to_cx_u3`` always runs all four Gate-list passes of
+:mod:`reference.peephole` (cancel, expand cz/swap, cancel, fuse), including
+the two that are no-ops on a list without cz or swap.
 
 Tests import it as ``from reference.trotter import ...``.
 """
@@ -17,8 +17,9 @@ Tests import it as ``from reference.trotter import ...``.
 from __future__ import annotations
 
 from repro.circuits import Gate
-from repro.circuits.optimize import _cancel, _expand_to_cx, _fuse
 from repro.paulis import PauliString, QubitOperator
+
+from .peephole import gate_cancel, gate_expand_to_cx, gate_fuse
 
 
 def hex_gates(gates) -> list[tuple[str, tuple[int, ...], tuple[str, ...]]]:
@@ -130,4 +131,4 @@ def reference_trotter_gates(
 
 def reference_to_cx_u3(gates: list[Gate]) -> list[Gate]:
     """Cancel, expand cz/swap, cancel again, fuse — unconditionally."""
-    return _fuse(_cancel(_expand_to_cx(_cancel(gates))))
+    return gate_fuse(gate_cancel(gate_expand_to_cx(gate_cancel(gates))))

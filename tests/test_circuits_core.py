@@ -24,6 +24,36 @@ class TestGates:
         with pytest.raises(ValueError):
             Gate("cx", (1, 1))
 
+    def test_rotation_without_angle_rejected(self):
+        with pytest.raises(ValueError, match="takes 1 parameter"):
+            Gate("rz", (0,))
+
+    def test_u3_with_one_angle_rejected(self):
+        with pytest.raises(ValueError, match="takes 3 parameter"):
+            Gate("u3", (0,), (1.0,))
+
+    def test_fixed_gate_with_angle_rejected(self):
+        with pytest.raises(ValueError, match="takes 0 parameter"):
+            Gate("h", (0,), (1.0,))
+
+    def test_float_qubit_rejected(self):
+        with pytest.raises(ValueError, match="must be ints"):
+            Gate("cx", (0, 1.5))
+
+    def test_bool_qubit_rejected(self):
+        with pytest.raises(ValueError, match="must be ints"):
+            Gate("h", (True,))
+
+    def test_add_with_float_qubit_rejected(self):
+        with pytest.raises(ValueError, match="must be ints"):
+            Circuit(2).add("x", 1.0)
+
+    def test_add_rotation_without_angle_rejected(self):
+        """Used to construct, then fail inside ``to_cx_u3`` with "not enough
+        values to unpack"."""
+        with pytest.raises(ValueError, match="takes 1 parameter"):
+            Circuit(2).add("rz", 0)
+
     def test_all_matrices_unitary(self):
         for name in ["i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "swap"]:
             m = gate_matrix(name)

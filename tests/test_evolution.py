@@ -21,9 +21,9 @@ from repro.circuits import (
 )
 from repro.circuits.evolution import _label_key
 from repro.circuits.gates import gate_matrix
-from repro.circuits.optimize import _cancel
 from repro.paulis import PauliString, QubitOperator
 
+from reference.peephole import gate_cancel
 from reference.trotter import (
     hex_gates,
     reference_order,
@@ -215,7 +215,7 @@ class TestOptimizer:
         raw = trotter_circuit(h)
         full = reference_trotter_gates(h)
         assert raw.cx_count < Circuit(3, full).cx_count
-        assert hex_gates(cancel_adjacent(raw).gates) == hex_gates(_cancel(full))
+        assert hex_gates(cancel_adjacent(raw).gates) == hex_gates(gate_cancel(full))
 
     def test_optimize_preserves_unitary(self):
         h = QubitOperator.from_label_dict({"XY": 0.3, "ZZ": -0.8, "YI": 0.2})
@@ -419,7 +419,7 @@ def trotter_inputs(draw):
 
 class TestJunctionEmission:
     """Synthesis skips the junction gates cancellation deletes; after
-    ``_cancel`` and after ``to_cx_u3`` it equals the full emission of
+    ``gate_cancel`` and after ``to_cx_u3`` it equals the full emission of
     ``tests/reference/trotter.py`` bit for bit."""
 
     @given(trotter_inputs())
@@ -437,7 +437,7 @@ class TestJunctionEmission:
         new = trotter_circuit(h, **options).gates
         full = reference_trotter_gates(h, **options)
         assert len(new) <= len(full)
-        assert hex_gates(_cancel(new)) == hex_gates(_cancel(full))
+        assert hex_gates(gate_cancel(new)) == hex_gates(gate_cancel(full))
         prep = [Gate("x", (q,)) for q in prefix]
         got = to_cx_u3(Circuit(h.n, prep + new)).gates
         assert hex_gates(got) == hex_gates(reference_to_cx_u3(prep + full))
