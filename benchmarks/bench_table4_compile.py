@@ -39,6 +39,10 @@ Emission guard: Trotter synthesis emits only the gates that survive the
 first cancellation sweep (up to a 10% margin), so its cost tracks the
 surviving CNOTs rather than the full term-by-term ladders.
 
+Synthesis oracle: every Trotter circuit the sweep compiles (each case ×
+kind × architecture) must equal the Python-int planner and emitter of
+``tests/reference/trotter.py`` gate for gate, parameters bit for bit.
+
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke step) for a toy-size run that
 still exercises every assertion.  Results are written to the committed
 repo-root ``BENCH_table4.json`` on canonical runs.
@@ -49,10 +53,12 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import full_run
 from reference.routing import scalar_route_circuit
+from reference.trotter import oracle_trotter_circuit
 from repro.analysis import write_bench_json, write_result
 from repro.circuits import (
     Circuit,
@@ -114,12 +120,34 @@ MAX_PEEPHOLE_SCALING = 8.0
 MAX_EMITTED_PER_SURVIVOR = 1.10
 
 
+#: One entry per Trotter circuit the sweep compiled: equal to the oracle's.
+TROTTER_CHECKS: list[bool] = []
+
+
+def _same_circuit(a: Circuit, b: Circuit) -> bool:
+    """Ops and qubits equal, parameters equal bit for bit."""
+    (ops, qubits, params), (ops2, qubits2, params2) = a.packed(), b.packed()
+    return (
+        np.array_equal(ops, ops2)
+        and np.array_equal(qubits, qubits2)
+        and np.array_equal(params.view(np.uint64), params2.view(np.uint64))
+    )
+
+
 @pytest.fixture(scope="module")
 def table4():
+    def checked_trotter(hamiltonian, **options):
+        circuit = trotter_circuit(hamiltonian, **options)
+        oracle = oracle_trotter_circuit(hamiltonian, **options)
+        TROTTER_CHECKS.append(_same_circuit(circuit, oracle))
+        return circuit
+
     pipeline = CompilationPipeline()
     reports = {}
-    for case in CASES:
-        reports[case] = pipeline.sweep(build_case(case), kinds=KINDS, case=case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.compile.pipeline.trotter_circuit", checked_trotter)
+        for case in CASES:
+            reports[case] = pipeline.sweep(build_case(case), kinds=KINDS, case=case)
     content = "\n\n".join(reports[case].table() for case in CASES)
     write_result("table4_compile", content)
     return reports
@@ -193,6 +221,12 @@ def test_table4_electronic_aggregate(table4):
             jw_total += per_kind["jw"].routed_cx
             hatt_total += per_kind["hatt"].routed_cx
     assert hatt_total <= jw_total * ELECTRONIC_AGGREGATE, (hatt_total, jw_total)
+
+
+def test_trotter_matches_python_int_oracle(table4):
+    """Every compiled Trotter circuit equals ``tests/reference/trotter.py``."""
+    assert len(TROTTER_CHECKS) >= len(CASES) * len(KINDS) * len(ARCHITECTURES)
+    assert all(TROTTER_CHECKS), TROTTER_CHECKS.count(False)
 
 
 def test_router_backends_bit_identical(table4):

@@ -26,7 +26,7 @@ from .mappings import (
 )
 from .paulis import PauliString, QubitOperator
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "PauliString",

@@ -89,10 +89,7 @@ def evaluate_mapping(
     (the hardware pipeline's setting — see :mod:`repro.compile`).
     """
     hq = mapping.map(hamiltonian)
-    # One packed-table conversion serves every weight statistic (the scalar
-    # per-term popcount loop is the equivalent reference; see PauliTable).
-    table, _ = hq.to_table()
-    weights = table.weights()
+    weights = hq.to_table()[0].weights()  # the mapped operator's own table
     report = MappingReport(
         mapping=mapping.name,
         n_modes=mapping.n_modes,

@@ -41,6 +41,7 @@ sequence.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter as _perf_counter
 
 import networkx as nx
@@ -73,10 +74,6 @@ _FRONT_WEIGHT = 32
 
 _SWAP = GATE_NAMES.index("swap")
 
-#: Graph-attribute slots caching per-architecture routing tables.
-_DIST_KEY = "_repro_distance_matrix"
-_ADJ_KEY = "_repro_sorted_adjacency"
-
 
 def _offset_weight(k: int) -> int:
     """Integer lookahead weight of the window gate at offset ``k``."""
@@ -106,61 +103,52 @@ class RoutedCircuit:
         return self.circuit.depth()
 
 
-def _graph_signature(graph: nx.Graph) -> tuple[int, int]:
-    """Cheap structural fingerprint: node count + hashed sorted edge set.
+def _graph_signature(graph: nx.Graph) -> tuple[tuple, tuple]:
+    """Structural key: the sorted node and edge sets.
 
     O(E log E) per call — negligible against the BFS sweep it guards — and
     it changes whenever the graph gains/loses nodes or edges, so tables
     cached before a mutation are recomputed instead of silently reused.
     """
     edges = tuple(sorted((u, v) if u <= v else (v, u) for u, v in graph.edges))
-    return (graph.number_of_nodes(), hash(edges))
+    return tuple(sorted(graph.nodes)), edges
 
 
-def _cached_table(graph: nx.Graph, key: str, build):
-    """Signature-validated memo slot on ``graph.graph[key]``."""
-    sig = _graph_signature(graph)
-    cached = graph.graph.get(key)
-    if cached is not None and cached[0] == sig:
-        return cached[1]
-    value = build()
-    graph.graph[key] = (sig, value)
-    return value
+@lru_cache(maxsize=32)
+def _tables(nodes: tuple, edges: tuple) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Distance matrix and ascending neighbour tuples of the graph with these
+    nodes and edges, memoized per structure for the whole process (both
+    immutable, since every caller shares them)."""
+    n = len(nodes)
+    if list(nodes) != list(range(n)):
+        raise ValueError("coupling-graph nodes must be the integers 0..n-1")
+    graph = nx.Graph(edges)
+    graph.add_nodes_from(nodes)
+    dist = np.full((n, n), -1, dtype=np.int32)
+    for src, lengths in nx.all_pairs_shortest_path_length(graph):
+        for dst, d in lengths.items():
+            dist[src, dst] = d
+    if (dist < 0).any():
+        raise ValueError("coupling graph must be connected")
+    dist.flags.writeable = False
+    return dist, tuple(tuple(sorted(graph.neighbors(v))) for v in range(n))
 
 
 def distance_matrix(graph: nx.Graph) -> np.ndarray:
-    """All-pairs shortest-path distances as an ``(n, n)`` int32 matrix.
+    """All-pairs shortest-path distances as a read-only ``(n, n)`` int32 matrix.
 
-    Cached on ``graph.graph`` keyed by the graph's structural signature, so
-    every route onto one architecture instance pays the BFS sweep once — the
-    compilation pipeline reuses one graph per architecture across its whole
-    mapping sweep — while mutating the graph afterwards invalidates the
-    entry instead of serving stale distances.  Nodes must be the integers
-    ``0..n-1`` (all :mod:`.architectures` graphs are).
+    Memoized on the graph's structure, so routes onto any graph of one
+    architecture pay the BFS sweep once per process — a cold pipeline builds
+    a fresh graph per compile — while a mutated graph is recomputed instead
+    of served stale distances.  Nodes must be the integers ``0..n-1`` (all
+    :mod:`.architectures` graphs are).
     """
-
-    def build() -> np.ndarray:
-        n = graph.number_of_nodes()
-        if sorted(graph.nodes) != list(range(n)):
-            raise ValueError("coupling-graph nodes must be the integers 0..n-1")
-        dist = np.full((n, n), -1, dtype=np.int32)
-        for src, lengths in nx.all_pairs_shortest_path_length(graph):
-            for dst, d in lengths.items():
-                dist[src, dst] = d
-        if (dist < 0).any():
-            raise ValueError("coupling graph must be connected")
-        return dist
-
-    return _cached_table(graph, _DIST_KEY, build)
+    return _tables(*_graph_signature(graph))[0]
 
 
-def _sorted_adjacency(graph: nx.Graph) -> list[list[int]]:
-    """Per-node neighbour lists in ascending order (cached on the graph)."""
-    return _cached_table(
-        graph,
-        _ADJ_KEY,
-        lambda: [sorted(graph.neighbors(v)) for v in range(graph.number_of_nodes())],
-    )
+def _sorted_adjacency(graph: nx.Graph) -> tuple[tuple[int, ...], ...]:
+    """Per-node neighbour lists in ascending order (memoized like the distances)."""
+    return _tables(*_graph_signature(graph))[1]
 
 
 def initial_layout(circuit: Circuit, graph: nx.Graph) -> dict[int, int]:

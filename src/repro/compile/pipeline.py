@@ -7,9 +7,9 @@ full sweeps fast:
 
 * mappings come from the :class:`~repro.service.MappingService`
   (memory LRU → disk → compile) when a service is attached;
-* each architecture's coupling graph is instantiated once per pipeline, so
-  the all-pairs distance matrix and adjacency tables cached on the graph by
-  :mod:`repro.circuits.routing` are shared across the whole sweep;
+* :mod:`repro.circuits.routing` memoizes each architecture's all-pairs
+  distance matrix and adjacency per graph structure, so every pipeline in
+  the process (a cold one included) shares them;
 * routed metrics go through the service's ``circuits`` cache — the same
   memory LRU → disk (the store's ``circuits/`` namespace) → compute policy,
   single-flighted — keyed by operator × mapping fingerprint × architecture ×
@@ -265,8 +265,7 @@ class CompilationPipeline:
 
     # ------------------------------------------------------------------
     def graph(self, arch: str):
-        """The architecture's coupling graph, shared across the pipeline so
-        routing tables cached on it (distance matrix, adjacency) are reused."""
+        """The architecture's coupling graph, shared across the pipeline."""
         g = self._graphs.get(arch)
         if g is None:
             g = self._graphs[arch] = architecture(arch)
@@ -325,8 +324,7 @@ class CompilationPipeline:
             opts = self.options
             with span("mapping_apply", registry=registry):
                 hq = mapped if mapped is not None else mapping.map(source.build())
-                table, _ = hq.to_table()
-                pauli_weight = int(table.weights().sum())
+                pauli_weight = hq.pauli_weight()
             with span("ordering", registry=registry):
                 logical = to_cx_u3(
                     trotter_circuit(

@@ -49,12 +49,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..paulis.pauli_sum import DUST_TOLERANCE as _COEFF_TOLERANCE
 from ..paulis.table import WORD_BITS, plan_from_masks, unpack_masks
 from .operators import FermionOperator
 
 __all__ = ["MajoranaOperator", "normal_order_majorana_product", "majorana_form"]
-
-_COEFF_TOLERANCE = 1e-12
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 

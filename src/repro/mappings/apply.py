@@ -29,6 +29,7 @@ from __future__ import annotations
 from ..fermion import FermionOperator, MajoranaOperator
 from ..fermion.majorana import majorana_form
 from ..paulis import PauliString, QubitOperator
+from ..paulis.pauli_sum import DUST_TOLERANCE
 from ..paulis.table import PauliTable
 
 __all__ = ["map_majorana_operator", "map_fermion_operator"]
@@ -79,7 +80,7 @@ def _map_majorana_table(op: MajoranaOperator, table: PauliTable) -> QubitOperato
     # equals the highest touched Majorana index + 1 == n_majoranas.
     _check_coverage(int(idx.max()) if idx.size else 0, table.n_terms)
     products = table.padded_row_products(idx)
-    return products.to_qubit_operator(coeffs)
+    return products.to_qubit_operator(coeffs, tol=DUST_TOLERANCE)
 
 
 def map_majorana_operator(
@@ -93,8 +94,10 @@ def map_majorana_operator(
     :class:`~repro.paulis.PauliTable` is also accepted); every string must act
     on exactly ``n_qubits`` qubits and the table must cover all
     ``2 · n_modes`` Majoranas the operator spans.  Terms that cancel exactly
-    disappear; the result is simplified to drop numerical dust below 1e-10.
-    Terms come out in canonical lexicographic ``(x, z)`` order.
+    disappear, and terms with |c| ≤ 1e-12 (the Majorana form's dust
+    tolerance) are dropped.  The result holds the combined table in
+    canonical lexicographic ``(x, z)`` order; its term dict is built only if
+    a dict API asks for it.
     """
     _validate_qubit_counts(strings, n_qubits)
     table = (

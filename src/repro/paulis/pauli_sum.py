@@ -5,6 +5,14 @@ the phase-0 symplectic pair ``(x, z)``; any ``i**k`` phase carried by an added
 :class:`~repro.paulis.PauliString` is folded into its coefficient.  This makes
 term combination exact and keeps the paper's Pauli-weight metric
 (`pauli_weight`, §II-B3) a pure popcount sum.
+
+Dual form: the terms live as that dict, as a packed
+:class:`~repro.paulis.PauliTable` of unique rows plus a coefficient vector,
+or as both.  A mapped operator (:meth:`PauliTable.to_qubit_operator`) holds
+the table alone; ``len``, the weights, :meth:`~QubitOperator.is_hermitian`
+and :meth:`~QubitOperator.to_table` read the arrays (a dict operator packs
+them once), and any other API builds the dict in row order.  A mutation goes
+through the dict and drops the table.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .algebra import mul_xzk, weight
+from .algebra import mul_xzk
 from .pauli import PauliString, _PHASE_VALUE
 
 __all__ = ["QubitOperator"]
@@ -21,15 +29,52 @@ __all__ = ["QubitOperator"]
 #: Coefficients with magnitude below this are dropped by :meth:`QubitOperator.simplify`.
 DEFAULT_TOLERANCE = 1e-10
 
+#: Numerical dust: the Majorana form, mapping apply, the Pauli weight and
+#: Trotter synthesis all drop coefficients with magnitude at or below this.
+DUST_TOLERANCE = 1e-12
+
 
 class QubitOperator:
     """A weighted sum of Pauli strings on a fixed number of qubits."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_dict", "_table", "_coeffs")
 
     def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n = n
-        self._terms: dict[tuple[int, int], complex] = dict(terms) if terms else {}
+        self._dict: dict[tuple[int, int], complex] | None = dict(terms) if terms else {}
+        self._table = self._coeffs = None  # packed form, read-only once held
+
+    @classmethod
+    def _from_table(cls, table, coeffs: np.ndarray) -> "QubitOperator":
+        """Adopt unique phase-0 rows and their coefficients."""
+        out = cls(table.n)
+        out._dict = None
+        out._hold(table, coeffs)
+        return out
+
+    def _hold(self, table, coeffs: np.ndarray) -> None:
+        for array in (table.x, table.z, table.phase, coeffs):
+            array.flags.writeable = False
+        self._table, self._coeffs = table, coeffs
+
+    def _unpack(self) -> dict[tuple[int, int], complex]:
+        """The term dict of the held table, in row order."""
+        from .table import _words_to_masks
+
+        keys = zip(_words_to_masks(self._table.x), _words_to_masks(self._table.z))
+        return dict(zip(keys, self._coeffs.tolist()))
+
+    @property
+    def _terms(self) -> dict[tuple[int, int], complex]:
+        if self._dict is None:
+            self._dict = self._unpack()
+        return self._dict
+
+    def _mutated(self) -> dict[tuple[int, int], complex]:
+        """The term dict, with the packed form dropped before a write."""
+        terms = self._terms
+        self._table = self._coeffs = None
+        return terms
 
     # ------------------------------------------------------------------
     # Constructors
@@ -75,10 +120,15 @@ class QubitOperator:
         return table.to_qubit_operator(coeffs, tol=tol)
 
     def to_table(self):
-        """Pack into ``(PauliTable, coefficient vector)`` for bulk queries."""
-        from .table import PauliTable
+        """``(PauliTable, coefficient vector)`` in term order, read-only: the
+        held table, else the dict packed once."""
+        if self._table is None:
+            from .table import PauliTable
 
-        return PauliTable.from_qubit_operator(self)
+            xs, zs = zip(*self._dict) if self._dict else ((), ())
+            coeffs = np.fromiter(self._dict.values(), dtype=complex, count=len(self._dict))
+            self._hold(PauliTable.from_masks(self.n, xs, zs), coeffs)
+        return self._table, self._coeffs
 
     @classmethod
     def from_label_dict(cls, labels: dict[str, complex]) -> "QubitOperator":
@@ -99,23 +149,24 @@ class QubitOperator:
 
     def add_raw(self, x: int, z: int, coeff: complex) -> None:
         """Add ``coeff`` times the phase-0 string with masks ``(x, z)``."""
+        terms = self._mutated()
         key = (x, z)
-        new = self._terms.get(key, 0.0) + coeff
+        new = terms.get(key, 0.0) + coeff
         if new == 0:
-            self._terms.pop(key, None)
+            terms.pop(key, None)
         else:
-            self._terms[key] = new
+            terms[key] = new
 
     def simplify(self, tol: float = DEFAULT_TOLERANCE) -> "QubitOperator":
         """Drop terms with |coefficient| ≤ ``tol`` (returns self for chaining)."""
-        self._terms = {k: c for k, c in self._terms.items() if abs(c) > tol}
+        self._dict = {k: c for k, c in self._mutated().items() if abs(c) > tol}
         return self
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs) if self._dict is None else len(self._dict)
 
     def terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Yield ``(PauliString, coefficient)`` pairs (phase-0 strings)."""
@@ -132,23 +183,28 @@ class QubitOperator:
         c = self._terms.get((string.x, string.z), 0.0)
         return c * _PHASE_VALUE[string.phase].conjugate() if c else 0.0
 
-    def pauli_weight(self, tol: float = DEFAULT_TOLERANCE) -> int:
-        """Total Pauli weight ``Σ_j w(P_j)`` over non-negligible terms (paper §II-B3)."""
-        return sum(weight(x, z) for (x, z), c in self._terms.items() if abs(c) > tol)
+    def pauli_weight(self, tol: float = DUST_TOLERANCE) -> int:
+        """Total Pauli weight ``Σ_j w(P_j)`` over terms with |c| > ``tol``
+        (paper §II-B3); a mapped operator holds no such dust, so this is the
+        sum of its table's row weights."""
+        table, coeffs = self.to_table()
+        return int(table.weights()[np.abs(coeffs) > tol].sum())
 
     def max_weight(self) -> int:
         """Largest single-term Pauli weight."""
-        return max((weight(x, z) for (x, z) in self._terms), default=0)
+        return int(self.to_table()[0].weights().max(initial=0))
 
     def is_hermitian(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         """Hermitian iff every (phase-0 canonical) coefficient is real."""
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool((np.abs(self.to_table()[1].imag) <= tol).all())
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
     def copy(self) -> "QubitOperator":
-        return QubitOperator(self.n, self._terms)
+        if self._dict is None:
+            return QubitOperator._from_table(self._table, self._coeffs)
+        return QubitOperator(self.n, self._dict)
 
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if not isinstance(other, QubitOperator):

@@ -33,6 +33,7 @@ __all__ = [
     "PauliTable",
     "incidence_from_masks",
     "plan_from_masks",
+    "set_bits",
     "unpack_masks",
     "WORD_BITS",
 ]
@@ -88,6 +89,14 @@ def unpack_masks(masks: np.ndarray) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, bitorder="little")
 
 
+def set_bits(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, bit)`` of every set bit of ``(m, n_words)`` uint64 rows,
+    row-major with bits ascending (``np.nonzero`` of :func:`unpack_masks`,
+    through one flat scan)."""
+    bits = unpack_masks(masks).view(bool)
+    return np.divmod(np.flatnonzero(bits), bits.shape[1])
+
+
 def incidence_from_masks(masks: np.ndarray, n_rows: int) -> np.ndarray:
     """Pack the transposed incidence of bitmask sets into ``(n_rows, n_words)``.
 
@@ -115,9 +124,8 @@ def plan_from_masks(masks: np.ndarray) -> np.ndarray:
     ``(len(masks), max_len)`` intp matrix.  This is the single definition of
     the plan encoding; build plans only through it.
     """
-    bits = unpack_masks(masks)
-    counts = bits.sum(axis=1, dtype=np.intp)
-    rows, cols = np.nonzero(bits)
+    counts = _popcount_rows(masks).astype(np.intp)
+    rows, cols = set_bits(masks)
     rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     plan = np.zeros((len(masks), int(counts.max(initial=0))), dtype=np.intp)
     plan[rows, rank] = cols + 1
@@ -224,31 +232,16 @@ class PauliTable:
             )
         ]
 
-    @classmethod
-    def from_qubit_operator(cls, op: QubitOperator) -> tuple["PauliTable", np.ndarray]:
-        """Pack a :class:`QubitOperator` into a phase-0 table plus coefficients."""
-        xs, zs, coeffs = [], [], []
-        for x, z, c in op.raw_terms():
-            xs.append(x)
-            zs.append(z)
-            coeffs.append(c)
-        return cls.from_masks(op.n, xs, zs), np.asarray(coeffs, dtype=complex)
-
     def to_qubit_operator(
         self, coeffs: np.ndarray | Sequence[complex], tol: float = DEFAULT_TOLERANCE
     ) -> QubitOperator:
-        """Materialize ``Σ coeffs[i] · row_i`` as a :class:`QubitOperator`.
+        """``Σ coeffs[i] · row_i`` as a table-backed :class:`QubitOperator`.
 
-        Rows are combined with :meth:`simplify` first, so the (slow) Python-int
-        unpacking only touches the unique surviving terms.
+        Rows are combined with :meth:`simplify` and the operator holds the
+        result, in its lexicographic row order; the Python-int term dict is
+        built only if a dict API asks for it.
         """
-        table, coeffs = self.simplify(coeffs, tol=tol)
-        # Rows are now unique with non-negligible coefficients; build the term
-        # dictionary directly instead of going through add_raw.
-        keys = zip(_words_to_masks(table.x), _words_to_masks(table.z))
-        out = QubitOperator(self.n)
-        out._terms = dict(zip(keys, coeffs.tolist()))
-        return out
+        return QubitOperator._from_table(*self.simplify(coeffs, tol=tol))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -486,53 +479,19 @@ class PauliTable:
         if coeffs.shape != (self.n_terms,):
             raise ValueError("coefficient vector length must match the row count")
         if self.n_terms == 0:
-            return self, coeffs
+            empty = np.zeros((0, self.n_words), dtype=np.uint64)
+            phase = np.zeros(0, dtype=np.uint8)
+            return PauliTable._unsafe(self.n, empty, empty.copy(), phase), coeffs.copy()
         folded = coeffs * self.phase_values()
         w = self.n_words
         if self.n <= 32:
             # Both masks fit one uint64 sort key: a single argsort suffices.
-            key = (self.x[:, 0] << np.uint64(32)) | self.z[:, 0]
-            order = np.argsort(key)
-            sk = key[order]
-            boundaries = np.empty(self.n_terms, dtype=bool)
-            boundaries[0] = True
-            np.not_equal(sk[1:], sk[:-1], out=boundaries[1:])
-            starts = np.flatnonzero(boundaries)
-            summed = np.add.reduceat(folded[order], starts)
-            keep = np.abs(summed) > tol
-            kept = sk[starts[keep]]
-            table = PauliTable._unsafe(
-                self.n,
-                (kept >> np.uint64(32))[:, None],
-                (kept & np.uint64(0xFFFFFFFF))[:, None],
-                np.zeros(len(kept), dtype=np.uint8),
-            )
-            return table, summed[keep]
-        if w == 1:
-            # Single-word fast path: sort on the two columns directly.
-            xcol = self.x[:, 0]
-            zcol = self.z[:, 0]
-            order = np.lexsort((zcol, xcol))
-            sx = xcol[order]
-            sz = zcol[order]
-            boundaries = np.empty(self.n_terms, dtype=bool)
-            boundaries[0] = True
-            np.not_equal(sx[1:], sx[:-1], out=boundaries[1:])
-            boundaries[1:] |= sz[1:] != sz[:-1]
-            starts = np.flatnonzero(boundaries)
-            summed = np.add.reduceat(folded[order], starts)
-            keep = np.abs(summed) > tol
-            first = starts[keep]
-            table = PauliTable._unsafe(
-                self.n,
-                sx[first, None],
-                sz[first, None],
-                np.zeros(len(first), dtype=np.uint8),
-            )
-            return table, summed[keep]
-        keys = np.concatenate([self.x, self.z], axis=1)
-        # np.lexsort treats the *last* key as primary; reverse for x-major order.
-        order = np.lexsort(keys.T[::-1])
+            keys = ((self.x[:, 0] << np.uint64(32)) | self.z[:, 0])[:, None]
+            order = np.argsort(keys[:, 0])
+        else:
+            keys = np.concatenate([self.x, self.z], axis=1)
+            # np.lexsort treats the *last* key as primary; reverse for x-major order.
+            order = np.lexsort(keys.T[::-1])
         sorted_keys = keys[order]
         boundaries = np.empty(self.n_terms, dtype=bool)
         boundaries[0] = True
@@ -540,13 +499,12 @@ class PauliTable:
         starts = np.flatnonzero(boundaries)
         summed = np.add.reduceat(folded[order], starts)
         keep = np.abs(summed) > tol
-        unique_rows = sorted_keys[starts[keep]]
-        table = PauliTable._unsafe(
-            self.n,
-            np.ascontiguousarray(unique_rows[:, :w]),
-            np.ascontiguousarray(unique_rows[:, w:]),
-            np.zeros(unique_rows.shape[0], dtype=np.uint8),
-        )
+        rows = sorted_keys[starts[keep]]
+        if self.n <= 32:
+            x, z = rows >> np.uint64(32), rows & np.uint64(0xFFFFFFFF)
+        else:
+            x, z = np.ascontiguousarray(rows[:, :w]), np.ascontiguousarray(rows[:, w:])
+        table = PauliTable._unsafe(self.n, x, z, np.zeros(len(rows), dtype=np.uint8))
         return table, summed[keep]
 
     def __repr__(self) -> str:

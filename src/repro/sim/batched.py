@@ -37,7 +37,6 @@ import numpy as np
 
 from ..circuits.gates import Gate
 from ..paulis import QubitOperator
-from ..paulis.table import PauliTable
 from .statevector import Statevector
 
 __all__ = ["BatchedStatevector", "CHUNK_AMPLITUDE_BUDGET"]
@@ -148,21 +147,10 @@ class BatchedStatevector:
     # ------------------------------------------------------------------
     # Observables
     # ------------------------------------------------------------------
-    def expectations(
-        self, observable: QubitOperator | PauliTable, coeffs: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-trajectory ``⟨ψ_t|H|ψ_t⟩`` via the packed-table kernel.
-
-        Pass either a :class:`QubitOperator` (packed on the fly) or an
-        already-packed ``(PauliTable, coeffs)`` pair when amortizing the
-        packing over many chunks.
-        """
-        if isinstance(observable, QubitOperator):
-            table, coeffs = observable.to_table()
-        else:
-            table = observable
-            if coeffs is None:
-                raise ValueError("coeffs are required with a PauliTable observable")
+    def expectations(self, observable: QubitOperator) -> np.ndarray:
+        """Per-trajectory ``⟨ψ_t|H|ψ_t⟩`` via the packed-table kernel, on the
+        operator's own table (:meth:`QubitOperator.to_table` packs it once)."""
+        table, coeffs = observable.to_table()
         if table.n != self.n:
             raise ValueError("qubit count mismatch")
         return table.expectation_values(self.amplitudes, coeffs).real

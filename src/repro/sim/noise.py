@@ -130,9 +130,8 @@ def _run_batched(
     chunk: int,
 ) -> tuple[np.ndarray, float]:
     """All trajectories through the batched engine; returns (energies, noiseless)."""
-    table, coeffs = observable.to_table()
     ideal = BatchedStatevector.from_statevector(initial, 1).apply_circuit(circuit)
-    noiseless = float(ideal.expectations(table, coeffs)[0])
+    noiseless = float(ideal.expectations(observable)[0])
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         # Every trajectory is the ideal one; the kernel is row-independent, so
         # this equals running the full batch.
@@ -150,7 +149,7 @@ def _run_batched(
             sel = (rows >= lo) & (rows < hi)
             if sel.any():
                 batch.apply_masked_paulis(rows[sel] - lo, xs[sel], zs[sel])
-        energies[lo:hi] = batch.expectations(table, coeffs)
+        energies[lo:hi] = batch.expectations(observable)
     return energies, noiseless
 
 

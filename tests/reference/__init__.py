@@ -9,8 +9,8 @@ noisy trajectories, in distribution):
 * :mod:`reference.mapping` — the per-term Majorana-to-Pauli product loop;
 * :mod:`reference.noise` — the per-trajectory noisy loop and the per-string
   ``Statevector`` expectation;
-* :mod:`reference.trotter` — the full-ladder Trotter emission and the
-  four-pass ``to_cx_u3``;
+* :mod:`reference.trotter` — the full-ladder Trotter emission, the
+  Python-int term planner and emitter, and the four-pass ``to_cx_u3``;
 * :mod:`reference.peephole` — the Gate-list cancellation, fusion and
   cz/swap rewrite passes;
 * :mod:`reference.density` — the exact density-matrix simulator.

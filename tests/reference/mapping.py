@@ -3,7 +3,8 @@
 The oracle for :func:`repro.mappings.apply.map_majorana_operator`, which
 multiplies every monomial at once as rows of a packed ``PauliTable``.  The
 loop here multiplies raw ``(x, z, k)`` integer triples term by term and
-inserts terms in operator order; the results compare equal with the
+inserts terms in operator order, then drops terms with |c| ≤ 1e-12 (the
+dust tolerance of the mapping); the results compare equal with the
 term-order-insensitive ``QubitOperator ==``.
 """
 
@@ -41,5 +42,5 @@ def _map_majorana_scalar(
             sx, sz, sk = raw[i]
             x, z, k = mul_xzk(x, z, k, sx, sz, sk)
         out.add_raw(x, z, coeff * _PHASE[k])
-    return out.simplify()
+    return out.simplify(1e-12)
 

@@ -13,19 +13,24 @@ from repro.circuits import (
     cancel_adjacent,
     evolution_term_circuit,
     fuse_single_qubit,
+    mutual_support_chain,
     optimize,
     order_terms_lexicographic,
     to_cx_u3,
     trotter_circuit,
     zyz_angles,
 )
-from repro.circuits.evolution import _label_key
 from repro.circuits.gates import gate_matrix
-from repro.paulis import PauliString, QubitOperator
+from repro.paulis import PauliString, PauliTable, QubitOperator
 
 from reference.peephole import gate_cancel
 from reference.trotter import (
+    _label_key,
     hex_gates,
+    oracle_chain,
+    oracle_order,
+    oracle_term_circuit,
+    oracle_trotter_circuit,
     reference_order,
     reference_term_gates,
     reference_to_cx_u3,
@@ -418,9 +423,10 @@ def trotter_inputs(draw):
 
 
 class TestJunctionEmission:
-    """Synthesis skips the junction gates cancellation deletes; after
-    ``gate_cancel`` and after ``to_cx_u3`` it equals the full emission of
-    ``tests/reference/trotter.py`` bit for bit."""
+    """Synthesis skips the junction gates cancellation deletes; it equals the
+    Python-int planner of ``tests/reference/trotter.py`` gate for gate, and
+    after ``gate_cancel`` and after ``to_cx_u3`` the full emission there bit
+    for bit."""
 
     @given(trotter_inputs())
     @example(
@@ -435,6 +441,7 @@ class TestJunctionEmission:
         labels, options, prefix = inputs
         h = QubitOperator.from_label_dict(labels)
         new = trotter_circuit(h, **options).gates
+        assert hex_gates(new) == hex_gates(oracle_trotter_circuit(h, **options).gates)
         full = reference_trotter_gates(h, **options)
         assert len(new) <= len(full)
         assert hex_gates(gate_cancel(new)) == hex_gates(gate_cancel(full))
@@ -468,9 +475,14 @@ class TestJunctionEmission:
             got = evolution_term_circuit(p, 0.4, chain=chain).gates
             want = reference_term_gates(p, 0.4, chain or [3, 2, 0])
             assert hex_gates(got) == hex_gates(want)
+            oracle = oracle_term_circuit(p, 0.4, chain or [3, 2, 0]).gates
+            assert hex_gates(got) == hex_gates(oracle)
 
 
 class TestLabelKey:
+    """The oracle's Python-int label key sorts like dense labels; the packed
+    interleaved keys of the synthesis sort like the oracle's."""
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_sorts_like_dense_label(self, data):
@@ -491,3 +503,94 @@ class TestLabelKey:
         got = [(s.label(), c) for s, c in order_terms_lexicographic(h)]
         want = [(s.label(), c) for s, c in reference_order(h)]
         assert got == want
+
+
+#: Magnitudes at the 1e-12 synthesis cutoff: on it, one ulp either side, and
+#: complex values whose magnitude NumPy's ``abs`` and Python's ``abs`` put on
+#: opposite sides of it (they may differ in the last bit; the oracle uses
+#: Python's).
+_CUTOFF_COEFFS = (
+    1e-12, -1e-12, np.nextafter(1e-12, 1.0), -np.nextafter(1e-12, 0.0),
+    complex(0.6e-12, 0.8e-12), complex(-0.8e-12, 0.6e-12), 0.0, 1e-13,
+    complex(8.057382136180922e-14, 9.967486439976507e-13),
+    complex(8.004393503488061e-13, 5.994137522723193e-13),
+)
+
+
+@st.composite
+def wide_hamiltonians(draw):
+    """A Hermitian operator on 1–70 qubits (across the 32-qubit key and the
+    64-qubit word boundaries), table- or dict-backed, with identity rows,
+    coefficients at the cutoff and strings drawn from a small pool so
+    neighbours share long prefixes."""
+    n = draw(st.integers(1, 70))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=4))
+    string = st.one_of(
+        st.sampled_from(pool),
+        st.tuples(mask, mask),
+        st.just((0, 0)),
+        # A pool string with one more qubit flipped: a long shared prefix.
+        st.tuples(st.sampled_from(pool), st.integers(0, n - 1), st.booleans()).map(
+            lambda t: (t[0][0] ^ (1 << t[1]), t[0][1]) if t[2] else (t[0][0], t[0][1] ^ (1 << t[1]))
+        ),
+    )
+    coeff = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from(_CUTOFF_COEFFS)
+    )
+    terms = draw(st.dictionaries(string, coeff, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        return QubitOperator(n, terms)
+    xs, zs = zip(*terms)
+    table = PauliTable.from_masks(n, list(xs), list(zs))
+    return table.to_qubit_operator(np.array(list(terms.values()), dtype=complex), tol=0.0)
+
+
+def _packed_hex(circuit: Circuit):
+    ops, qubits, params = circuit.packed()
+    return ops.tolist(), qubits.tolist(), [p.hex() for p in params.ravel().tolist()]
+
+
+class TestPackedSynthesis:
+    """``trotter_circuit`` on packed tables against the Python-int planner
+    and emitter it replaced (``tests/reference/trotter.py``): ops and
+    qubits exactly, parameters as ``float.hex``."""
+
+    @given(
+        wide_hamiltonians(),
+        st.sampled_from(TERM_ORDERS),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([1.0, 0.37]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_python_int_oracle(self, h, order, suzuki_order, steps, time):
+        options = dict(time=time, steps=steps, order=order, suzuki_order=suzuki_order)
+        got = trotter_circuit(h, **options)
+        assert _packed_hex(got) == _packed_hex(oracle_trotter_circuit(h, **options))
+        assert [(s, c) for s, c in order_terms_lexicographic(h)] == oracle_order(h)
+
+    def test_a_string_meets_itself(self):
+        """One term: every junction (Suzuki mid-point, step wrap-around) is
+        a string meeting itself, on both sides of the word boundary."""
+        for n in (3, 40, 70):
+            x, z = (1 << (n - 1)) | 1, (1 << (n - 1)) | 2
+            h = QubitOperator(n, {(x, z): 0.3, (0, 0): 1.0})
+            for order in TERM_ORDERS:
+                options = dict(steps=3, order=order, suzuki_order=2)
+                got = trotter_circuit(h, **options)
+                assert _packed_hex(got) == _packed_hex(oracle_trotter_circuit(h, **options))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_wrapper_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 70))
+        mask = st.integers(0, (1 << n) - 1)
+        prev, cur, nxt = (
+            PauliString(n, data.draw(mask), data.draw(mask)) for _ in range(3)
+        )
+        if cur.is_identity:
+            return
+        prev_chain = list(prev.support)[::-1] if not prev.is_identity else None
+        got = mutual_support_chain(prev_chain, prev, cur, nxt)
+        assert got == oracle_chain(prev_chain, prev, cur, nxt)

@@ -180,20 +180,18 @@ class TestDeterminism:
 
 
 class TestSykDustTerms:
-    """Pinned: one SYK n=10 seed maps to fewer terms than its neighbours.
+    """Pinned: the mapping keeps every term the Majorana form keeps.
 
     Seeds 1055, 1056 and 1057 build the same HATT trace, and each has 5036
     Majorana monomials.  Seed 1056 has two at |c| ≈ 1.25e-12: above the
-    1e-12 Majorana-form tolerance, below the 1e-10 dust tolerance of
-    ``PauliTable.to_qubit_operator``.  Its map therefore drops them, so a
-    single Pauli-weight record per SYK family and size does not hold for
-    every seed.  If the two tolerances are ever made to agree, this test
-    must change with them.
+    1e-12 Majorana-form tolerance.  Mapping apply and the Pauli weight use
+    that same 1e-12 dust tolerance, so the two monomials map to two terms
+    and all three seeds give one weight per SYK family and size.
     """
 
-    MAPPED = {1055: (5036, 27772), 1056: (5034, 27760), 1057: (5036, 27772)}
+    MAPPED = {1055: (5036, 27772), 1056: (5036, 27772), 1057: (5036, 27772)}
 
-    def test_seed_1056_drops_two_dust_monomials(self):
+    def test_seed_1056_keeps_two_dust_monomials(self):
         traces = set()
         for seed, (n_terms, weight) in self.MAPPED.items():
             h = build_case(f"random:syk:n=10,seed={seed}")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.paulis import PauliString, QubitOperator
+from repro.paulis import PauliString, PauliTable, QubitOperator
+from repro.paulis.table import _words_to_masks
 
 
 def op_from(labels):
@@ -106,3 +109,123 @@ class TestDense:
             vec[bits] = 1.0
             dense = vec @ h.to_matrix() @ vec
             assert h.expectation_basis_state(bits) == pytest.approx(dense)
+
+
+@st.composite
+def dual_pairs(draw):
+    """The same unique terms as a table-backed and a dict-built operator."""
+    n = draw(st.integers(1, 70))
+    mask = st.integers(0, (1 << n) - 1)
+    coeff = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False).filter(bool),
+        st.complex_numbers(max_magnitude=2.0).filter(bool),
+        st.sampled_from([1e-11, 2e-12, 1e-12 * (1 + 1e-9)]),
+    )
+    terms = draw(st.dictionaries(st.tuples(mask, mask), coeff, min_size=0, max_size=12))
+    xs = [x for x, _ in terms]
+    zs = [z for _, z in terms]
+    table = PauliTable.from_masks(n, xs, zs)
+    packed = table.to_qubit_operator(np.array(list(terms.values()), dtype=complex), tol=0.0)
+    built = QubitOperator(n)
+    for (x, z), c in terms.items():
+        built.add_raw(x, z, c)
+    return packed, built
+
+
+def _as_dict(table, coeffs):
+    keys = zip(_words_to_masks(table.x), _words_to_masks(table.z))
+    return dict(zip(keys, coeffs.tolist()))
+
+
+class TestDualForm:
+    """A table-backed operator (``PauliTable.to_qubit_operator``) behaves
+    like the dict-built one on every read; a write drops its table."""
+
+    @given(dual_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dict_form(self, pair):
+        packed, built = pair
+        assert len(packed) == len(built)
+        assert packed.pauli_weight() == built.pauli_weight()
+        assert packed.pauli_weight(1e-10) == built.pauli_weight(1e-10)
+        assert packed.max_weight() == built.max_weight()
+        assert packed.is_hermitian() == built.is_hermitian()
+        assert _as_dict(*packed.to_table()) == _as_dict(*built.to_table())
+        assert packed._dict is None  # none of the above built the term dict
+        copy = packed.copy()
+        assert copy._dict is None and copy == built
+        assert {(x, z): c for x, z, c in packed.raw_terms()} == built._terms
+        assert packed == built and built == packed
+
+    def test_to_table_returns_the_held_table(self):
+        table = PauliTable.from_masks(3, [1, 2, 1], [0, 2, 0])
+        op = table.to_qubit_operator(np.array([0.5, 1.0, 0.25]))
+        held, coeffs = op.to_table()
+        assert op.to_table()[0] is held
+        assert len(op) == 2 and op.pauli_weight() == 2
+        assert not coeffs.flags.writeable and not held.x.flags.writeable
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda op: op.add_raw(4, 0, 1.0),
+            lambda op: op.add_string(PauliString.from_label("ZII"), 1.0),
+            lambda op: op.simplify(0.3),
+        ],
+        ids=["add_raw", "add_string", "simplify"],
+    )
+    def test_a_write_drops_the_table(self, write):
+        table = PauliTable.from_masks(3, [1, 2], [0, 2])
+        op = table.to_qubit_operator(np.array([0.5, 0.25]))
+        held, _ = op.to_table()
+        write(op)
+        assert op._table is None
+        repacked, coeffs = op.to_table()
+        assert repacked is not held
+        assert _as_dict(repacked, coeffs) == op._terms
+        assert len(op) == len(op._terms)
+
+    def test_copy_of_a_table_is_independent(self):
+        table = PauliTable.from_masks(2, [1], [0])
+        op = table.to_qubit_operator(np.array([0.5]))
+        copy = op.copy()
+        copy.add_raw(2, 0, 1.0)
+        assert len(op) == 1 and len(copy) == 2
+
+
+@pytest.fixture
+def dict_builds(monkeypatch):
+    """Count the table-to-dict unpackings of every ``QubitOperator``."""
+    built = []
+    original = QubitOperator._unpack
+
+    def counting(self):
+        built.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(QubitOperator, "_unpack", counting)
+    return built
+
+
+class TestNoTermDictOnTheHotPaths:
+    def test_cold_compile_builds_no_dict(self, dict_builds):
+        from repro.compile import CompilationPipeline
+        from repro.sources import build_case
+
+        m = CompilationPipeline(service=None).compile_one(
+            build_case("hubbard:2x2"), "hatt", "sycamore"
+        )
+        assert m.routed_cx > 0 and m.pauli_weight > 0
+        assert dict_builds == []
+
+    def test_cold_served_map_builds_no_dict(self, dict_builds):
+        from repro.serve.queue import execute_request
+
+        doc = execute_request(
+            {"case": "random:syk:n=6,seed=5", "job": "map", "kind": "hatt"}, None, False
+        )
+        assert doc["source"] == "compiled" and doc["pauli_weight"] > 0
+        assert dict_builds == []
+        # The counter itself works.
+        list(PauliTable.from_masks(1, [1], [0]).to_qubit_operator(np.array([1.0])).raw_terms())
+        assert dict_builds == [1]

@@ -204,10 +204,6 @@ class TestGateApplication:
         # Copies share no storage with the original.
         np.testing.assert_allclose(batch.row(0).amplitudes, init.amplitudes)
         assert not np.allclose(clone.amplitudes[0], batch.amplitudes[0])
-        with pytest.raises(ValueError):
-            BatchedStatevector.zeros_state(2, 1).expectations(
-                QubitOperator.from_label_dict({"ZZ": 1.0}).to_table()[0]
-            )
 
 
 # ----------------------------------------------------------------------
