@@ -13,8 +13,13 @@ The operator's monomials are multiplied as batched rows of a packed
 the whole batch cost ``max_len - 1`` vectorized multiplication steps no
 matter how many thousands of terms it holds.  The index plan is built from
 the operator's monomial bitmasks with NumPy
-(:func:`repro.paulis.table.plan_from_masks`).  The per-term Python loop over
-raw ``(x, z, k)`` integer triples is the test oracle
+(:func:`repro.paulis.table.plan_from_masks`).  Equal rows are combined and
+rows with |c| ≤ 1e-12 dropped — the Majorana form's own dust tolerance, so
+every term that survives conversion survives mapping — and the result is a
+table-backed :class:`~repro.paulis.QubitOperator`: its Python-int term dict
+is built only if a caller asks for one, so the Pauli weight and Trotter
+synthesis read the rows directly.  The per-term Python loop over raw
+``(x, z, k)`` integer triples is the test oracle
 ``tests/reference/mapping.py``, cross-checked against this path in the
 property tests.
 
