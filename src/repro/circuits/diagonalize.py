@@ -16,6 +16,7 @@ the Clifford.  This module implements that strategy:
 from __future__ import annotations
 
 from ..paulis import PauliString, QubitOperator
+from ..paulis.table import DUST_TOLERANCE
 from .circuit import Circuit
 from .gates import Gate
 from .tableau import conjugate_pauli
@@ -118,7 +119,7 @@ def grouped_evolution_circuit(
     terms = [
         (s, c.real)
         for s, c in hamiltonian.terms()
-        if not s.is_identity and abs(c) > 1e-12
+        if not s.is_identity and abs(c) > DUST_TOLERANCE
     ]
     terms.sort(key=lambda item: item[0].label())
     groups = group_commuting(terms)

@@ -6,7 +6,7 @@ target, and the inverse ladder/basis changes.  Identity operators generate
 no gates — this is why the Hamiltonian Pauli weight is the paper's proxy for
 circuit cost.  Synthesis reads the Hamiltonian's packed table
 (:meth:`~repro.paulis.QubitOperator.to_table`) and writes the packed circuit
-of :mod:`.circuit` with array passes; it builds no term dict and no
+of :mod:`.circuit` with array passes; it builds no
 :class:`~repro.circuits.Gate`.  The Python-int planner and per-gate emitter
 it replaced are the test oracle ``tests/reference/trotter.py``.
 
@@ -66,8 +66,9 @@ from itertools import chain as _concat
 import numpy as np
 
 from ..paulis import PauliString, QubitOperator
-from ..paulis.pauli_sum import DUST_TOLERANCE
-from ..paulis.table import _masks_to_words, _n_words, _words_to_masks, set_bits, unpack_masks
+from ..paulis.table import (
+    DUST_TOLERANCE, _masks_to_words, _n_words, _words_to_masks, set_bits, unpack_masks,
+)
 from .circuit import Circuit, Packed
 from .gates import OP_CODE
 

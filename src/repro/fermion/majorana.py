@@ -49,8 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..paulis.pauli_sum import DUST_TOLERANCE as _COEFF_TOLERANCE
-from ..paulis.table import WORD_BITS, plan_from_masks, unpack_masks
+from ..paulis.table import DUST_TOLERANCE, WORD_BITS, plan_from_masks, unpack_masks
 from .operators import FermionOperator
 
 __all__ = ["MajoranaOperator", "normal_order_majorana_product", "majorana_form"]
@@ -303,7 +302,7 @@ def _expand(op: FermionOperator) -> tuple[np.ndarray, np.ndarray]:
     # as the dict expansion's ``0.0 + value`` does.
     nonzero = values != 0
     masks, total = _sum_in_order(masks[nonzero], values[nonzero] + 0.0)
-    keep = np.abs(total) > _COEFF_TOLERANCE
+    keep = np.abs(total) > DUST_TOLERANCE
     return masks[keep], total[keep]
 
 
@@ -479,7 +478,7 @@ class MajoranaOperator:
         else:
             terms[indices] = new
 
-    def simplify(self, tol: float = _COEFF_TOLERANCE) -> "MajoranaOperator":
+    def simplify(self, tol: float = DUST_TOLERANCE) -> "MajoranaOperator":
         self._dict = {t: c for t, c in self._mutated().items() if abs(c) > tol}
         return self
 

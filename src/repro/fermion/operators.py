@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from ..paulis.table import DUST_TOLERANCE
+
 __all__ = ["FermionOperator", "Action"]
 
 #: One ladder operator: ``(mode index, True for creation)``.
 Action = tuple[int, bool]
-
-_COEFF_TOLERANCE = 1e-12
 
 
 class FermionOperator:
@@ -103,7 +103,7 @@ class FermionOperator:
     def add_term(self, actions: tuple[Action, ...], coeff: complex) -> None:
         self._majorana_cache = None
         new = self._terms.get(actions, 0.0) + coeff
-        if abs(new) <= _COEFF_TOLERANCE:
+        if abs(new) <= DUST_TOLERANCE:
             self._terms.pop(actions, None)
         else:
             self._terms[actions] = new

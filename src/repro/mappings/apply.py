@@ -15,10 +15,9 @@ matter how many thousands of terms it holds.  The index plan is built from
 the operator's monomial bitmasks with NumPy
 (:func:`repro.paulis.table.plan_from_masks`).  Equal rows are combined and
 rows with |c| ≤ 1e-12 dropped — the Majorana form's own dust tolerance, so
-every term that survives conversion survives mapping — and the result is a
-table-backed :class:`~repro.paulis.QubitOperator`: its Python-int term dict
-is built only if a caller asks for one, so the Pauli weight and Trotter
-synthesis read the rows directly.  The per-term Python loop over raw
+every term that survives conversion survives mapping — and the
+:class:`~repro.paulis.QubitOperator` holds the combined rows as they are, so
+the Pauli weight and Trotter synthesis read them directly.  The per-term Python loop over raw
 ``(x, z, k)`` integer triples is the test oracle
 ``tests/reference/mapping.py``, cross-checked against this path in the
 property tests.
@@ -34,8 +33,7 @@ from __future__ import annotations
 from ..fermion import FermionOperator, MajoranaOperator
 from ..fermion.majorana import majorana_form
 from ..paulis import PauliString, QubitOperator
-from ..paulis.pauli_sum import DUST_TOLERANCE
-from ..paulis.table import PauliTable
+from ..paulis.table import DUST_TOLERANCE, PauliTable
 
 __all__ = ["map_majorana_operator", "map_fermion_operator"]
 
@@ -85,7 +83,7 @@ def _map_majorana_table(op: MajoranaOperator, table: PauliTable) -> QubitOperato
     # equals the highest touched Majorana index + 1 == n_majoranas.
     _check_coverage(int(idx.max()) if idx.size else 0, table.n_terms)
     products = table.padded_row_products(idx)
-    return products.to_qubit_operator(coeffs, tol=DUST_TOLERANCE)
+    return QubitOperator.from_table(products, coeffs, tol=DUST_TOLERANCE)
 
 
 def map_majorana_operator(
@@ -101,8 +99,7 @@ def map_majorana_operator(
     ``2 · n_modes`` Majoranas the operator spans.  Terms that cancel exactly
     disappear, and terms with |c| ≤ 1e-12 (the Majorana form's dust
     tolerance) are dropped.  The result holds the combined table in
-    canonical lexicographic ``(x, z)`` order; its term dict is built only if
-    a dict API asks for it.
+    canonical lexicographic ``(x, z)`` order.
     """
     _validate_qubit_counts(strings, n_qubits)
     table = (

@@ -81,10 +81,10 @@ class FermionQubitMapping:
 
     def mode_number_operator(self, mode: int) -> QubitOperator:
         """``n_mode`` as a qubit operator."""
-        op = QubitOperator(self.n_qubits)
-        op.add_string(PauliString.identity(self.n_qubits), 0.5)
-        op.add_string(self.occupation_pauli(mode), 0.5)
-        return op
+        return QubitOperator.from_terms(
+            [(PauliString.identity(self.n_qubits), 0.5), (self.occupation_pauli(mode), 0.5)],
+            n=self.n_qubits,
+        )
 
     # ------------------------------------------------------------------
     # Operator mapping

@@ -1,18 +1,17 @@
 """Weighted sums of Pauli strings (qubit Hamiltonians).
 
-A :class:`QubitOperator` stores ``H = Σ c_j · P_j`` as a dictionary keyed by
-the phase-0 symplectic pair ``(x, z)``; any ``i**k`` phase carried by an added
-:class:`~repro.paulis.PauliString` is folded into its coefficient.  This makes
-term combination exact and keeps the paper's Pauli-weight metric
-(`pauli_weight`, §II-B3) a pure popcount sum.
+A :class:`QubitOperator` stores ``H = Σ c_j · P_j`` as a read-only
+:class:`~repro.paulis.PauliTable` of unique phase-0 rows plus a coefficient
+vector; any ``i**k`` phase carried by an added
+:class:`~repro.paulis.PauliString` is folded into its coefficient.  This
+keeps the paper's Pauli-weight metric (`pauli_weight`, §II-B3) a popcount
+sum over the rows.
 
-Dual form: the terms live as that dict, as a packed
-:class:`~repro.paulis.PauliTable` of unique rows plus a coefficient vector,
-or as both.  A mapped operator (:meth:`PauliTable.to_qubit_operator`) holds
-the table alone; ``len``, the weights, :meth:`~QubitOperator.is_hermitian`
-and :meth:`~QubitOperator.to_table` read the arrays (a dict operator packs
-them once), and any other API builds the dict in row order.  A mutation goes
-through the dict and drops the table.
+The table is the only term store.  An operator never changes once built:
+the constructors, arithmetic and :meth:`~QubitOperator.simplify` return new
+operators, combining equal rows with :meth:`PauliTable.simplify`.  A mapped
+operator (:meth:`QubitOperator.from_table`) holds its rows in lexicographic
+order; ``QubitOperator(n, {(x, z): c})`` holds them in the dict's order.
 """
 
 from __future__ import annotations
@@ -21,60 +20,38 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .algebra import mul_xzk
-from .pauli import PauliString, _PHASE_VALUE
+from .pauli import PauliString
+from .table import (
+    DEFAULT_TOLERANCE, DUST_TOLERANCE, PauliTable, _masks_to_words, _words_to_masks,
+)
 
 __all__ = ["QubitOperator"]
-
-#: Coefficients with magnitude below this are dropped by :meth:`QubitOperator.simplify`.
-DEFAULT_TOLERANCE = 1e-10
-
-#: Numerical dust: the Majorana form, mapping apply, the Pauli weight and
-#: Trotter synthesis all drop coefficients with magnitude at or below this.
-DUST_TOLERANCE = 1e-12
 
 
 class QubitOperator:
     """A weighted sum of Pauli strings on a fixed number of qubits."""
 
-    __slots__ = ("n", "_dict", "_table", "_coeffs")
+    __slots__ = ("n", "_table", "_coeffs")
 
     def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
-        self.n = n
-        self._dict: dict[tuple[int, int], complex] | None = dict(terms) if terms else {}
-        self._table = self._coeffs = None  # packed form, read-only once held
+        """Pack ``{(x, z): c}`` once, in the dict's order (keys are unique,
+        so nothing combines)."""
+        terms = terms or {}
+        xs, zs = zip(*terms) if terms else ((), ())
+        coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+        self._hold(PauliTable.from_masks(n, xs, zs), coeffs)
 
     @classmethod
-    def _from_table(cls, table, coeffs: np.ndarray) -> "QubitOperator":
-        """Adopt unique phase-0 rows and their coefficients."""
-        out = cls(table.n)
-        out._dict = None
+    def _adopt(cls, table: PauliTable, coeffs: np.ndarray) -> "QubitOperator":
+        """Wrap unique phase-0 rows and their coefficients."""
+        out = object.__new__(cls)
         out._hold(table, coeffs)
         return out
 
-    def _hold(self, table, coeffs: np.ndarray) -> None:
+    def _hold(self, table: PauliTable, coeffs: np.ndarray) -> None:
         for array in (table.x, table.z, table.phase, coeffs):
             array.flags.writeable = False
-        self._table, self._coeffs = table, coeffs
-
-    def _unpack(self) -> dict[tuple[int, int], complex]:
-        """The term dict of the held table, in row order."""
-        from .table import _words_to_masks
-
-        keys = zip(_words_to_masks(self._table.x), _words_to_masks(self._table.z))
-        return dict(zip(keys, self._coeffs.tolist()))
-
-    @property
-    def _terms(self) -> dict[tuple[int, int], complex]:
-        if self._dict is None:
-            self._dict = self._unpack()
-        return self._dict
-
-    def _mutated(self) -> dict[tuple[int, int], complex]:
-        """The term dict, with the packed form dropped before a write."""
-        terms = self._terms
-        self._table = self._coeffs = None
-        return terms
+        self.n, self._table, self._coeffs = table.n, table, coeffs
 
     # ------------------------------------------------------------------
     # Constructors
@@ -83,51 +60,31 @@ class QubitOperator:
     def zero(cls, n: int) -> "QubitOperator":
         return cls(n)
 
-    #: Term count above which :meth:`from_terms` switches to the vectorized
-    #: :class:`~repro.paulis.PauliTable` combination path.
-    TABLE_THRESHOLD = 64
-
     @classmethod
     def from_terms(
         cls, terms: Iterable[tuple[PauliString, complex]], n: int | None = None
     ) -> "QubitOperator":
-        """Build from ``(PauliString, coefficient)`` pairs, combining duplicates.
-
-        Large term lists are combined through the packed
-        :class:`~repro.paulis.PauliTable` backend (lexsort + reduceat) instead
-        of per-term dictionary updates; both paths are exact.
-        """
+        """Build from ``(PauliString, coefficient)`` pairs, combining
+        duplicates and dropping exact zeros."""
         terms = list(terms)
         if n is None:
             if not terms:
                 raise ValueError("cannot infer qubit count from an empty term list")
             n = terms[0][0].n
-        if len(terms) >= cls.TABLE_THRESHOLD:
-            from .table import PauliTable
-
-            table = PauliTable.from_strings([s for s, _ in terms], n=n)
-            return table.to_qubit_operator([c for _, c in terms], tol=0.0)
-        op = cls(n)
-        for string, coeff in terms:
-            op.add_string(string, coeff)
-        return op
+        table = PauliTable.from_strings([s for s, _ in terms], n=n)
+        return cls.from_table(table, [c for _, c in terms], tol=0.0)
 
     @classmethod
     def from_table(
-        cls, table, coeffs, tol: float = DEFAULT_TOLERANCE
+        cls, table: PauliTable, coeffs, tol: float = DEFAULT_TOLERANCE
     ) -> "QubitOperator":
-        """Build from a :class:`~repro.paulis.PauliTable` plus coefficients."""
-        return table.to_qubit_operator(coeffs, tol=tol)
+        """``Σ coeffs[i] · row_i``: rows combined with
+        :meth:`PauliTable.simplify` (lexicographic order, |c| ≤ ``tol``
+        dropped) and held as they come out."""
+        return cls._adopt(*table.simplify(coeffs, tol=tol))
 
-    def to_table(self):
-        """``(PauliTable, coefficient vector)`` in term order, read-only: the
-        held table, else the dict packed once."""
-        if self._table is None:
-            from .table import PauliTable
-
-            xs, zs = zip(*self._dict) if self._dict else ((), ())
-            coeffs = np.fromiter(self._dict.values(), dtype=complex, count=len(self._dict))
-            self._hold(PauliTable.from_masks(self.n, xs, zs), coeffs)
+    def to_table(self) -> tuple[PauliTable, np.ndarray]:
+        """The held ``(PauliTable, coefficient vector)``, read-only."""
         return self._table, self._coeffs
 
     @classmethod
@@ -138,99 +95,86 @@ class QubitOperator:
         strings = [(PauliString.from_label(lbl), c) for lbl, c in labels.items()]
         return cls.from_terms(strings)
 
-    # ------------------------------------------------------------------
-    # Mutation (building-phase API)
-    # ------------------------------------------------------------------
-    def add_string(self, string: PauliString, coeff: complex = 1.0) -> None:
-        """Add ``coeff · string``, folding the string's phase into the coefficient."""
-        if string.n != self.n:
-            raise ValueError("qubit count mismatch")
-        self.add_raw(string.x, string.z, coeff * _PHASE_VALUE[string.phase])
-
-    def add_raw(self, x: int, z: int, coeff: complex) -> None:
-        """Add ``coeff`` times the phase-0 string with masks ``(x, z)``."""
-        terms = self._mutated()
-        key = (x, z)
-        new = terms.get(key, 0.0) + coeff
-        if new == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = new
-
     def simplify(self, tol: float = DEFAULT_TOLERANCE) -> "QubitOperator":
-        """Drop terms with |coefficient| ≤ ``tol`` (returns self for chaining)."""
-        self._dict = {k: c for k, c in self._mutated().items() if abs(c) > tol}
-        return self
+        """A new operator without the terms with |coefficient| ≤ ``tol``, in
+        this one's order."""
+        keep = np.flatnonzero(np.abs(self._coeffs) > tol)
+        return QubitOperator._adopt(self._table.take(keep), self._coeffs[keep])
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._coeffs) if self._dict is None else len(self._dict)
+        return len(self._coeffs)
 
     def terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Yield ``(PauliString, coefficient)`` pairs (phase-0 strings)."""
-        for (x, z), coeff in self._terms.items():
+        for x, z, coeff in self.raw_terms():
             yield PauliString(self.n, x, z), coeff
 
     def raw_terms(self) -> Iterator[tuple[int, int, complex]]:
         """Yield ``(x, z, coefficient)`` triples without object construction."""
-        for (x, z), coeff in self._terms.items():
-            yield x, z, coeff
+        table = self._table
+        return zip(_words_to_masks(table.x), _words_to_masks(table.z), self._coeffs.tolist())
 
     def coefficient(self, string: PauliString) -> complex:
         """Coefficient of ``string`` (phase folded), 0 if absent."""
-        c = self._terms.get((string.x, string.z), 0.0)
-        return c * _PHASE_VALUE[string.phase].conjugate() if c else 0.0
+        table = self._table
+        x, z = (_masks_to_words([mask], table.n_words) for mask in (string.x, string.z))
+        hit = np.flatnonzero((table.x == x).all(axis=1) & (table.z == z).all(axis=1))
+        if not hit.size:
+            return 0.0
+        return complex(self._coeffs[hit[0]]) * string.phase_value.conjugate()
 
     def pauli_weight(self, tol: float = DUST_TOLERANCE) -> int:
         """Total Pauli weight ``Σ_j w(P_j)`` over terms with |c| > ``tol``
         (paper §II-B3); a mapped operator holds no such dust, so this is the
         sum of its table's row weights."""
-        table, coeffs = self.to_table()
-        return int(table.weights()[np.abs(coeffs) > tol].sum())
+        return int(self._table.weights()[np.abs(self._coeffs) > tol].sum())
 
     def max_weight(self) -> int:
         """Largest single-term Pauli weight."""
-        return int(self.to_table()[0].weights().max(initial=0))
+        return int(self._table.weights().max(initial=0))
 
     def is_hermitian(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         """Hermitian iff every (phase-0 canonical) coefficient is real."""
-        return bool((np.abs(self.to_table()[1].imag) <= tol).all())
+        return bool((np.abs(self._coeffs.imag) <= tol).all())
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    def copy(self) -> "QubitOperator":
-        if self._dict is None:
-            return QubitOperator._from_table(self._table, self._coeffs)
-        return QubitOperator(self.n, self._dict)
-
-    def __add__(self, other: "QubitOperator") -> "QubitOperator":
-        if not isinstance(other, QubitOperator):
-            return NotImplemented
+    def _check_n(self, other: "QubitOperator") -> None:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        out = self.copy()
-        for (x, z), c in other._terms.items():
-            out.add_raw(x, z, c)
-        return out
+
+    def __add__(self, other: "QubitOperator") -> "QubitOperator":
+        """Concatenated rows, combined with tol 0 (exact cancellations drop)."""
+        if not isinstance(other, QubitOperator):
+            return NotImplemented
+        self._check_n(other)
+        a, b = self._table, other._table
+        rows = PauliTable._unsafe(
+            self.n,
+            np.concatenate([a.x, b.x]),
+            np.concatenate([a.z, b.z]),
+            np.zeros(len(a) + len(b), dtype=np.uint8),
+        )
+        return QubitOperator.from_table(rows, np.concatenate([self._coeffs, other._coeffs]), tol=0.0)
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (other * -1.0)
 
     def __mul__(self, other) -> "QubitOperator":
         if isinstance(other, (int, float, complex)):
-            return QubitOperator(self.n, {k: c * other for k, c in self._terms.items()})
+            return QubitOperator._adopt(self._table, self._coeffs * other)
         if isinstance(other, QubitOperator):
-            if self.n != other.n:
-                raise ValueError("qubit count mismatch")
-            out = QubitOperator(self.n)
-            for (x1, z1), c1 in self._terms.items():
-                for (x2, z2), c2 in other._terms.items():
-                    x3, z3, k3 = mul_xzk(x1, z1, 0, x2, z2, 0)
-                    out.add_raw(x3, z3, c1 * c2 * _PHASE_VALUE[k3])
-            return out
+            self._check_n(other)
+            m1, m2 = len(self), len(other)
+            left = np.repeat(np.arange(m1), m2)
+            right = np.tile(np.arange(m2), m1)
+            rows = self._table.take(left).mul_rows(other._table.take(right))
+            coeffs = self._coeffs[left] * other._coeffs[right]
+            return QubitOperator.from_table(rows, coeffs, tol=0.0)
         return NotImplemented
 
     def __rmul__(self, other) -> "QubitOperator":
@@ -239,15 +183,13 @@ class QubitOperator:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        """Equal iff every combined coefficient of the difference is within
+        ``DEFAULT_TOLERANCE`` of zero."""
         if not isinstance(other, QubitOperator):
             return NotImplemented
         if self.n != other.n:
             return False
-        keys = set(self._terms) | set(other._terms)
-        return all(
-            abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= DEFAULT_TOLERANCE
-            for k in keys
-        )
+        return bool((np.abs((self - other)._coeffs) <= DEFAULT_TOLERANCE).all())
 
     # ------------------------------------------------------------------
     # Dense matrix (tests / tiny systems only)
@@ -268,14 +210,14 @@ class QubitOperator:
     def expectation_basis_state(self, bits: int) -> complex:
         """⟨bits|H|bits⟩ evaluated symbolically (no dense matrix)."""
         total = 0.0 + 0j
-        for (x, z), coeff in self._terms.items():
+        for x, z, coeff in self.raw_terms():
             if x:  # any X/Y component moves the basis state off-diagonal
                 continue
             total += coeff * (-1) ** ((z & bits).bit_count())
         return total
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not len(self):
             return f"QubitOperator(n={self.n}, 0)"
         parts = []
         for string, coeff in sorted(self.terms(), key=lambda t: -abs(t[1]))[:6]:

@@ -27,9 +27,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .pauli import PauliString
-from .pauli_sum import DEFAULT_TOLERANCE, QubitOperator
 
 __all__ = [
+    "DEFAULT_TOLERANCE",
+    "DUST_TOLERANCE",
     "PauliTable",
     "incidence_from_masks",
     "plan_from_masks",
@@ -38,10 +39,21 @@ __all__ = [
     "WORD_BITS",
 ]
 
+#: Default cut of :meth:`PauliTable.simplify` and of ``QubitOperator``'s
+#: ``from_table``, ``simplify``, ``==`` and ``is_hermitian``: |c| ≤ this is zero.
+DEFAULT_TOLERANCE = 1e-10
+
+#: Numerical dust: the fermion operators, the Majorana form, mapping apply, the
+#: Pauli weight and Trotter synthesis all drop coefficients with magnitude at or
+#: below this, and the service fingerprint quantizes on it.
+DUST_TOLERANCE = 1e-12
+
 #: Number of qubits packed into one table word.
 WORD_BITS = 64
 
 _WORD_MASK = (1 << WORD_BITS) - 1
+
+_OUT_OF_RANGE = "x/z masks have bits outside the qubit range"
 
 #: ``i**k`` lookup indexed by phase exponent.
 _PHASE_VALUES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=complex)
@@ -53,15 +65,21 @@ def _n_words(n_qubits: int) -> int:
 
 
 def _masks_to_words(masks: Sequence[int], n_words: int) -> np.ndarray:
-    """Pack arbitrary-precision Python-int bitmasks into ``(m, n_words)`` uint64."""
+    """Pack arbitrary-precision Python-int bitmasks into ``(m, n_words)`` uint64;
+    a negative mask or one wider than ``n_words`` words raises ``ValueError``."""
     m = len(masks)
     out = np.zeros((m, n_words), dtype=np.uint64)
     if not m:
         return out
     if n_words == 1:
-        out[:, 0] = np.fromiter((int(v) for v in masks), dtype=np.uint64, count=m)
+        try:
+            out[:, 0] = np.fromiter((int(v) for v in masks), dtype=np.uint64, count=m)
+        except OverflowError:
+            raise ValueError(_OUT_OF_RANGE) from None
         return out
     obj = np.array([int(v) for v in masks], dtype=object)
+    if (obj >> (WORD_BITS * n_words)).any():
+        raise ValueError(_OUT_OF_RANGE)
     for w in range(n_words):
         out[:, w] = ((obj >> (WORD_BITS * w)) & _WORD_MASK).astype(np.uint64)
     return out
@@ -160,7 +178,7 @@ class PauliTable:
         if spare and x.shape[0]:
             tail_mask = np.uint64(((1 << spare) - 1) << (WORD_BITS - spare))
             if np.any(x[:, -1] & tail_mask) or np.any(z[:, -1] & tail_mask):
-                raise ValueError("x/z masks have bits outside the qubit range")
+                raise ValueError(_OUT_OF_RANGE)
         self.n = n
         self.x = x
         self.z = z
@@ -231,17 +249,6 @@ class PauliTable:
                 _words_to_masks(self.x), _words_to_masks(self.z), self.phase.tolist()
             )
         ]
-
-    def to_qubit_operator(
-        self, coeffs: np.ndarray | Sequence[complex], tol: float = DEFAULT_TOLERANCE
-    ) -> QubitOperator:
-        """``Σ coeffs[i] · row_i`` as a table-backed :class:`QubitOperator`.
-
-        Rows are combined with :meth:`simplify` and the operator holds the
-        result, in its lexicographic row order; the Python-int term dict is
-        built only if a dict API asks for it.
-        """
-        return QubitOperator._from_table(*self.simplify(coeffs, tol=tol))
 
     # ------------------------------------------------------------------
     # Inspection

@@ -52,6 +52,7 @@ from ..circuits.architectures import ARCHITECTURE_NAMES
 from ..fermion import FermionOperator, MajoranaOperator
 from ..fermion.majorana import majorana_form
 from ..hatt.construction import ARCH_WEIGHT_SCALE, DEFAULT_ARCH_WEIGHT
+from ..paulis.table import DUST_TOLERANCE
 
 __all__ = [
     "MappingSpec",
@@ -68,9 +69,9 @@ __all__ = [
 #: unreachable rather than silently wrong).
 FINGERPRINT_SCHEMA = 2
 
-#: Coefficient quantization grid; matches the operator algebra's own
-#: ``_COEFF_TOLERANCE`` so "physically identical" and "hash-identical" agree.
-DEFAULT_TOLERANCE = 1e-12
+#: Coefficient quantization grid: the algebra's own dust tolerance, so
+#: "physically identical" and "hash-identical" agree.
+DEFAULT_TOLERANCE = DUST_TOLERANCE
 
 #: Mapping kinds whose output depends only on the mode count.
 STATIC_KINDS = frozenset({"jw", "bk", "btt", "parity"})

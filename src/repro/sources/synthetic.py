@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from ..fermion import FermionOperator
-from ..fermion.operators import _COEFF_TOLERANCE
+from ..paulis.table import DUST_TOLERANCE
 from .base import HamiltonianSource, format_number, parse_params
 from .registry import register_source
 
@@ -90,7 +90,7 @@ class SykSource(HamiltonianSource):
         # Every term of the stream is distinct, so add_term reduces to its
         # tolerance drop.
         return FermionOperator(
-            {term: c for term, c in self._iter_raw() if abs(c) > _COEFF_TOLERANCE}
+            {term: c for term, c in self._iter_raw() if abs(c) > DUST_TOLERANCE}
         )
 
     def describe(self) -> dict:

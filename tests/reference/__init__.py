@@ -7,6 +7,8 @@ noisy trajectories, in distribution):
 * :mod:`reference.hatt` — the per-candidate big-int HATT scan;
 * :mod:`reference.routing` — the dict-scan SWAP router;
 * :mod:`reference.mapping` — the per-term Majorana-to-Pauli product loop;
+* :mod:`reference.pauli_sum` — the ``{(x, z): c}`` dict accumulation of
+  Pauli sums;
 * :mod:`reference.noise` — the per-trajectory noisy loop and the per-string
   ``Statevector`` expectation;
 * :mod:`reference.trotter` — the full-ladder Trotter emission, the

@@ -3,9 +3,10 @@
 The oracle for :func:`repro.mappings.apply.map_majorana_operator`, which
 multiplies every monomial at once as rows of a packed ``PauliTable``.  The
 loop here multiplies raw ``(x, z, k)`` integer triples term by term and
-inserts terms in operator order, then drops terms with |c| ≤ 1e-12 (the
-dust tolerance of the mapping); the results compare equal with the
-term-order-insensitive ``QubitOperator ==``.
+accumulates them in a dict in operator order
+(:class:`reference.pauli_sum.DictPauliSum`), then drops terms with
+|c| ≤ 1e-12 (the dust tolerance of the mapping) and wraps the dict once; the
+results compare equal with the term-order-insensitive ``QubitOperator ==``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from repro.fermion import MajoranaOperator
 from repro.mappings.apply import _check_coverage, _validate_qubit_counts
 from repro.paulis import PauliString, QubitOperator
 from repro.paulis.algebra import mul_xzk
+
+from .pauli_sum import DictPauliSum
 
 __all__ = ["scalar_map_majorana_operator"]
 
@@ -35,12 +38,12 @@ def _map_majorana_scalar(
 ) -> QubitOperator:
     """Per-term products on raw integer triples."""
     raw = [(s.x, s.z, s.phase) for s in strings]
-    out = QubitOperator(n_qubits)
+    out = DictPauliSum(n_qubits)
     for indices, coeff in op.terms():
         x = z = k = 0
         for i in indices:
             sx, sz, sk = raw[i]
             x, z, k = mul_xzk(x, z, k, sx, sz, sk)
         out.add_raw(x, z, coeff * _PHASE[k])
-    return out.simplify(1e-12)
+    return out.simplify(1e-12).to_operator()
 

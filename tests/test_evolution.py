@@ -543,7 +543,7 @@ def wide_hamiltonians(draw):
         return QubitOperator(n, terms)
     xs, zs = zip(*terms)
     table = PauliTable.from_masks(n, list(xs), list(zs))
-    return table.to_qubit_operator(np.array(list(terms.values()), dtype=complex), tol=0.0)
+    return QubitOperator.from_table(table, np.array(list(terms.values()), dtype=complex), tol=0.0)
 
 
 def _packed_hex(circuit: Circuit):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.paulis import PauliString, PauliTable, QubitOperator
-from repro.paulis.table import _words_to_masks
+
+from reference.pauli_sum import DictPauliSum
 
 
 def op_from(labels):
@@ -15,27 +16,49 @@ def op_from(labels):
 
 class TestBuilding:
     def test_combines_duplicates(self):
-        h = QubitOperator(2)
-        h.add_string(PauliString.from_label("XZ"), 1.0)
-        h.add_string(PauliString.from_label("XZ"), 2.0)
+        xz = PauliString.from_label("XZ")
+        h = QubitOperator.from_terms([(xz, 1.0), (xz, 2.0)])
         assert len(h) == 1
-        assert h.coefficient(PauliString.from_label("XZ")) == pytest.approx(3.0)
+        assert h.coefficient(xz) == pytest.approx(3.0)
 
     def test_phase_folding(self):
-        h = QubitOperator(1)
-        h.add_string(PauliString.from_label("X", phase=1), 1.0)  # i·X
+        h = QubitOperator.from_terms([(PauliString.from_label("X", phase=1), 1.0)])  # i·X
         assert h.coefficient(PauliString.from_label("X")) == pytest.approx(1j)
 
     def test_exact_cancellation_removes_term(self):
-        h = QubitOperator(1)
-        h.add_string(PauliString.from_label("Z"), 1.0)
-        h.add_string(PauliString.from_label("Z"), -1.0)
-        assert len(h) == 0
+        z = PauliString.from_label("Z")
+        assert len(QubitOperator.from_terms([(z, 1.0), (z, -1.0)])) == 0
+        h = op_from({"Z": 1.0})
+        assert len(h - h) == 0
 
     def test_simplify_tolerance(self):
         h = op_from({"XZ": 1e-14, "ZZ": 1.0})
-        h.simplify()
-        assert len(h) == 1
+        assert len(h.simplify()) == 1
+        assert len(h) == 2  # simplify returns a new operator
+
+    def test_dict_constructor_keeps_the_dict_order(self):
+        terms = {(3, 0): 0.5, (0, 1): -1.0, (0, 0): 2.0, (1, 2): 0.0}
+        h = QubitOperator(2, terms)
+        assert [((x, z), c) for x, z, c in h.raw_terms()] == list(terms.items())
+        assert [(x, z) for x, z, _ in h.simplify().raw_terms()] == [(3, 0), (0, 1), (0, 0)]
+
+    @pytest.mark.parametrize(
+        "n, key",
+        [(2, (8, 0)), (2, (0, 1 << 64)), (2, (-1, 0)), (70, (1 << 70, 0)), (70, (0, 1 << 200))],
+    )
+    def test_masks_outside_the_qubit_range_raise(self, n, key):
+        with pytest.raises(ValueError, match="outside the qubit range"):
+            QubitOperator(n, {key: 1.0})
+
+    def test_holds_one_read_only_table(self):
+        assert QubitOperator.__slots__ == ("n", "_table", "_coeffs")
+        table = PauliTable.from_masks(3, [1, 2, 1], [0, 2, 0])
+        op = QubitOperator.from_table(table, np.array([0.5, 1.0, 0.25]))
+        held, coeffs = op.to_table()
+        assert op.to_table()[0] is held
+        assert len(op) == 2 and op.pauli_weight() == 2
+        assert not coeffs.flags.writeable and not held.x.flags.writeable
+        assert table.x.flags.writeable  # the caller's table is not adopted
 
     def test_from_terms_infers_n(self):
         h = QubitOperator.from_terms([(PauliString.from_label("XYZ"), 1.0)])
@@ -112,120 +135,57 @@ class TestDense:
 
 
 @st.composite
-def dual_pairs(draw):
-    """The same unique terms as a table-backed and a dict-built operator."""
+def operator_pairs(draw):
+    """Two term lists on one qubit count, over a shared pool of strings, with
+    small-integer coefficients: duplicates, exact cancellations and zeros,
+    and every sum exact."""
     n = draw(st.integers(1, 70))
     mask = st.integers(0, (1 << n) - 1)
-    coeff = st.one_of(
-        st.floats(-2.0, 2.0, allow_nan=False).filter(bool),
-        st.complex_numbers(max_magnitude=2.0).filter(bool),
-        st.sampled_from([1e-11, 2e-12, 1e-12 * (1 + 1e-9)]),
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=5))
+    string = st.builds(
+        lambda xz, k: PauliString(n, xz[0], xz[1], k), st.sampled_from(pool), st.integers(0, 3)
     )
-    terms = draw(st.dictionaries(st.tuples(mask, mask), coeff, min_size=0, max_size=12))
-    xs = [x for x, _ in terms]
-    zs = [z for _, z in terms]
-    table = PauliTable.from_masks(n, xs, zs)
-    packed = table.to_qubit_operator(np.array(list(terms.values()), dtype=complex), tol=0.0)
-    built = QubitOperator(n)
-    for (x, z), c in terms.items():
-        built.add_raw(x, z, c)
-    return packed, built
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    terms = st.lists(st.tuples(string, coeff), max_size=12)
+    return n, draw(terms), draw(terms)
 
 
-def _as_dict(table, coeffs):
-    keys = zip(_words_to_masks(table.x), _words_to_masks(table.z))
-    return dict(zip(keys, coeffs.tolist()))
+def _as_dict(op: QubitOperator) -> dict:
+    return {(x, z): c for x, z, c in op.raw_terms()}
 
 
-class TestDualForm:
-    """A table-backed operator (``PauliTable.to_qubit_operator``) behaves
-    like the dict-built one on every read; a write drops its table."""
+class TestAgainstTheDictOracle:
+    """Table arithmetic against the dict accumulation
+    (``reference/pauli_sum.py``): with exact sums, the same keys and values."""
 
-    @given(dual_pairs())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_the_dict_form(self, pair):
-        packed, built = pair
-        assert len(packed) == len(built)
-        assert packed.pauli_weight() == built.pauli_weight()
-        assert packed.pauli_weight(1e-10) == built.pauli_weight(1e-10)
-        assert packed.max_weight() == built.max_weight()
-        assert packed.is_hermitian() == built.is_hermitian()
-        assert _as_dict(*packed.to_table()) == _as_dict(*built.to_table())
-        assert packed._dict is None  # none of the above built the term dict
-        copy = packed.copy()
-        assert copy._dict is None and copy == built
-        assert {(x, z): c for x, z, c in packed.raw_terms()} == built._terms
-        assert packed == built and built == packed
+    @given(operator_pairs(), st.sampled_from([-2, 0, 1, 3j]), st.sampled_from([0.0, 1.5, 4.5]))
+    @settings(max_examples=120, deadline=None)
+    def test_arithmetic_matches(self, pair, scalar, tol):
+        n, left, right = pair
+        a, b = QubitOperator.from_terms(left, n=n), QubitOperator.from_terms(right, n=n)
+        ra, rb = DictPauliSum.from_terms(n, left), DictPauliSum.from_terms(n, right)
+        assert _as_dict(a) == ra.terms and _as_dict(b) == rb.terms
+        assert _as_dict(a + b) == (ra + rb).terms
+        assert _as_dict(a - b) == (ra - rb).terms
+        assert _as_dict(a * scalar) == (ra * scalar).terms
+        assert _as_dict(scalar * b) == (rb * scalar).terms
+        assert _as_dict(a * b) == (ra * rb).terms
+        assert (a == b) == (ra == rb)
+        assert a == a + b - b
+        assert _as_dict(a.simplify(tol)) == DictPauliSum(n, ra.terms).simplify(tol).terms
+        assert len(a) == len(ra.terms)
+        weights = [(x | z).bit_count() for x, z in ra.terms]
+        assert a.pauli_weight() == sum(weights)  # no dust: every |c| ≥ 1
+        assert a.max_weight() == max(weights, default=0)
+        assert a.is_hermitian() == all(c.imag == 0 for c in ra.terms.values())
 
-    def test_to_table_returns_the_held_table(self):
-        table = PauliTable.from_masks(3, [1, 2, 1], [0, 2, 0])
-        op = table.to_qubit_operator(np.array([0.5, 1.0, 0.25]))
-        held, coeffs = op.to_table()
-        assert op.to_table()[0] is held
-        assert len(op) == 2 and op.pauli_weight() == 2
-        assert not coeffs.flags.writeable and not held.x.flags.writeable
-
-    @pytest.mark.parametrize(
-        "write",
-        [
-            lambda op: op.add_raw(4, 0, 1.0),
-            lambda op: op.add_string(PauliString.from_label("ZII"), 1.0),
-            lambda op: op.simplify(0.3),
-        ],
-        ids=["add_raw", "add_string", "simplify"],
-    )
-    def test_a_write_drops_the_table(self, write):
-        table = PauliTable.from_masks(3, [1, 2], [0, 2])
-        op = table.to_qubit_operator(np.array([0.5, 0.25]))
-        held, _ = op.to_table()
-        write(op)
-        assert op._table is None
-        repacked, coeffs = op.to_table()
-        assert repacked is not held
-        assert _as_dict(repacked, coeffs) == op._terms
-        assert len(op) == len(op._terms)
-
-    def test_copy_of_a_table_is_independent(self):
-        table = PauliTable.from_masks(2, [1], [0])
-        op = table.to_qubit_operator(np.array([0.5]))
-        copy = op.copy()
-        copy.add_raw(2, 0, 1.0)
-        assert len(op) == 1 and len(copy) == 2
-
-
-@pytest.fixture
-def dict_builds(monkeypatch):
-    """Count the table-to-dict unpackings of every ``QubitOperator``."""
-    built = []
-    original = QubitOperator._unpack
-
-    def counting(self):
-        built.append(len(self))
-        return original(self)
-
-    monkeypatch.setattr(QubitOperator, "_unpack", counting)
-    return built
-
-
-class TestNoTermDictOnTheHotPaths:
-    def test_cold_compile_builds_no_dict(self, dict_builds):
-        from repro.compile import CompilationPipeline
-        from repro.sources import build_case
-
-        m = CompilationPipeline(service=None).compile_one(
-            build_case("hubbard:2x2"), "hatt", "sycamore"
-        )
-        assert m.routed_cx > 0 and m.pauli_weight > 0
-        assert dict_builds == []
-
-    def test_cold_served_map_builds_no_dict(self, dict_builds):
-        from repro.serve.queue import execute_request
-
-        doc = execute_request(
-            {"case": "random:syk:n=6,seed=5", "job": "map", "kind": "hatt"}, None, False
-        )
-        assert doc["source"] == "compiled" and doc["pauli_weight"] > 0
-        assert dict_builds == []
-        # The counter itself works.
-        list(PauliTable.from_masks(1, [1], [0]).to_qubit_operator(np.array([1.0])).raw_terms())
-        assert dict_builds == [1]
+    @given(operator_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_dict_constructor_round_trips(self, pair):
+        n, left, _ = pair
+        ra = DictPauliSum.from_terms(n, left)
+        op = QubitOperator(n, ra.terms)
+        assert list(op.raw_terms()) == [(x, z, c) for (x, z), c in ra.terms.items()]
+        assert op == QubitOperator.from_terms(left, n=n)
+        for (x, z), c in ra.terms.items():
+            assert op.coefficient(PauliString(n, x, z, 1)) == c * -1j

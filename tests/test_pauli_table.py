@@ -15,6 +15,7 @@ from repro.mappings.apply import map_majorana_operator
 from repro.paulis import PauliString, PauliTable, QubitOperator
 
 from reference.mapping import scalar_map_majorana_operator
+from reference.pauli_sum import DictPauliSum
 
 QUBIT_COUNTS = (1, 5, 63, 64, 65, 130)
 PHASES = st.integers(min_value=0, max_value=3)
@@ -86,20 +87,21 @@ def test_simplify_matches_scalar_combination(batch, data):
         for _ in picks
     ]
     table = PauliTable.from_strings([strings[i] for i in picks], n=n)
-    reference = QubitOperator(n)
+    reference = DictPauliSum(n)
     for i, c in zip(picks, coeffs):
         reference.add_string(strings[i], c)
     reference.simplify()
-    assert table.to_qubit_operator(np.asarray(coeffs)) == reference
+    assert QubitOperator.from_table(table, np.asarray(coeffs)) == reference.to_operator()
 
 
 @given(pauli_batches())
 @settings(max_examples=40, deadline=None)
 def test_qubit_operator_roundtrip(batch):
     n, strings = batch
-    op = QubitOperator(n)
+    reference = DictPauliSum(n)
     for i, s in enumerate(strings):
-        op.add_string(s, 1.0 + 0.25 * i)
+        reference.add_string(s, 1.0 + 0.25 * i)
+    op = reference.to_operator()
     table, coeffs = op.to_table()
     assert QubitOperator.from_table(table, coeffs) == op
 
@@ -189,8 +191,8 @@ def test_padded_row_products_rejects_bad_index():
 
 
 def test_from_terms_table_path_matches_scalar_path():
-    """QubitOperator.from_terms gives identical results on both sides of the
-    bulk-path threshold."""
+    """QubitOperator.from_terms combines 130 terms over 40 strings like the
+    dict accumulation."""
     n = 6
     rng = np.random.default_rng(7)
     strings = [
@@ -198,8 +200,5 @@ def test_from_terms_table_path_matches_scalar_path():
         for _ in range(40)
     ]
     terms = [(strings[i % len(strings)], 0.5 * i - 3) for i in range(130)]
-    bulk = QubitOperator.from_terms(terms)  # above threshold: table path
-    scalar = QubitOperator(n)
-    for s, c in terms:
-        scalar.add_string(s, c)
-    assert bulk == scalar
+    bulk = QubitOperator.from_terms(terms)
+    assert bulk == DictPauliSum.from_terms(n, terms).to_operator()

@@ -328,23 +328,27 @@ class TestArtifactStore:
         store.put_mapping(fp, mapping)
         assert store.get_mapping(fp) is not None
 
-    def test_unreadable_file_is_a_miss_but_not_quarantined(self, tmp_path):
+    def test_unreadable_file_is_a_miss_but_not_quarantined(self, tmp_path, monkeypatch):
         """Transient I/O errors must not delete a valid, expensive artifact."""
         h = build_case("hubbard:1x2")
         mapping = compile_mapping(h, MappingSpec(kind="jw").resolve(h))
         store = ArtifactStore(tmp_path)
         fp = "ab" * 32
         path = store.put_mapping(fp, mapping)
-        path.chmod(0)
-        try:
-            if path.read_text() is not None:  # running as root: chmod no-op
-                pytest.skip("permissions not enforced for this user")
-        except PermissionError:
-            assert store.get_mapping(fp) is None
-            assert path.exists()  # still on disk, NOT quarantined
-            assert store.stats()["corrupt_dropped"] == 0
-        finally:
-            path.chmod(0o644)
+        read_text = Path.read_text
+
+        def denied(self, *args, **kwargs):
+            # Raised here rather than by chmod(0), which does not stop root.
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(PermissionError):
+            path.read_text()
+        assert store.get_mapping(fp) is None
+        assert path.exists()  # still on disk, NOT quarantined
+        assert store.stats()["corrupt_dropped"] == 0
 
     def test_semantically_corrupt_document_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
