@@ -26,7 +26,7 @@ from .mappings import (
 )
 from .paulis import PauliString, QubitOperator
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "PauliString",

@@ -2,15 +2,34 @@
 
 McMurchie–Davidson scheme: products of Gaussians are expanded in Hermite
 Gaussians via the E coefficients; Coulomb-type integrals reduce to the
-Hermite Coulomb tensor R built on the Boys function.
+Hermite Coulomb tensor R built on the Boys function.  The recursions take
+any angular momentum; the paper's molecule set needs s and p shells.
 
-Supports arbitrary angular momentum in the recursions, exercised here for
-s and p shells (the paper's molecule set needs nothing higher).
+The kernels are batched.  Overlap and kinetic run over all primitive pairs
+of one pair of Cartesian components, the nuclear attraction over those
+pairs × nuclei, and the ERIs over every primitive quartet of one angular
+class (bra and ket Hermite extents and primitive counts), in chunks of at
+most ``_CHUNK`` elements so transient memory stays small on larger
+molecules.  Every element still goes through the operation sequence of the
+scalar engine kept as the test oracle in ``tests/reference/integrals.py``:
+the same E and R recurrences, the same accumulation order over Hermite
+indices, primitives and nuclei, the zero-E skips as ``np.where`` masks and
+the same Schwarz screening, so the results are bit-identical to it, sign
+bits included.
+
+Only IEEE-exact operations run as NumPy array arithmetic: ``+``, ``−``,
+``×``, ``÷`` and ``sqrt``.  NumPy's SIMD ``exp`` and ``power`` differ from
+libm in the last bit on a few percent of inputs (``np.power(x, 2)`` is not
+even ``pow(x, 2)``), so ``exp`` and float ``**`` are applied element by
+element with libm (:func:`_libm`, :func:`_pow`); ``gammainc`` is a SciPy
+ufunc, the same code per element as its scalar call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -27,22 +46,47 @@ __all__ = [
     "nuclear_repulsion",
 ]
 
+# Elements (primitive quartets, or primitive pairs × nuclei) per batch.
+_CHUNK = 4096
 
-def boys(m: int, t: float) -> float:
-    """Boys function ``F_m(t) = ∫₀¹ u^{2m} e^{-t u²} du``."""
-    if t < 1e-12:
-        return 1.0 / (2 * m + 1)
+
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """``fn(v, *args)``, a libm scalar function, applied element by element."""
+    vals = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
+    return np.fromiter(vals, float, count=x.size).reshape(x.shape)
+
+
+def _pow(x: np.ndarray, y) -> np.ndarray:
+    """``x ** y`` element by element with libm ``pow``."""
+    return _libm(math.pow, x, float(y))
+
+
+def boys(m: int, t):
+    """Boys function ``F_m(t) = ∫₀¹ u^{2m} e^{-t u²} du``, elementwise over ``t``.
+
+    A float ``t`` gives a float, an array an array.
+    """
+    arr = np.asarray(t, dtype=float)
+    small = arr < 1e-12
+    safe = np.where(small, 1.0, arr)
     a = m + 0.5
     # F_m(t) = Γ(a)·P(a, t) / (2 t^a) with P the regularized lower gamma.
-    return math.exp(gammaln(a)) * float(gammainc(a, t)) / (2.0 * t**a)
+    val = math.exp(gammaln(a)) * gammainc(a, safe) / (2.0 * _pow(safe, a))
+    out = np.where(small, 1.0 / (2 * m + 1), val)
+    return float(out) if out.ndim == 0 else out
 
 
-def hermite_e_table(l1: int, l2: int, a: float, b: float, xab: float) -> np.ndarray:
-    """E[i, j, t] for i ≤ l1, j ≤ l2, t ≤ i+j (1D McMurchie–Davidson)."""
+def hermite_e_table(l1: int, l2: int, a, b, xab) -> np.ndarray:
+    """E[i, j, t, ...] for i ≤ l1, j ≤ l2, t ≤ i+j (1D McMurchie–Davidson).
+
+    ``a``, ``b`` and ``xab`` broadcast together; the trailing axes of the
+    table are their shape.
+    """
+    a, b, xab = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, xab)))
     p = a + b
     q = a * b / p
-    table = np.zeros((l1 + 1, l2 + 1, l1 + l2 + 2))
-    table[0, 0, 0] = math.exp(-q * xab * xab)
+    table = np.zeros((l1 + 1, l2 + 1, l1 + l2 + 2) + p.shape)
+    table[0, 0, 0] = _libm(math.exp, -q * xab * xab)
     # Increment i: E(i+1,j,t) = E(i,j,t-1)/(2p) - (q·xab/a)·E(i,j,t) + (t+1)·E(i,j,t+1)
     for i in range(l1):
         for t in range(i + 1 + 1):
@@ -62,211 +106,197 @@ def hermite_e_table(l1: int, l2: int, a: float, b: float, xab: float) -> np.ndar
     return table
 
 
-def _e_coeff(l1: int, l2: int, t: int, a: float, b: float, xab: float) -> float:
-    if t < 0 or t > l1 + l2:
-        return 0.0
-    return float(hermite_e_table(l1, l2, a, b, xab)[l1, l2, t])
+def _hermite_r(tmax: int, umax: int, vmax: int, alpha, rpc) -> dict:
+    """Hermite Coulomb tensor R⁰_{tuv} for all t ≤ tmax, u ≤ umax, v ≤ vmax.
 
-
-# ----------------------------------------------------------------------
-# Primitive integrals
-# ----------------------------------------------------------------------
-def _overlap_prim(a, lmn1, ra, b, lmn2, rb) -> float:
-    p = a + b
-    pref = (math.pi / p) ** 1.5
-    out = pref
-    for d in range(3):
-        out *= _e_coeff(lmn1[d], lmn2[d], 0, a, b, ra[d] - rb[d])
-    return out
-
-
-def _kinetic_prim(a, lmn1, ra, b, lmn2, rb) -> float:
-    """⟨g1| -∇²/2 |g2⟩ via the 1D-overlap ladder formula."""
-
-    def s1d(d: int, shift: int) -> float:
-        l2 = lmn2[d] + shift
-        if l2 < 0:
-            return 0.0
-        return _e_coeff(lmn1[d], l2, 0, a, b, ra[d] - rb[d])
-
-    pref = (math.pi / (a + b)) ** 1.5
-    dims = []
-    for d in range(3):
-        l2 = lmn2[d]
-        term = (
-            -2.0 * b * b * s1d(d, 2)
-            + b * (2 * l2 + 1) * s1d(d, 0)
-            - 0.5 * l2 * (l2 - 1) * s1d(d, -2)
-        )
-        dims.append(term)
-    s = [_e_coeff(lmn1[d], lmn2[d], 0, a, b, ra[d] - rb[d]) for d in range(3)]
-    return pref * (dims[0] * s[1] * s[2] + s[0] * dims[1] * s[2] + s[0] * s[1] * dims[2])
-
-
-def _hermite_r(tmax: int, umax: int, vmax: int, alpha: float, rpc) -> dict:
-    """Hermite Coulomb tensor R⁰_{tuv} for all t ≤ tmax, u ≤ umax, v ≤ vmax."""
-    t2 = alpha * (rpc[0] ** 2 + rpc[1] ** 2 + rpc[2] ** 2)
-    nmax = tmax + umax + vmax
-    fm = [boys(m, t2) for m in range(nmax + 1)]
-    memo: dict[tuple[int, int, int, int], float] = {}
-
-    def r(n: int, t: int, u: int, v: int) -> float:
-        if t < 0 or u < 0 or v < 0:
-            return 0.0
-        key = (n, t, u, v)
-        if key in memo:
-            return memo[key]
-        if t == u == v == 0:
-            val = (-2.0 * alpha) ** n * fm[n]
-        elif t > 0:
-            val = (t - 1) * r(n + 1, t - 2, u, v) + rpc[0] * r(n + 1, t - 1, u, v)
-        elif u > 0:
-            val = (u - 1) * r(n + 1, t, u - 2, v) + rpc[1] * r(n + 1, t, u - 1, v)
-        else:
-            val = (v - 1) * r(n + 1, t, u, v - 2) + rpc[2] * r(n + 1, t, u, v - 1)
-        memo[key] = val
-        return val
-
+    ``alpha`` has the batch shape and ``rpc`` that shape plus a last axis of
+    3; each value of the dict is an array of the batch shape.
+    """
+    xyz = (rpc[..., 0], rpc[..., 1], rpc[..., 2])
+    t2 = alpha * (_pow(xyz[0], 2) + _pow(xyz[1], 2) + _pow(xyz[2], 2))
+    # R^n_000 = (-2α)^n F_n(t2); x ** 0 is 1.0 for every x, so n = 0 skips the pow.
+    base = [
+        (_pow(-2.0 * alpha, n) if n else 1.0) * boys(n, t2)
+        for n in range(tmax + umax + vmax + 1)
+    ]
+    memo: dict[tuple[int, int, int, int], np.ndarray] = {}
     return {
-        (t, u, v): r(0, t, u, v)
+        (t, u, v): _r(memo, base, xyz, 0, t, u, v)
         for t in range(tmax + 1)
         for u in range(umax + 1)
         for v in range(vmax + 1)
     }
 
 
-def _nuclear_prim(a, lmn1, ra, b, lmn2, rb, rc) -> float:
-    p = a + b
-    rp = (a * np.asarray(ra) + b * np.asarray(rb)) / p
-    ex = hermite_e_table(lmn1[0], lmn2[0], a, b, ra[0] - rb[0])[lmn1[0], lmn2[0]]
-    ey = hermite_e_table(lmn1[1], lmn2[1], a, b, ra[1] - rb[1])[lmn1[1], lmn2[1]]
-    ez = hermite_e_table(lmn1[2], lmn2[2], a, b, ra[2] - rb[2])[lmn1[2], lmn2[2]]
-    tmax, umax, vmax = lmn1[0] + lmn2[0], lmn1[1] + lmn2[1], lmn1[2] + lmn2[2]
-    rt = _hermite_r(tmax, umax, vmax, p, rp - np.asarray(rc))
-    total = 0.0
-    for t in range(tmax + 1):
-        for u in range(umax + 1):
-            for v in range(vmax + 1):
-                total += ex[t] * ey[u] * ez[v] * rt[(t, u, v)]
-    return 2.0 * math.pi / p * total
+def _r(memo: dict, base: list, xyz: tuple, n: int, t: int, u: int, v: int):
+    """R^n_{tuv} by the downward recursion on the first nonzero index, memoized.
+
+    A module function rather than a closure: a recursive closure is a
+    reference cycle that would keep every memoized array alive until the
+    cyclic collector runs.
+    """
+    if t < 0 or u < 0 or v < 0:
+        return 0.0
+    key = (n, t, u, v)
+    if key in memo:
+        return memo[key]
+    if t == u == v == 0:
+        val = base[n]
+    elif t > 0:
+        val = (t - 1) * _r(memo, base, xyz, n + 1, t - 2, u, v) + xyz[0] * _r(
+            memo, base, xyz, n + 1, t - 1, u, v
+        )
+    elif u > 0:
+        val = (u - 1) * _r(memo, base, xyz, n + 1, t, u - 2, v) + xyz[1] * _r(
+            memo, base, xyz, n + 1, t, u - 1, v
+        )
+    else:
+        val = (v - 1) * _r(memo, base, xyz, n + 1, t, u, v - 2) + xyz[2] * _r(
+            memo, base, xyz, n + 1, t, u, v - 1
+        )
+    memo[key] = val
+    return val
 
 
 # ----------------------------------------------------------------------
-# Contracted pair data (shared by nuclear + ERI assembly)
+# Primitive-pair data, batched over contracted pairs of one class
 # ----------------------------------------------------------------------
-class _PairData:
-    """Precomputed per-primitive-pair Hermite expansions of a contraction pair."""
+class _PairBatch:
+    """Primitive pairs of contracted pairs ``(f1, f2)`` that share ``lmn``s and primitive counts.
 
-    __slots__ = ("p", "rp", "coeff", "ex", "ey", "ez", "tmax", "umax", "vmax")
+    Arrays run over (contracted pair, primitive pair), primitive pairs in
+    the scalar loop order (``f1``'s primitive outer).  ``e[d]`` is the
+    Hermite table ``E[i, j, t]`` of axis ``d`` with ``j`` up to ``l2 + reach``
+    (the kinetic ladder reaches 2 past ``l2``).
+    """
 
-    def __init__(self, f1: BasisFunction, f2: BasisFunction):
-        self.tmax = f1.lmn[0] + f2.lmn[0]
-        self.umax = f1.lmn[1] + f2.lmn[1]
-        self.vmax = f1.lmn[2] + f2.lmn[2]
-        self.p, self.rp, self.coeff = [], [], []
-        self.ex, self.ey, self.ez = [], [], []
-        ab = f1.center - f2.center
-        for c1, a in zip(f1.coeffs, f1.alphas):
-            for c2, b in zip(f2.coeffs, f2.alphas):
-                p = a + b
-                self.p.append(p)
-                self.rp.append((a * f1.center + b * f2.center) / p)
-                self.coeff.append(c1 * c2)
-                self.ex.append(
-                    hermite_e_table(f1.lmn[0], f2.lmn[0], a, b, ab[0])[f1.lmn[0], f2.lmn[0]]
-                )
-                self.ey.append(
-                    hermite_e_table(f1.lmn[1], f2.lmn[1], a, b, ab[1])[f1.lmn[1], f2.lmn[1]]
-                )
-                self.ez.append(
-                    hermite_e_table(f1.lmn[2], f2.lmn[2], a, b, ab[2])[f1.lmn[2], f2.lmn[2]]
-                )
+    def __init__(self, basis: list[BasisFunction], rows: list[int], cols: list[int], reach: int):
+        f1, f2 = basis[rows[0]], basis[cols[0]]
+        self.rows, self.cols = np.array(rows), np.array(cols)
+        self.lmn1, self.lmn2 = f1.lmn, f2.lmn
+        k1, k2 = len(f1.alphas), len(f2.alphas)
+        a = np.repeat(np.array([basis[i].alphas for i in rows]), k2, axis=1)
+        b = np.tile(np.array([basis[j].alphas for j in cols]), (1, k1))
+        c1 = np.repeat(np.array([basis[i].coeffs for i in rows]), k2, axis=1)
+        c2 = np.tile(np.array([basis[j].coeffs for j in cols]), (1, k1))
+        ra = np.array([basis[i].center for i in rows])[:, None, :]
+        rb = np.array([basis[j].center for j in cols])[:, None, :]
+        self.b = b
+        self.p = a + b
+        self.rp = (a[..., None] * ra + b[..., None] * rb) / self.p[..., None]
+        self.coeff = c1 * c2
+        ab = ra[..., 0, :] - rb[..., 0, :]
+        self.e = [
+            hermite_e_table(self.lmn1[d], self.lmn2[d] + reach, a, b, ab[:, d : d + 1])
+            for d in range(3)
+        ]
+
+    def e_row(self, d: int) -> np.ndarray:
+        """``E[l1, l2, t]`` for ``t ≤ l1 + l2``, as (pair, primitive, t)."""
+        l1, l2 = self.lmn1[d], self.lmn2[d]
+        return np.moveaxis(self.e[d][l1, l2, : l1 + l2 + 1], 0, -1)
 
 
-def _eri_contracted(bra: _PairData, ket: _PairData) -> float:
-    """(ab|cd) assembled from two pair expansions."""
-    total = 0.0
-    for i in range(len(bra.p)):
-        p, rp, cb = bra.p[i], bra.rp[i], bra.coeff[i]
-        ext, eyt, ezt = bra.ex[i], bra.ey[i], bra.ez[i]
-        for j in range(len(ket.p)):
-            q, rq, ck = ket.p[j], ket.rp[j], ket.coeff[j]
-            exk, eyk, ezk = ket.ex[j], ket.ey[j], ket.ez[j]
-            alpha = p * q / (p + q)
-            rt = _hermite_r(
-                bra.tmax + ket.tmax,
-                bra.umax + ket.umax,
-                bra.vmax + ket.vmax,
-                alpha,
-                rp - rq,
-            )
-            pref = (
-                2.0
-                * math.pi**2.5
-                / (p * q * math.sqrt(p + q))
-                * cb
-                * ck
-            )
-            acc = 0.0
-            for t in range(bra.tmax + 1):
-                for u in range(bra.umax + 1):
-                    for v in range(bra.vmax + 1):
-                        e_bra = ext[t] * eyt[u] * ezt[v]
-                        if e_bra == 0.0:
-                            continue
-                        for tt in range(ket.tmax + 1):
-                            for uu in range(ket.umax + 1):
-                                for vv in range(ket.vmax + 1):
-                                    e_ket = exk[tt] * eyk[uu] * ezk[vv]
-                                    if e_ket == 0.0:
-                                        continue
-                                    sign = -1.0 if (tt + uu + vv) % 2 else 1.0
-                                    acc += (
-                                        e_bra
-                                        * e_ket
-                                        * sign
-                                        * rt[(t + tt, u + uu, v + vv)]
-                                    )
-            total += pref * acc
-    return total
+def _pair_batches(basis: list[BasisFunction], pairs, reach: int = 0) -> list[_PairBatch]:
+    """Group ``(i, j)`` pairs by ``lmn`` and primitive counts, keeping their order."""
+    groups: dict[tuple, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    for i, j in pairs:
+        f1, f2 = basis[i], basis[j]
+        rows, cols = groups[(f1.lmn, f2.lmn, len(f1.alphas), len(f2.alphas))]
+        rows.append(i)
+        cols.append(j)
+    return [_PairBatch(basis, rows, cols, reach) for rows, cols in groups.values()]
 
 
 # ----------------------------------------------------------------------
-# Public matrix builders
+# One-electron matrices
 # ----------------------------------------------------------------------
-def _contract_pairwise(basis, prim_fn) -> np.ndarray:
+def _contract_pairwise(basis: list[BasisFunction], prim_fn, reach: int = 0) -> np.ndarray:
+    """Symmetric matrix of contractions; ``prim_fn(batch)`` gives primitive values."""
     n = len(basis)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            f1, f2 = basis[i], basis[j]
-            val = 0.0
-            for c1, a in zip(f1.coeffs, f1.alphas):
-                for c2, b in zip(f2.coeffs, f2.alphas):
-                    val += c1 * c2 * prim_fn(a, f1.lmn, f1.center, b, f2.lmn, f2.center)
-            out[i, j] = out[j, i] = val
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    for batch in _pair_batches(basis, upper, reach):
+        prims = prim_fn(batch)
+        val = np.zeros(len(batch.rows))
+        for k in range(prims.shape[1]):
+            val = val + batch.coeff[:, k] * prims[:, k]
+        out[batch.rows, batch.cols] = val
+        out[batch.cols, batch.rows] = val
     return out
 
 
+def _e0(batch: _PairBatch, d: int, shift: int = 0):
+    """``E[l1, l2 + shift, 0]`` of axis ``d``; 0.0 below ``l2 + shift = 0``."""
+    l2 = batch.lmn2[d] + shift
+    if l2 < 0:
+        return 0.0
+    return batch.e[d][batch.lmn1[d], l2, 0]
+
+
+def _overlap_prims(batch: _PairBatch) -> np.ndarray:
+    out = _pow(math.pi / batch.p, 1.5)
+    for d in range(3):
+        out = out * _e0(batch, d)
+    return out
+
+
+def _kinetic_prims(batch: _PairBatch) -> np.ndarray:
+    """⟨g1| -∇²/2 |g2⟩ via the 1D-overlap ladder formula."""
+    b = batch.b
+    pref = _pow(math.pi / batch.p, 1.5)
+    dims = []
+    for d in range(3):
+        l2 = batch.lmn2[d]
+        dims.append(
+            -2.0 * b * b * _e0(batch, d, 2)
+            + b * (2 * l2 + 1) * _e0(batch, d)
+            - 0.5 * l2 * (l2 - 1) * _e0(batch, d, -2)
+        )
+    s = [_e0(batch, d) for d in range(3)]
+    return pref * (dims[0] * s[1] * s[2] + s[0] * dims[1] * s[2] + s[0] * s[1] * dims[2])
+
+
 def overlap_matrix(basis: list[BasisFunction]) -> np.ndarray:
-    return _contract_pairwise(basis, _overlap_prim)
+    return _contract_pairwise(basis, _overlap_prims)
 
 
 def kinetic_matrix(basis: list[BasisFunction]) -> np.ndarray:
-    return _contract_pairwise(basis, _kinetic_prim)
+    return _contract_pairwise(basis, _kinetic_prims, reach=2)
 
 
 def nuclear_attraction_matrix(
     basis: list[BasisFunction], atoms: list[tuple[int, np.ndarray]]
 ) -> np.ndarray:
     """``V_{μν} = -Σ_C Z_C ⟨μ| 1/|r-C| |ν⟩``; atoms are (Z, coords-Bohr)."""
+    charges = [z for z, _ in atoms]
+    centers = np.array([np.asarray(rc, dtype=float) for _, rc in atoms]).reshape(-1, 3)
 
-    def prim(a, lmn1, ra, b, lmn2, rb):
-        return sum(
-            -z * _nuclear_prim(a, lmn1, ra, b, lmn2, rb, rc) for z, rc in atoms
-        )
+    def prims(batch: _PairBatch) -> np.ndarray:
+        ex, ey, ez = (batch.e_row(d)[:, :, None, :] for d in range(3))
+        tmax, umax, vmax = ex.shape[-1] - 1, ey.shape[-1] - 1, ez.shape[-1] - 1
+        n_pairs, n_prims = batch.p.shape
+        out = np.empty((n_pairs, n_prims))
+        step = max(1, _CHUNK // (n_prims * max(1, len(charges))))
+        for lo in range(0, n_pairs, step):
+            sl = slice(lo, lo + step)
+            p = batch.p[sl][..., None]
+            rpc = batch.rp[sl][:, :, None, :] - centers
+            rt = _hermite_r(tmax, umax, vmax, p, rpc)
+            total = 0.0
+            for t in range(tmax + 1):
+                for u in range(umax + 1):
+                    for v in range(vmax + 1):
+                        total += ex[sl, ..., t] * ey[sl, ..., u] * ez[sl, ..., v] * rt[(t, u, v)]
+            nuc = 2.0 * math.pi / p * total
+            # The scalar ``sum`` over nuclei starts from 0 and adds in order.
+            prim = 0.0
+            for c, z in enumerate(charges):
+                prim = prim + -z * nuc[..., c]
+            out[sl] = prim
+        return out
 
-    return _contract_pairwise(basis, prim)
+    return _contract_pairwise(basis, prims)
 
 
 def core_hamiltonian(
@@ -285,6 +315,72 @@ def nuclear_repulsion(atoms: list[tuple[int, np.ndarray]]) -> float:
     return e
 
 
+# ----------------------------------------------------------------------
+# Two-electron integrals
+# ----------------------------------------------------------------------
+_ERI_PREF = 2.0 * math.pi**2.5
+
+
+class _EriClass:
+    """Contracted pairs with one Hermite extent ``(tmax, umax, vmax)`` and primitive count."""
+
+    def __init__(self, batches: list[_PairBatch]):
+        # Position of pair (i, j), j ≤ i, in the sorted pair list.
+        self.pos = np.concatenate([b.rows * (b.rows + 1) // 2 + b.cols for b in batches])
+        self.p = np.concatenate([b.p for b in batches])
+        self.rp = np.concatenate([b.rp for b in batches])
+        self.coeff = np.concatenate([b.coeff for b in batches])
+        self.e = [np.concatenate([b.e_row(d) for b in batches]) for d in range(3)]
+        self.ext = tuple(e.shape[-1] - 1 for e in self.e)
+
+
+def _eri_quartets(bra: _EriClass, ket: _EriClass, ib, ik) -> np.ndarray:
+    """(ab|cd) for bra pairs ``ib`` of ``bra`` against ket pairs ``ik`` of ``ket``."""
+    out = np.empty(len(ib))
+    kb, kk = bra.p.shape[1], ket.p.shape[1]
+    step = max(1, _CHUNK // (kb * kk))
+    tmax, umax, vmax = bra.ext
+    tk, uk, vk = ket.ext
+    for lo in range(0, len(ib), step):
+        b, k = ib[lo : lo + step], ik[lo : lo + step]
+        p, q = bra.p[b][:, :, None], ket.p[k][:, None, :]
+        alpha = p * q / (p + q)
+        rpc = bra.rp[b][:, :, None, :] - ket.rp[k][:, None, :, :]
+        rt = _hermite_r(tmax + tk, umax + uk, vmax + vk, alpha, rpc)
+        pref = (
+            _ERI_PREF
+            / (p * q * np.sqrt(p + q))
+            * bra.coeff[b][:, :, None]
+            * ket.coeff[k][:, None, :]
+        )
+        bx, by, bz = (e[b][:, :, None, :] for e in bra.e)
+        kx, ky, kz = (e[k][:, None, :, :] for e in ket.e)
+        kets = [
+            (tt, uu, vv, e_ket, e_ket != 0.0, -1.0 if (tt + uu + vv) % 2 else 1.0)
+            for tt in range(tk + 1)
+            for uu in range(uk + 1)
+            for vv in range(vk + 1)
+            for e_ket in [kx[..., tt] * ky[..., uu] * kz[..., vv]]
+        ]
+        acc = np.zeros(alpha.shape)
+        for t in range(tmax + 1):
+            for u in range(umax + 1):
+                for v in range(vmax + 1):
+                    e_bra = bx[..., t] * by[..., u] * bz[..., v]
+                    live_bra = e_bra != 0.0
+                    for tt, uu, vv, e_ket, live_ket, sign in kets:
+                        term = e_bra * e_ket * sign * rt[(t + tt, u + uu, v + vv)]
+                        # The scalar loop skips zero E products; adding their
+                        # ±0 term would turn an acc of -0.0 into +0.0.
+                        acc = np.where(live_bra & live_ket, acc + term, acc)
+        total = np.zeros(len(b))
+        for i in range(kb):
+            for j in range(kk):
+                total = total + pref[:, i, j] * acc[:, i, j]
+        out[lo : lo + step] = total
+    return out
+
+
 def eri_tensor(basis: list[BasisFunction], screen: float = 1e-12) -> np.ndarray:
     """Chemist-notation two-electron tensor ``(μν|λσ)`` with 8-fold symmetry.
 
@@ -292,22 +388,43 @@ def eri_tensor(basis: list[BasisFunction], screen: float = 1e-12) -> np.ndarray:
     ``|(μν|λσ)| ≤ sqrt((μν|μν)·(λσ|λσ))``.
     """
     n = len(basis)
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1):
-            pairs[(i, j)] = _PairData(basis[i], basis[j])
-    # Schwarz bounds per pair.
-    schwarz = {
-        key: math.sqrt(abs(_eri_contracted(pd, pd))) for key, pd in pairs.items()
-    }
+    pair_keys = [(i, j) for i in range(n) for j in range(i + 1)]
+    by_ext: dict[tuple, list[_PairBatch]] = defaultdict(list)
+    for batch in _pair_batches(basis, pair_keys):
+        ext = tuple(batch.lmn1[d] + batch.lmn2[d] for d in range(3))
+        by_ext[ext + (batch.p.shape[1],)].append(batch)
+    classes = [_EriClass(batches) for batches in by_ext.values()]
+    n_pairs = len(pair_keys)
+    cls_of = np.empty(n_pairs, dtype=np.intp)
+    row_of = np.empty(n_pairs, dtype=np.intp)
+    for c, ec in enumerate(classes):
+        cls_of[ec.pos] = c
+        row_of[ec.pos] = np.arange(len(ec.pos))
+    # Schwarz bounds per pair, from the diagonal quartets.
+    diag = np.empty(n_pairs)
+    for ec in classes:
+        rows = np.arange(len(ec.pos))
+        diag[ec.pos] = _eri_quartets(ec, ec, rows, rows)
+    schwarz = np.sqrt(np.abs(diag))
+    bra, ket = np.tril_indices(n_pairs)
+    # Written as the scalar ``if bound < screen: continue``, so a NaN bound is kept.
+    keep = ~(schwarz[bra] * schwarz[ket] < screen)
+    bra, ket = bra[keep], ket[keep]
+    vals = np.empty(len(bra))
+    on_diag = bra == ket
+    vals[on_diag] = diag[bra[on_diag]]
+    off = np.flatnonzero(~on_diag)
+    group = cls_of[bra[off]] * len(classes) + cls_of[ket[off]]
+    for g in np.unique(group):
+        sel = off[group == g]
+        cb, ck = divmod(int(g), len(classes))
+        vals[sel] = _eri_quartets(classes[cb], classes[ck], row_of[bra[sel]], row_of[ket[sel]])
+    keys = np.array(pair_keys, dtype=np.intp).reshape(-1, 2)
+    i, j = keys[bra, 0], keys[bra, 1]
+    k, m = keys[ket, 0], keys[ket, 1]
     eri = np.zeros((n, n, n, n))
-    pair_keys = sorted(pairs)
-    for a, (i, j) in enumerate(pair_keys):
-        for i2, j2 in pair_keys[: a + 1]:
-            if schwarz[(i, j)] * schwarz[(i2, j2)] < screen:
-                continue
-            val = _eri_contracted(pairs[(i, j)], pairs[(i2, j2)])
-            for p, q in ((i, j), (j, i)):
-                for r, s in ((i2, j2), (j2, i2)):
-                    eri[p, q, r, s] = eri[r, s, p, q] = val
+    for p, q in ((i, j), (j, i)):
+        for r, s in ((k, m), (m, k)):
+            eri[p, q, r, s] = vals
+            eri[r, s, p, q] = vals
     return eri

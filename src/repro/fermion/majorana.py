@@ -479,7 +479,12 @@ class MajoranaOperator:
             terms[indices] = new
 
     def simplify(self, tol: float = DUST_TOLERANCE) -> "MajoranaOperator":
-        self._dict = {t: c for t, c in self._mutated().items() if abs(c) > tol}
+        # ``np.abs`` as in the expansion kernel: Python's complex ``abs``
+        # differs from it in the last bit, so a coefficient at the tolerance
+        # could be kept by one rule and dropped by the other.
+        terms = self._mutated()
+        mags = np.abs(np.fromiter(terms.values(), complex, count=len(terms)))
+        self._dict = {t: c for (t, c), keep in zip(terms.items(), (mags > tol).tolist()) if keep}
         return self
 
     def copy(self) -> "MajoranaOperator":

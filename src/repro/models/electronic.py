@@ -12,7 +12,11 @@ Integral computation for the bigger molecules is cached on disk under
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,20 +145,46 @@ def electronic_case_names() -> list[str]:
     return list(ELECTRONIC_CASES)
 
 
+def _load_cached(path: Path):
+    """The integral tuple stored at ``path``, or ``None`` if it is missing or unreadable."""
+    try:
+        # Opened here: ``np.load`` leaks its own handle when the archive is torn.
+        with open(path, "rb") as fh, np.load(fh) as data:
+            return (
+                data["h"],
+                data["eri"],
+                float(data["core_energy"]),
+                int(data["n_electrons"]),
+                float(data["scf_energy"]),
+                bool(data["converged"]),
+            )
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error):
+        # Missing, truncated, garbage or a bare .npy (no context manager):
+        # a miss, recomputed and rewritten.
+        return None
+
+
+def _save_cached(path: Path, **arrays) -> None:
+    """Write ``arrays`` to ``path`` through a temp file, so no reader sees a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _integrals_for_case(name: str):
     """Active-space integrals for a case, with on-disk caching."""
     mol_name, basis_name, freeze, active = ELECTRONIC_CASES[name]
     cache_file = _CACHE_DIR / f"{name}.npz"
-    if cache_file.exists():
-        data = np.load(cache_file)
-        return (
-            data["h"],
-            data["eri"],
-            float(data["core_energy"]),
-            int(data["n_electrons"]),
-            float(data["scf_energy"]),
-            bool(data["converged"]),
-        )
+    cached = _load_cached(cache_file)
+    if cached is not None:
+        return cached
     mol = molecule(mol_name)
     basis = build_basis(mol.atoms, basis_name)
     scf = restricted_hartree_fock(basis, mol.charges, mol.n_electrons)
@@ -167,8 +197,7 @@ def _integrals_for_case(name: str):
         freeze=freeze,
         active=active,
     )
-    _CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
+    _save_cached(
         cache_file,
         h=space.h,
         eri=space.eri,

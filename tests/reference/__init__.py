@@ -16,6 +16,8 @@ noisy trajectories, in distribution):
 * :mod:`reference.peephole` — the Gate-list cancellation, fusion and
   cz/swap rewrite passes;
 * :mod:`reference.density` — the exact density-matrix simulator.
+* :mod:`reference.integrals` — the scalar McMurchie–Davidson S, T, V and
+  ERI engine.
 
 Not part of the package.  ``tests/`` (and ``benchmarks/``, through its
 ``conftest.py``) put this directory's parent on ``sys.path``, so callers

@@ -45,6 +45,21 @@ def test_product_associativity_random(seq1, seq2):
     assert joint == split
 
 
+class TestSimplify:
+    def test_dust_rule_matches_the_expansion_kernel(self):
+        """``simplify`` keeps what the kernel keeps at the 1e-12 tolerance.
+
+        Python's ``abs`` rounds this coefficient to exactly 1e-12 (dropped),
+        NumPy's to 1.0000000000000002e-12 (kept by ``_expand``).
+        """
+        import numpy as np
+
+        c = complex(2.2071720335460267e-14, -9.99756389907778e-13)
+        assert abs(c) == 1e-12 < np.abs(c)
+        op = MajoranaOperator({(0, 1): c, (2,): 1e-13}).simplify()
+        assert dict(op.terms()) == {(0, 1): c}
+
+
 class TestCliffordRelations:
     def test_square_is_one(self):
         for i in range(4):

@@ -141,3 +141,41 @@ class TestPhysics:
             MajoranaOperator.from_fermion_operator(case.hamiltonian)
         )
         assert direct == via_majorana
+
+
+class TestIntegralCache:
+    """The on-disk ``<case>.npz`` integral cache survives a bad file."""
+
+    @staticmethod
+    def _bits(case):
+        return sorted(
+            (term, complex(c).real.hex(), complex(c).imag.hex())
+            for term, c in case.hamiltonian.terms()
+        )
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "bare npy"])
+    def test_unreadable_file_is_rebuilt(self, tmp_path, monkeypatch, damage):
+        from repro.models import electronic
+
+        monkeypatch.setattr(electronic, "_CACHE_DIR", tmp_path)
+        fresh = electronic_case("H2_sto3g")
+        path = tmp_path / "H2_sto3g.npz"
+        good = path.read_bytes()
+        if damage == "garbage":
+            path.write_bytes(b"not an npz archive")
+        elif damage == "truncated":
+            path.write_bytes(good[: len(good) // 2])
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+
+        rebuilt = electronic_case("H2_sto3g")
+
+        assert self._bits(rebuilt) == self._bits(fresh)
+        assert rebuilt.scf_energy == fresh.scf_energy
+        with np.load(path) as data:
+            h, eri, _, _ = electronic.case_integrals("H2_sto3g")
+            assert np.array_equal(data["h"], h) and np.array_equal(data["eri"], eri)
+        # The file was rewritten whole, through a temp file that is gone.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H2_sto3g.npz"]
+        assert self._bits(electronic_case("H2_sto3g")) == self._bits(fresh)
