@@ -1,11 +1,10 @@
 """Fermionic operator substrate: ladder operators and Majorana algebra."""
 
-from .majorana import MajoranaOperator, normal_order_majorana_product
+from .majorana import MajoranaOperator
 from .operators import Action, FermionOperator
 
 __all__ = [
     "FermionOperator",
     "MajoranaOperator",
     "Action",
-    "normal_order_majorana_product",
 ]

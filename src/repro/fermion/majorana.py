@@ -8,19 +8,20 @@ and relate to the ladder operators by the paper's Eq. (2):
 
     a†_j = (M_2j - i·M_2j+1) / 2,      a_j = (M_2j + i·M_2j+1) / 2.
 
-A :class:`MajoranaOperator` stores a weighted sum of *Majorana monomials*;
-each monomial is a strictly-increasing tuple of Majorana indices (the product
-``M_{i1} M_{i2} …`` in ascending order).  Reordering an arbitrary product into
-this canonical form contributes a sign from anticommutation and removes
-squared factors.
+A :class:`MajoranaOperator` is a read-only weighted sum of *Majorana
+monomials*; each monomial is a strictly-increasing tuple of Majorana indices
+(the product ``M_{i1} M_{i2} …`` in ascending order).  Reordering an
+arbitrary product into this canonical form contributes a sign from
+anticommutation and removes squared factors.
 
 Bit layout
 ----------
-A monomial is also a bitmask over the 2N Majorana indices: index ``i`` is
+A monomial is held as a bitmask over the 2N Majorana indices: index ``i`` is
 bit ``i % 64`` of word ``i // 64``, so a monomial is one row of
-``ceil(2N/64)`` uint64 words (at least one).  :meth:`MajoranaOperator.bitmasks`
-returns the ``(n_terms, n_words)`` mask matrix with the coefficient vector,
-in term order; the tuple form is derived from it only when asked for.
+``ceil(2N/64)`` uint64 words (at least one).  An operator is the
+``(n_terms, n_words)`` mask matrix plus the coefficient vector, both
+read-only (:meth:`MajoranaOperator.bitmasks`); the tuple form is derived
+from the rows only when asked for.  Arithmetic returns a new operator.
 
 Expansion kernel
 ----------------
@@ -29,20 +30,25 @@ length k into its 2^k Majorana products at once, grouping the terms by
 length and by which earlier action (if any) repeats each action's mode.
 Multiplying the canonical product ``P`` on the right by ``M_j`` is ``P ^ bit(j)``;
 moving ``M_j`` into place passes every factor above ``j``, so the sign flips
-with the parity of ``bitwise_count(P & above(j))``.  Each factor is ``0.5``
+with the parity of ``bitwise_count(P & above(j))`` (:func:`_odd_passes`, the
+one sign rule, which operator products use too).  Each factor is ``0.5``
 (``M_2j``) or ``∓0.5j`` (``M_2j+1``, minus for a creation).
 
-The kernel keeps the exact arithmetic of the textbook dict expansion (kept
-in ``tests/test_majorana.py`` as the oracle): each term is reduced layer by
-layer (a repeated mode merges exactly two products per monomial), then the
-terms are summed per monomial in term order.  A running sum that hits exact
-zero drops the monomial, and its next contribution re-inserts it at the end,
-so monomial order follows the last such insertion.  Coefficients and order
-therefore match the dict expansion bit for bit.
+The kernel keeps the exact arithmetic of the textbook dict expansion (the
+``{monomial: c}`` algebra kept in ``tests/reference/majorana.py`` as the
+oracle): each term is reduced layer by layer (a repeated mode merges exactly
+two products per monomial), then the terms are summed per monomial in term
+order.  A running sum that hits exact zero drops the monomial, and its next
+contribution re-inserts it at the end, so monomial order follows the last
+such insertion.  Coefficients and order therefore match the dict expansion
+bit for bit.  Operator ``+``, ``-`` and ``*`` combine their rows with the
+same running sums (:func:`_sum_in_order`), so they keep the dict algebra's
+monomial order too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator
@@ -52,48 +58,9 @@ import numpy as np
 from ..paulis.table import DUST_TOLERANCE, WORD_BITS, plan_from_masks, unpack_masks
 from .operators import FermionOperator
 
-__all__ = ["MajoranaOperator", "normal_order_majorana_product", "majorana_form"]
+__all__ = ["MajoranaOperator", "majorana_form"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def normal_order_majorana_product(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> tuple[tuple[int, ...], int]:
-    """Multiply two canonical (sorted, duplicate-free) Majorana monomials.
-
-    Returns ``(canonical_product, sign)`` where ``sign ∈ {+1, -1}`` accounts
-    for the anticommutations needed to merge-sort the concatenation, and
-    indices appearing in both factors cancel (``M² = 1``).
-    """
-    # Merge-count inversions between the two sorted sequences.
-    sign = 1
-    merged: list[int] = []
-    i = j = 0
-    # Number of elements of `left` not yet consumed; each right-element that
-    # jumps past them contributes that many transpositions.
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] moves past the remaining left elements.
-            if (len(left) - i) % 2 == 1:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    # Cancel adjacent equal pairs (M_i M_i = 1); merged is sorted.
-    out: list[int] = []
-    k = 0
-    while k < len(merged):
-        if k + 1 < len(merged) and merged[k] == merged[k + 1]:
-            k += 2
-        else:
-            out.append(merged[k])
-            k += 1
-    return tuple(out), sign
 
 
 # ----------------------------------------------------------------------
@@ -159,27 +126,40 @@ def _merge_plan(prev: tuple[int, ...]) -> tuple:
     return tuple(plan)
 
 
+def _bit_and_above(j: np.ndarray, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask rows ``bit(j)`` and ``above(j)`` (every index above ``j``) for
+    an array of Majorana indices; both of shape ``j.shape + (n_words,)``."""
+    word_ids = np.arange(n_words)
+    word = (j // WORD_BITS)[..., None]
+    bit = np.left_shift(np.uint64(1), (j % WORD_BITS).astype(np.uint64))[..., None]
+    flip = np.where(word_ids == word, bit, np.uint64(0))
+    above = np.where(
+        word_ids == word, ~(bit | (bit - np.uint64(1))),
+        np.where(word_ids > word, _ALL_ONES, np.uint64(0)),
+    )
+    return flip, above
+
+
+def _odd_passes(masks: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Whether ``P · M_j`` needs an odd number of swaps to reach canonical
+    order: the parity of ``bitwise_count(P & above(j))`` over the last
+    (word) axis, broadcasting ``masks`` (P) against ``above``."""
+    passed = np.bitwise_count(masks & above)
+    return (np.bitwise_xor.reduce(passed, axis=-1) & 1).astype(bool)
+
+
 def _expand_shape(modes, daggers, coeffs, plan, n_words):
     """Expand ``n`` same-shape ladder terms; returns ``(masks, values)`` of
     shape ``(n, E, n_words)`` and ``(n, E)``, entries in dict-path order."""
     n = len(coeffs)
-    word_ids = np.arange(n_words)
     masks = np.zeros((n, 1, n_words), dtype=np.uint64)
     values = coeffs[:, None]
     factor = np.empty((n, 2), dtype=complex)
     factor[:, 0] = 0.5
     for i, step in enumerate(plan):
         # Children 2e and 2e + 1 multiply entry e by M_2m and M_2m+1.
-        j = 2 * modes[:, i, None] + np.arange(2)
-        word = (j // WORD_BITS)[..., None]
-        bit = np.left_shift(np.uint64(1), (j % WORD_BITS).astype(np.uint64))[..., None]
-        flip = np.where(word_ids == word, bit, np.uint64(0))
-        above = np.where(
-            word_ids == word, ~(bit | (bit - np.uint64(1))),
-            np.where(word_ids > word, _ALL_ONES, np.uint64(0)),
-        )
-        passed = np.bitwise_count(masks[:, :, None, :] & above[:, None])
-        odd = (np.bitwise_xor.reduce(passed, axis=3) & 1).astype(bool)
+        flip, above = _bit_and_above(2 * modes[:, i, None] + np.arange(2), n_words)
+        odd = _odd_passes(masks[:, :, None, :], above[:, None])
         factor[:, 1] = np.where(daggers[:, i], -0.5j, 0.5j)
         children = values[:, :, None] * factor[:, None, :]
         np.negative(children, out=children, where=odd)
@@ -247,6 +227,26 @@ def _sum_in_order(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return masks[order[start[alive]]], total[alive]
 
 
+def _insertions(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a dict stores when each value is added to an empty slot:
+    ``0.0 + c`` (a ``-0.0`` part becomes ``+0.0``), and an exact zero is
+    never inserted."""
+    values = values + 0.0
+    keep = values != 0
+    return masks[keep], values[keep]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise with Python's complex product (each part a
+    rounded ``ar·br - ai·bi`` and ``ar·bi + ai·br``).  NumPy's own complex
+    multiply may fuse a multiply-add, so there ``d * c`` and ``c * d`` can
+    differ in the last bit and a commutator leaves dust."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _expand(op: FermionOperator) -> tuple[np.ndarray, np.ndarray]:
     """The Majorana form of ``op`` as ``(masks, coeffs)``; see the module
     docstring for the layout and the arithmetic it reproduces."""
@@ -298,63 +298,62 @@ def _expand(op: FermionOperator) -> tuple[np.ndarray, np.ndarray]:
         pos = (out_start[terms, None] + np.arange(e)).reshape(-1)
         masks[pos] = group_masks.reshape(n * e, n_words)
         values[pos] = group_values.reshape(n * e)
-    # Exact zeros never enter the sum; adding 0.0 turns -0.0 parts into +0.0
-    # as the dict expansion's ``0.0 + value`` does.
-    nonzero = values != 0
-    masks, total = _sum_in_order(masks[nonzero], values[nonzero] + 0.0)
+    masks, total = _sum_in_order(*_insertions(masks, values))
     keep = np.abs(total) > DUST_TOLERANCE
     return masks[keep], total[keep]
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _widen(masks: np.ndarray, n_words: int) -> np.ndarray:
+    """``masks`` with all-zero words appended up to ``n_words``."""
+    out = np.zeros((len(masks), n_words), dtype=np.uint64)
+    out[:, : masks.shape[1]] = masks
+    return out
 
 
 class MajoranaOperator:
-    """Weighted sum of canonical Majorana monomials.
+    """Read-only weighted sum of canonical Majorana monomials.
 
-    The terms live either as a ``{monomial tuple: coefficient}`` dict or as
-    packed bitmasks plus a coefficient vector (see the module docstring);
-    each form is derived from the other on first use.  Mutation goes through
-    the dict and drops the packed form.
+    The terms are packed bitmask rows plus a coefficient vector (see the
+    module docstring), fixed at construction; ``+``, ``-``, ``*`` and
+    :meth:`simplify` return new operators, so the two memos below never go
+    stale.  Every held coefficient is what a dict insertion ``0.0 + c``
+    stores: nonzero, with no ``-0.0`` part.  So ``+`` can combine rows
+    as they are and still add like the dict algebra, bit for bit.
     """
 
-    __slots__ = ("_dict", "_masks", "_coeffs", "_packed", "_fingerprint_cache")
+    __slots__ = ("_masks", "_coeffs", "_packed", "_fingerprint_cache")
 
     def __init__(self, terms: dict[tuple[int, ...], complex] | None = None):
-        self._dict: dict[tuple[int, ...], complex] | None = dict(terms) if terms else {}
-        #: Packed form (read-only arrays), built lazily by :meth:`bitmasks`.
-        self._masks: np.ndarray | None = None
-        self._coeffs: np.ndarray | None = None
-        #: Cached bulk-mapping plan (padded index matrix + coefficient vector);
-        #: rebuilt lazily by :meth:`packed_terms`, cleared on mutation.
-        self._packed = None
-        #: Service-layer memo of the content digest, ``(tol, hex)`` — owned
-        #: by repro.service.fingerprint, cleared on mutation like _packed.
-        self._fingerprint_cache = None
+        """Pack ``{monomial: c}`` once, in the dict's order (keys are unique,
+        so nothing combines; exact zeros are dropped).  Each key must be a
+        canonical monomial, strictly increasing non-negative indices;
+        :meth:`from_term` takes any product."""
+        terms = terms or {}
+        for key in terms:
+            if any(a >= b for a, b in zip((-1,) + key, key)):
+                raise ValueError(
+                    f"Majorana monomial {key!r} is not strictly increasing and "
+                    "non-negative; build arbitrary products with from_term"
+                )
+        n_words = max(1, -(-max((t[-1] + 1 for t in terms if t), default=0) // WORD_BITS))
+        coeffs = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+        self._hold(*_insertions(_tuples_to_masks(list(terms), n_words), coeffs))
 
     @classmethod
     def _from_masks(cls, masks: np.ndarray, coeffs: np.ndarray) -> "MajoranaOperator":
-        out = cls()
-        out._dict = None
-        out._masks = _frozen(masks)
-        out._coeffs = _frozen(coeffs)
+        """Wrap distinct monomial rows and their coefficients."""
+        out = object.__new__(cls)
+        out._hold(masks, coeffs)
         return out
 
-    @property
-    def _terms(self) -> dict[tuple[int, ...], complex]:
-        if self._dict is None:
-            self._dict = dict(zip(_masks_to_tuples(self._masks), self._coeffs.tolist()))
-        return self._dict
-
-    def _mutated(self) -> dict[tuple[int, ...], complex]:
-        """The term dict, with every derived form dropped before a write."""
-        terms = self._terms
-        self._masks = self._coeffs = None
+    def _hold(self, masks: np.ndarray, coeffs: np.ndarray) -> None:
+        masks.flags.writeable = coeffs.flags.writeable = False
+        self._masks, self._coeffs = masks, coeffs
+        #: Bulk-mapping plan, built lazily by :meth:`packed_terms`.
         self._packed = None
+        #: Service-layer memo of the content digest, ``(tol, hex)`` — owned
+        #: by repro.service.fingerprint.
         self._fingerprint_cache = None
-        return terms
 
     # ------------------------------------------------------------------
     # Constructors
@@ -374,11 +373,13 @@ class MajoranaOperator:
 
     @classmethod
     def from_term(cls, indices: Iterable[int], coeff: complex = 1.0) -> "MajoranaOperator":
-        """Build from an arbitrary (possibly unsorted/repeated) index product."""
-        out = cls.identity(coeff)
-        for idx in indices:
-            out = out * cls.single(idx)
-        return out
+        """``coeff · M_{i1} M_{i2} …`` for any (unsorted, repeated) index
+        sequence: sorting it flips the sign once per inversion, and each
+        pair of equal indices cancels (``M_i² = 1``)."""
+        indices = list(indices)
+        inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+        monomial = tuple(sorted(i for i, n in Counter(indices).items() if n % 2))
+        return cls({monomial: -coeff if inversions % 2 else coeff})
 
     @classmethod
     def from_fermion_operator(cls, op: FermionOperator) -> "MajoranaOperator":
@@ -394,25 +395,22 @@ class MajoranaOperator:
     # Inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._coeffs) if self._dict is None else len(self._dict)
+        return len(self._coeffs)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], complex]]:
-        yield from self._terms.items()
+        return zip(_masks_to_tuples(self._masks), self._coeffs.tolist())
 
     @property
     def constant(self) -> complex:
-        return self._terms.get((), 0.0)
+        return self.coefficient(())
 
     def coefficient(self, indices: tuple[int, ...]) -> complex:
-        return self._terms.get(tuple(sorted(indices)), 0.0)
+        """The coefficient of the monomial over ``indices`` (any order), 0 if absent."""
+        return dict(self.terms()).get(tuple(sorted(indices)), 0.0)
 
     @property
     def n_majoranas(self) -> int:
         """1 + highest Majorana index in any term."""
-        if self._masks is None:
-            # Monomials are canonical (strictly increasing), so the last entry
-            # of each is its maximum.
-            return max((term[-1] for term in self._dict if term), default=-1) + 1
         used = np.bitwise_or.reduce(self._masks, axis=0).tolist()
         for w in range(len(used) - 1, -1, -1):
             if used[w]:
@@ -426,19 +424,12 @@ class MajoranaOperator:
 
     def support_terms(self, drop_identity: bool = True) -> list[tuple[int, ...]]:
         """The monomial index sets, optionally without the identity term."""
-        return [t for t in self._terms if t or not drop_identity]
+        return [t for t in _masks_to_tuples(self._masks) if t or not drop_identity]
 
     def bitmasks(self) -> tuple[np.ndarray, np.ndarray]:
         """``(masks, coeffs)``: the ``(n_terms, n_words)`` uint64 monomial
         masks (module docstring) and the coefficient vector, in term order.
-        Both arrays are read-only and cached until the next mutation."""
-        if self._masks is None:
-            terms = self._dict
-            n_words = max(1, -(-self.n_majoranas // WORD_BITS))
-            self._masks = _frozen(_tuples_to_masks(list(terms), n_words))
-            self._coeffs = _frozen(
-                np.fromiter(terms.values(), dtype=complex, count=len(terms))
-            )
+        Both arrays are the operator's own store, and read-only."""
         return self._masks, self._coeffs
 
     def packed_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -450,70 +441,70 @@ class MajoranaOperator:
         whose virtual identity row sits at index 0.  Because the padding does
         not depend on any particular mapping, one plan serves every mapping
         this operator is evaluated under (the HATT workload maps one
-        Hamiltonian with many candidate trees); mutation through
-        :meth:`add_term` or :meth:`simplify` invalidates the cache.
+        Hamiltonian with many candidate trees); the operator is read-only, so
+        the plan never goes stale.
         """
         if self._packed is None:
-            masks, coeffs = self.bitmasks()
-            self._packed = (plan_from_masks(masks), coeffs)
+            self._packed = (plan_from_masks(self._masks), self._coeffs)
         return self._packed
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        """A monomial of k Majoranas conjugates to ``(-1)^{k(k-1)/2}`` itself."""
-        for term, coeff in self._terms.items():
-            k = len(term)
-            sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            if abs(complex(coeff).conjugate() * sign - coeff) > tol:
-                return False
-        return True
+        """A monomial of k Majoranas conjugates to ``(-1)^{k(k-1)/2}`` itself,
+        so its coefficient must equal its conjugate times that sign, within
+        ``tol``."""
+        k = np.bitwise_count(self._masks).sum(axis=1, dtype=np.int64)
+        conj = np.where((k * (k - 1) // 2) % 2 == 1, -1, 1) * self._coeffs.conj()
+        return bool((np.abs(conj - self._coeffs) <= tol).all())
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    def add_term(self, indices: tuple[int, ...], coeff: complex) -> None:
-        terms = self._mutated()
-        new = terms.get(indices, 0.0) + coeff
-        if new == 0:
-            terms.pop(indices, None)
-        else:
-            terms[indices] = new
-
     def simplify(self, tol: float = DUST_TOLERANCE) -> "MajoranaOperator":
-        # ``np.abs`` as in the expansion kernel: Python's complex ``abs``
-        # differs from it in the last bit, so a coefficient at the tolerance
-        # could be kept by one rule and dropped by the other.
-        terms = self._mutated()
-        mags = np.abs(np.fromiter(terms.values(), complex, count=len(terms)))
-        self._dict = {t: c for (t, c), keep in zip(terms.items(), (mags > tol).tolist()) if keep}
-        return self
-
-    def copy(self) -> "MajoranaOperator":
-        if self._dict is None:
-            return MajoranaOperator._from_masks(self._masks, self._coeffs)
-        return MajoranaOperator(self._dict)
+        """A new operator without the terms with |coefficient| ≤ ``tol``, in
+        this one's order.  ``np.abs`` as in the expansion kernel: Python's
+        complex ``abs`` differs from it in the last bit, so a coefficient at
+        the tolerance could be kept by one rule and dropped by the other."""
+        keep = np.abs(self._coeffs) > tol
+        return MajoranaOperator._from_masks(self._masks[keep], self._coeffs[keep])
 
     def __add__(self, other: "MajoranaOperator") -> "MajoranaOperator":
+        """This operator's rows, then ``other``'s, combined by running sums
+        (:func:`_sum_in_order`): the order and coefficients of adding
+        ``other``'s terms one by one into a copy of this operator's dict."""
         if not isinstance(other, MajoranaOperator):
             return NotImplemented
-        out = self.copy()
-        for term, coeff in other._terms.items():
-            out.add_term(term, coeff)
-        return out
+        n_words = max(self._masks.shape[1], other._masks.shape[1])
+        masks = np.concatenate([_widen(self._masks, n_words), _widen(other._masks, n_words)])
+        return MajoranaOperator._from_masks(
+            *_sum_in_order(masks, np.concatenate([self._coeffs, other._coeffs]))
+        )
 
     def __sub__(self, other: "MajoranaOperator") -> "MajoranaOperator":
         return self + (other * -1.0)
 
     def __mul__(self, other) -> "MajoranaOperator":
         if isinstance(other, (int, float, complex)):
-            return MajoranaOperator({t: c * other for t, c in self._terms.items()})
-        if isinstance(other, MajoranaOperator):
-            out = MajoranaOperator()
-            for t1, c1 in self._terms.items():
-                for t2, c2 in other._terms.items():
-                    prod, sign = normal_order_majorana_product(t1, t2)
-                    out.add_term(prod, sign * c1 * c2)
-            return out
-        return NotImplemented
+            scaled = _product(self._coeffs, np.complex128(other))
+            return MajoranaOperator._from_masks(*_insertions(self._masks, scaled))
+        if not isinstance(other, MajoranaOperator):
+            return NotImplemented
+        n_words = max(self._masks.shape[1], other._masks.shape[1])
+        a, b = _widen(self._masks, n_words), _widen(other._masks, n_words)
+        # Multiplying a row P of ``a`` on the right by the factors M_j of a
+        # row of ``b`` in ascending order passes P's factors above each j
+        # (b's earlier factors lie below it), so the pair's sign is the XOR
+        # over b's indices j of _odd_passes(P, above(j)).
+        used = unpack_masks(np.bitwise_or.reduce(b, axis=0, keepdims=True))[0]
+        js = np.flatnonzero(used)
+        passes = _odd_passes(a[:, None, :], _bit_and_above(js, n_words)[1][None])
+        odd = (passes.astype(np.intp) @ unpack_masks(b)[:, js].T.astype(np.intp)) % 2
+        left = np.repeat(np.arange(len(a)), len(b))
+        right = np.tile(np.arange(len(b)), len(a))
+        values = _product(self._coeffs[left], other._coeffs[right])
+        np.negative(values, out=values, where=odd.reshape(-1).astype(bool))
+        return MajoranaOperator._from_masks(
+            *_sum_in_order(*_insertions(a[left] ^ b[right], values))
+        )
 
     def __rmul__(self, other) -> "MajoranaOperator":
         if isinstance(other, (int, float, complex)):
@@ -521,17 +512,17 @@ class MajoranaOperator:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        """Equal iff every coefficient of the difference is within 1e-9 of zero."""
         if not isinstance(other, MajoranaOperator):
             return NotImplemented
-        a, b = self._terms, other._terms
-        keys = set(a) | set(b)
-        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= 1e-9 for k in keys)
+        return bool((np.abs((self - other)._coeffs) <= 1e-9).all())
 
     def __repr__(self) -> str:
         def fmt(term):
             return " ".join(f"M{i}" for i in term) or "1"
 
-        parts = [f"({c:.4g})·{fmt(t)}" for t, c in list(self._terms.items())[:6]]
+        heads = zip(_masks_to_tuples(self._masks[:6]), self._coeffs[:6].tolist())
+        parts = [f"({c:.4g})·{fmt(t)}" for t, c in heads]
         more = f" … ({len(self)} terms)" if len(self) > 6 else ""
         return f"MajoranaOperator({' + '.join(parts) or '0'}{more})"
 
@@ -541,13 +532,16 @@ def majorana_form(op: FermionOperator | MajoranaOperator) -> MajoranaOperator:
 
     A :class:`FermionOperator` memoizes its conversion in
     ``_majorana_cache`` (cleared by ``add_term``), so the service
-    fingerprint, HATT construction, mapping apply and the ``hatt-arch``
-    guard of one request share a single
-    :meth:`MajoranaOperator.from_fermion_operator` call.  Callers must treat
-    the shared result as read-only.
+    fingerprint, HATT construction, mapping apply, the ``hatt-arch`` guard
+    and ``FermionOperator.is_hermitian`` of one operator share a single
+    :meth:`MajoranaOperator.from_fermion_operator` call.  The shared result
+    is read-only like every :class:`MajoranaOperator`.  Anything else raises
+    ``TypeError``.
     """
     if isinstance(op, MajoranaOperator):
         return op
+    if not isinstance(op, FermionOperator):
+        raise TypeError(f"no Majorana form for {type(op).__name__}")
     cached = op._majorana_cache
     if cached is None:
         cached = op._majorana_cache = MajoranaOperator.from_fermion_operator(op)

@@ -7,9 +7,13 @@ stored as a tuple of ``(mode, dagger)`` actions applied left-to-right, e.g.
 
 The canonical anticommutation relations (CAR) are
 
-    {a_i, a†_j} = δ_ij,   {a_i, a_j} = {a†_i, a†_j} = 0,
+    {a_i, a†_j} = δ_ij,   {a_i, a_j} = {a†_i, a†_j} = 0.
 
-implemented exactly by :meth:`FermionOperator.normal_order`.
+The ladder form is not canonical (``a_0 a†_0`` and ``1 - a†_0 a_0`` are one
+operator), so ``==`` and :meth:`FermionOperator.is_hermitian` decide on the
+canonical Majorana form (:func:`repro.fermion.majorana.majorana_form`),
+which realizes the CAR through Eq. (2).  CAR normal ordering is kept as a
+test oracle in ``tests/reference/fermion.py``.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ class FermionOperator:
 
     def __init__(self, terms: dict[tuple[Action, ...], complex] | None = None):
         self._terms: dict[tuple[Action, ...], complex] = dict(terms) if terms else {}
-        #: Memo of the Majorana form, owned by
-        #: :func:`repro.fermion.majorana.majorana_form`; cleared on mutation
-        #: (the same contract as MajoranaOperator._packed).  The service's
-        #: fingerprint is memoized on that form.
+        #: Memo of the (read-only) Majorana form, owned by
+        #: :func:`repro.fermion.majorana.majorana_form` and cleared by
+        #: :meth:`add_term`.  The service's fingerprint is memoized on that
+        #: form, and ``is_hermitian`` reads it.
         self._majorana_cache = None
 
     # ------------------------------------------------------------------
@@ -147,43 +151,26 @@ class FermionOperator:
         return out
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
-        """Check ``H == H†`` after normal ordering both sides."""
-        diff = (self - self.hermitian_conjugate()).normal_order()
-        return all(abs(c) <= tol for _, c in diff.terms())
+        """Check ``H == H†`` on the memoized Majorana form, within ``tol``.
 
-    # ------------------------------------------------------------------
-    # Normal ordering (exact CAR algebra)
-    # ------------------------------------------------------------------
-    def normal_order(self) -> "FermionOperator":
-        """Rewrite as a sum of normal-ordered monomials.
-
-        Normal order: all creations (descending mode) before all annihilations
-        (ascending mode).  Repeated identical ladder operators annihilate the
-        monomial (Pauli exclusion).  Exponential worst case — intended for
-        tests and small model Hamiltonians.
+        ``tol`` bounds Majorana coefficients
+        (:meth:`MajoranaOperator.is_hermitian`): a length-k ladder term
+        contributes its coefficient over 2^k to each of its monomials, so a
+        ladder-level asymmetry of order ``tol · 2^k`` can pass.
         """
-        out = FermionOperator()
-        for term, coeff in self._terms.items():
-            fast = _normal_order_fast(term)
-            if fast is not None:
-                # Creations-before-annihilations monomials with distinct
-                # modes per block (every integral-built molecular term)
-                # normal-order by pure anticommutation — a sign, no
-                # contractions — so they skip the CAR rewrite machinery.
-                ordered, sign = fast
-                out.add_term(ordered, sign * coeff)
-                continue
-            for ordered, sign_coeff in _normal_order_term(term, coeff):
-                out.add_term(ordered, sign_coeff)
-        return out
+        from .majorana import majorana_form
+
+        return majorana_form(self).is_hermitian(tol)
 
     def __eq__(self, other) -> bool:
+        """Equal iff every Majorana coefficient of ``self - other`` is within
+        1e-9 of zero (a length-k ladder term's difference up to
+        ``1e-9 · 2^k``; see :meth:`is_hermitian`)."""
         if not isinstance(other, FermionOperator):
             return NotImplemented
-        a = self.normal_order()._terms
-        b = other.normal_order()._terms
-        keys = set(a) | set(b)
-        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= 1e-9 for k in keys)
+        from .majorana import majorana_form
+
+        return not len(majorana_form(self - other).simplify(1e-9))
 
     def __repr__(self) -> str:
         def fmt(term):
@@ -194,96 +181,3 @@ class FermionOperator:
         parts = [f"({c:.4g})·{fmt(t)}" for t, c in list(self._terms.items())[:6]]
         more = f" … ({len(self)} terms)" if len(self) > 6 else ""
         return f"FermionOperator({' + '.join(parts) or '0'}{more})"
-
-
-def _sort_block(arr: list[int], descending: bool) -> int | None:
-    """Insertion-sort a block of modes in place, counting adjacent swaps.
-
-    Returns the swap count, or ``None`` on a repeated mode (the caller must
-    fall back to the generic rewrite, where the monomial vanishes by Pauli
-    exclusion).
-    """
-    swaps = 0
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and (arr[j - 1] < arr[j] if descending else arr[j - 1] > arr[j]):
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            swaps += 1
-            j -= 1
-        if j > 0 and arr[j - 1] == arr[j]:
-            return None
-    return swaps
-
-
-def _normal_order_fast(
-    term: tuple[Action, ...],
-) -> tuple[tuple[Action, ...], int] | None:
-    """Normal-order a contraction-free monomial by anticommutation alone.
-
-    Applicable when every creation precedes every annihilation and modes are
-    distinct within each block: swapping two such operators never produces a
-    ``δ_ij`` contraction, so the normal form is the per-block sort with sign
-    ``(-1)^swaps``.  Returns ``(ordered_term, sign)`` or ``None`` when the
-    monomial needs the full CAR rewrite.
-    """
-    created: list[int] = []
-    annihilated: list[int] = []
-    for mode, dagger in term:
-        if dagger:
-            if annihilated:
-                return None  # annihilation before a creation: contraction
-            created.append(mode)
-        else:
-            annihilated.append(mode)
-    swaps_c = _sort_block(created, descending=True)
-    if swaps_c is None:
-        return None
-    swaps_a = _sort_block(annihilated, descending=False)
-    if swaps_a is None:
-        return None
-    ordered = tuple(
-        [(m, True) for m in created] + [(m, False) for m in annihilated]
-    )
-    return ordered, (-1 if (swaps_c + swaps_a) & 1 else 1)
-
-
-def _normal_order_term(
-    term: tuple[Action, ...], coeff: complex
-) -> list[tuple[tuple[Action, ...], complex]]:
-    """Normal-order one ladder monomial via repeated CAR swaps.
-
-    Returns a list of ``(normal_ordered_term, coefficient)`` contributions.
-    """
-    # Work list of (term, coeff) pending normal ordering.
-    pending = [(list(term), coeff)]
-    done: list[tuple[tuple[Action, ...], complex]] = []
-    while pending:
-        ops, c = pending.pop()
-        swapped = False
-        for pos in range(len(ops) - 1):
-            (m1, d1), (m2, d2) = ops[pos], ops[pos + 1]
-            if not d1 and d2:
-                # a_i a†_j = δ_ij - a†_j a_i
-                if m1 == m2:
-                    contracted = ops[:pos] + ops[pos + 2 :]
-                    pending.append((contracted, c))
-                new_ops = ops[:pos] + [ops[pos + 1], ops[pos]] + ops[pos + 2 :]
-                pending.append((new_ops, -c))
-                swapped = True
-                break
-            if d1 == d2:
-                if m1 == m2:
-                    # a†a† or aa with same mode: zero.
-                    swapped = True
-                    break
-                # Within a dagger block sort descending; within an
-                # annihilation block sort ascending.
-                wrong = (d1 and m1 < m2) or (not d1 and m1 > m2)
-                if wrong:
-                    new_ops = ops[:pos] + [ops[pos + 1], ops[pos]] + ops[pos + 2 :]
-                    pending.append((new_ops, -c))
-                    swapped = True
-                    break
-        if not swapped:
-            done.append((tuple(ops), c))
-    return done

@@ -600,14 +600,6 @@ class HattConstruction:
         return list(self._children)
 
 
-def _to_majorana(
-    hamiltonian: FermionOperator | MajoranaOperator,
-) -> MajoranaOperator:
-    if isinstance(hamiltonian, (FermionOperator, MajoranaOperator)):
-        return majorana_form(hamiltonian)
-    raise TypeError(f"cannot build HATT from {type(hamiltonian).__name__}")
-
-
 def hatt_mapping(
     hamiltonian: FermionOperator | MajoranaOperator,
     n_modes: int | None = None,
@@ -625,7 +617,7 @@ def hatt_mapping(
     ``S_i`` is assigned to Majorana ``M_i`` (leaf ``i`` of the constructed
     tree); the tree itself is attached as ``mapping.tree``.
     """
-    majorana = _to_majorana(hamiltonian)
+    majorana = majorana_form(hamiltonian)
     if n_modes is None:
         n_modes = majorana.n_modes
     construction = HattConstruction(

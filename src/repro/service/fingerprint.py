@@ -141,8 +141,8 @@ def _terms_digest(op: FermionOperator | MajoranaOperator, tol: float) -> str:
     zero are dropped, trailing all-zero mask words are trimmed (so the word
     count depends only on content), and the rows are lexsorted before the
     word count, masks and grids are hashed as little-endian bytes.
-    Memoized as ``(tol, hex)`` on the Majorana form's ``_fingerprint_cache``,
-    which every mutation clears.
+    Memoized as ``(tol, hex)`` on the (read-only) Majorana form's
+    ``_fingerprint_cache``; a ladder operator's ``add_term`` drops that form.
     """
     form = majorana_form(op)
     cached = form._fingerprint_cache

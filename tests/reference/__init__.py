@@ -9,13 +9,17 @@ noisy trajectories, in distribution):
 * :mod:`reference.mapping` — the per-term Majorana-to-Pauli product loop;
 * :mod:`reference.pauli_sum` — the ``{(x, z): c}`` dict accumulation of
   Pauli sums;
+* :mod:`reference.majorana` — the ``{monomial: c}`` dict algebra of
+  Majorana sums and its merge-sort monomial product;
+* :mod:`reference.fermion` — CAR normal ordering of ladder operators, and
+  the ``==``/``is_hermitian`` it decided;
 * :mod:`reference.noise` — the per-trajectory noisy loop and the per-string
   ``Statevector`` expectation;
 * :mod:`reference.trotter` — the full-ladder Trotter emission, the
   Python-int term planner and emitter, and the four-pass ``to_cx_u3``;
 * :mod:`reference.peephole` — the Gate-list cancellation, fusion and
   cz/swap rewrite passes;
-* :mod:`reference.density` — the exact density-matrix simulator.
+* :mod:`reference.density` — the exact density-matrix simulator;
 * :mod:`reference.integrals` — the scalar McMurchie–Davidson S, T, V and
   ERI engine.
 

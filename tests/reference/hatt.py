@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.hatt.construction import ARCH_WEIGHT_SCALE, HattConstruction, _to_majorana
+from repro.fermion.majorana import majorana_form
+from repro.hatt.construction import ARCH_WEIGHT_SCALE, HattConstruction
 from repro.mappings.base import FermionQubitMapping
 from repro.mappings.tree import TernaryTree, TreeNode
 
@@ -214,7 +215,7 @@ def scalar_hatt_mapping(
     arch_weight: float | None = None,
 ) -> FermionQubitMapping:
     """:func:`repro.hatt.hatt_mapping` built by the scalar scan."""
-    majorana = _to_majorana(hamiltonian)
+    majorana = majorana_form(hamiltonian)
     if n_modes is None:
         n_modes = majorana.n_modes
     construction = ScalarHattConstruction(

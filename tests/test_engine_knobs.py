@@ -6,7 +6,9 @@ reference.  The references are test oracles now, so no entry point may
 accept an engine selector again, and the packages export no engine lists.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +56,21 @@ def test_no_entry_point_takes_an_engine_selector():
     for module in (repro.circuits, repro.circuits.routing):
         assert not hasattr(module, "ROUTER_BACKENDS"), module
         assert "ROUTER_BACKENDS" not in module.__all__
+
+
+def test_no_package_module_imports_the_oracles():
+    """``tests/reference`` is test-only: a ``src`` module importing it would
+    work under pytest (which puts ``tests/`` on the path) and fail installed."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "reference" for name in names):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders

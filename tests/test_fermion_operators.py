@@ -1,6 +1,19 @@
-"""Tests for FermionOperator: CAR algebra, normal ordering, hermiticity."""
+"""Tests for FermionOperator: CAR algebra, normal ordering, hermiticity.
+
+Normal ordering is the CAR oracle in ``tests/reference/fermion.py``; the
+package decides ``==`` and ``is_hermitian`` on the Majorana form.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference.fermion import (
+    _normal_order_fast,
+    _normal_order_term,
+    car_equal,
+    car_is_hermitian,
+    normal_order,
+)
 
 from repro.fermion import FermionOperator
 
@@ -40,35 +53,35 @@ class TestBasics:
 class TestCAR:
     def test_anticommutator_same_mode(self):
         # {a_0, a†_0} = 1
-        anti = (a(0) * adag(0) + adag(0) * a(0)).normal_order()
+        anti = normal_order(a(0) * adag(0) + adag(0) * a(0))
         assert anti == FermionOperator.identity(1.0)
 
     def test_anticommutator_different_modes(self):
-        anti = (a(0) * adag(1) + adag(1) * a(0)).normal_order()
+        anti = normal_order(a(0) * adag(1) + adag(1) * a(0))
         assert anti == FermionOperator.zero()
 
     def test_annihilation_anticommute(self):
-        anti = (a(0) * a(1) + a(1) * a(0)).normal_order()
+        anti = normal_order(a(0) * a(1) + a(1) * a(0))
         assert anti == FermionOperator.zero()
 
     def test_pauli_exclusion(self):
-        assert (adag(0) * adag(0)).normal_order() == FermionOperator.zero()
-        assert (a(1) * a(1)).normal_order() == FermionOperator.zero()
+        assert normal_order(adag(0) * adag(0)) == FermionOperator.zero()
+        assert normal_order(a(1) * a(1)) == FermionOperator.zero()
 
     def test_number_squared_is_number(self):
         n = FermionOperator.number(0)
-        assert (n * n).normal_order() == n.normal_order()
+        assert normal_order(n * n) == normal_order(n)
 
     def test_normal_order_idempotent(self):
         op = a(0) * adag(1) * a(2) * adag(0)
-        once = op.normal_order()
-        assert once == once.normal_order()
+        once = normal_order(op)
+        assert once == normal_order(once)
 
     def test_normal_order_preserves_operator(self):
         """Normal ordering must not change the operator; verified by a
         three-mode occupation-basis representation."""
         op = a(0) * adag(1) + 2.0 * adag(2) * a(0) * adag(0)
-        no = op.normal_order()
+        no = normal_order(op)
         # Compare matrix elements in the 8-dim occupation basis via a
         # elementary simulation of ladder actions.
         for source in range(8):
@@ -110,31 +123,27 @@ class TestNormalOrderFastPath:
     def test_exhaustive_small_monomials(self):
         from itertools import product
 
-        from repro.fermion.operators import _normal_order_term
-
         actions = [(m, d) for m in range(3) for d in (True, False)]
         for length in range(5):
             for term in product(actions, repeat=length):
                 generic = FermionOperator()
                 for t, c in _normal_order_term(term, 1.0):
                     generic.add_term(t, c)
-                assert FermionOperator({term: 1.0}).normal_order() == generic, term
+                assert car_equal(normal_order(FermionOperator({term: 1.0})), generic), term
 
     def test_block_sort_sign(self):
         # a†_0 a†_1 = -a†_1 a†_0: one anticommutation swap, no contraction.
-        op = (adag(0) * adag(1)).normal_order()
+        op = normal_order(adag(0) * adag(1))
         assert op.coefficient(((1, True), (0, True))) == -1.0
 
     def test_integral_style_term(self):
         # a†_p a†_q a_r a_s with p<q, r>s — the molecular-Hamiltonian shape.
         # One swap per block: (-1)·(-1) = +1.
-        op = (adag(1) * adag(3) * a(2) * a(0)).normal_order()
+        op = normal_order(adag(1) * adag(3) * a(2) * a(0))
         assert op.coefficient(((3, True), (1, True), (0, False), (2, False))) == 1.0
         assert len(op) == 1
 
     def test_fast_path_none_on_contraction_shapes(self):
-        from repro.fermion.operators import _normal_order_fast
-
         assert _normal_order_fast(((0, False), (0, True))) is None  # a a†
         assert _normal_order_fast(((0, True), (0, True))) is None  # repeated
         assert _normal_order_fast(((1, False), (2, True))) is None  # mixed
@@ -162,3 +171,48 @@ class TestHermitian:
     def test_hubbard_style_term_hermitian(self):
         op = FermionOperator.number(0) * FermionOperator.number(1)
         assert op.is_hermitian()
+
+
+# ----------------------------------------------------------------------
+# ``==`` and ``is_hermitian`` on the Majorana form vs the CAR oracle
+# ----------------------------------------------------------------------
+_ACTIONS = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4).map(tuple)
+#: Coefficients on a 1/8 grid: every sum and every Majorana coefficient is
+#: exact, so an anti-Hermitian part is either 0 or far above the tolerance.
+_GRID = st.builds(
+    lambda re, im: complex(re / 8, im / 8), st.integers(-16, 16), st.integers(-16, 16)
+)
+_COEFFS = st.one_of(
+    _GRID, st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+)
+
+
+def _ladder(terms) -> FermionOperator:
+    op = FermionOperator()
+    for actions, coeff in terms:
+        op.add_term(actions, coeff)
+    return op
+
+
+_OPS = st.lists(st.tuples(_ACTIONS, _COEFFS), max_size=6).map(_ladder)
+_GRID_OPS = st.lists(st.tuples(_ACTIONS, _GRID), max_size=6).map(_ladder)
+
+
+@given(_OPS, _ACTIONS, st.one_of(st.just(0.0), st.floats(1e-6, 2.0)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_equality_agrees_with_car_normal_ordering(op, term, delta, imaginary):
+    """``(op, normal_order(op))`` and ``(op, op + δ·term)``, δ = 0 or at
+    least 1e-6: far from the 1e-9 edge, both rules give one answer."""
+    ordered = normal_order(op)
+    assert op == ordered and car_equal(op, ordered)
+    shifted = op + FermionOperator.from_term(term, 1j * delta if imaginary else delta)
+    assert (op == shifted) is car_equal(op, shifted)
+
+
+@given(_OPS, _GRID_OPS)
+@settings(max_examples=100, deadline=None)
+def test_is_hermitian_agrees_with_car_normal_ordering(any_op, op):
+    hermitian = any_op + any_op.hermitian_conjugate()
+    assert hermitian.is_hermitian() and car_is_hermitian(hermitian)
+    assert op.is_hermitian() is car_is_hermitian(op)
+    assert (1j * op).is_hermitian() is car_is_hermitian(1j * op)

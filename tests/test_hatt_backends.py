@@ -55,10 +55,9 @@ def multiword_hamiltonians(draw):
     n = draw(st.integers(min_value=4, max_value=8))
     pool = [t for size in (1, 2, 4) for t in combinations(range(2 * n), size)]
     n_terms = draw(st.integers(min_value=65, max_value=min(400, len(pool))))
-    op = MajoranaOperator.zero()
-    for term in draw(st.randoms(use_true_random=False)).sample(pool, n_terms):
-        coeff = 1j if (len(term) * (len(term) - 1) // 2) % 2 else 1.0
-        op = op + MajoranaOperator.from_term(list(term), coeff)
+    terms = draw(st.randoms(use_true_random=False)).sample(pool, n_terms)
+    # Distinct sorted monomials: the dict packs them as one sum would.
+    op = MajoranaOperator({t: 1j if (len(t) * (len(t) - 1) // 2) % 2 else 1.0 for t in terms})
     return n, op
 
 

@@ -1,15 +1,15 @@
 """Tests for MajoranaOperator: Clifford-algebra relations and Eq. (2)/(3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.majorana import DictMajoranaSum, normal_order_majorana_product
 
-from repro.fermion import (
-    FermionOperator,
-    MajoranaOperator,
-    normal_order_majorana_product,
-)
+from repro.fermihedral import fermihedral_mapping
+from repro.fermion import FermionOperator, MajoranaOperator
 from repro.fermion.majorana import majorana_form
+from repro.hatt import hatt_mapping
 
 
 def M(i):
@@ -52,8 +52,6 @@ class TestSimplify:
         Python's ``abs`` rounds this coefficient to exactly 1e-12 (dropped),
         NumPy's to 1.0000000000000002e-12 (kept by ``_expand``).
         """
-        import numpy as np
-
         c = complex(2.2071720335460267e-14, -9.99756389907778e-13)
         assert abs(c) == 1e-12 < np.abs(c)
         op = MajoranaOperator({(0, 1): c, (2,): 1e-13}).simplify()
@@ -186,29 +184,29 @@ def test_in_place_expansion_matches_fold_on_syk():
 # ----------------------------------------------------------------------
 # Packed-bitmask kernel vs the dict expansion it replaced
 # ----------------------------------------------------------------------
-def dict_expansion(op: FermionOperator) -> MajoranaOperator:
+def dict_expansion(op: FermionOperator) -> DictMajoranaSum:
     """The tuple-by-tuple expansion ``from_fermion_operator`` ran before the
     bitmask kernel: multiply each ladder term out factor by factor with the
-    dict algebra, then accumulate into one running operator in place."""
-    total = MajoranaOperator.zero()
+    dict algebra, then accumulate into one running sum in place."""
+    total = DictMajoranaSum()
     for actions, coeff in op.terms():
-        factor = MajoranaOperator.identity(coeff)
+        factor = DictMajoranaSum.identity(coeff)
         for mode, dagger in actions:
-            even = MajoranaOperator.single(2 * mode, 0.5)
-            odd = MajoranaOperator.single(2 * mode + 1, -0.5j if dagger else 0.5j)
+            even = DictMajoranaSum.single(2 * mode, 0.5)
+            odd = DictMajoranaSum.single(2 * mode + 1, -0.5j if dagger else 0.5j)
             factor = factor * (even + odd)
-        for term, value in factor.terms():
+        for term, value in factor.terms.items():
             total.add_term(term, value)
     return total.simplify()
 
 
-def _exactly_equal(got: MajoranaOperator, want: MajoranaOperator) -> bool:
+def _bits(terms):
+    return [(t, complex(c).real.hex(), complex(c).imag.hex()) for t, c in terms]
+
+
+def _exactly_equal(got: MajoranaOperator, want: DictMajoranaSum) -> bool:
     """Same monomials in the same order with bit-identical coefficients."""
-
-    def bits(op):
-        return [(t, complex(c).real.hex(), complex(c).imag.hex()) for t, c in op.terms()]
-
-    return bits(got) == bits(want)
+    return _bits(got.terms()) == _bits(want.terms.items())
 
 
 _COEFFS = st.one_of(
@@ -287,17 +285,98 @@ def test_bitmasks_of_a_dict_built_operator():
     assert masks.tolist() == [[1, 2], [0, 0], [8, 0]]
     assert coeffs.tolist() == [1.0, 0.5, 2j]
     assert not masks.flags.writeable
-    op.add_term((3,), 1.0)
-    assert op.bitmasks()[1].tolist() == [1.0, 0.5, 1 + 2j]
+
+
+@pytest.mark.parametrize("key", [(1, 1), (3, 1), (-1,)])
+def test_dict_constructor_rejects_non_canonical_keys(key):
+    """``M1 M1 = 1`` and ``M3 M1 = -M1 M3`` are not the monomials their
+    masks would name, and a negative index has no bit."""
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MajoranaOperator({key: 1.0})
 
 
 def test_copy_of_a_converted_operator_is_independent():
-    original = MajoranaOperator.from_fermion_operator(FermionOperator.number(40))
-    before = list(original.terms())
-    clone = original.copy()
-    clone.add_term((0,), 1.0)
-    assert list(original.terms()) == before
-    assert len(clone) == len(before) + 1
+    """The operator is read-only, so a changed copy is a new operator:
+    ``simplify`` returns one and the original's terms, rows and fingerprint
+    stay as they were, and its arrays cannot be written."""
+    from repro.service.fingerprint import fingerprint_operator
+
+    original = MajoranaOperator.from_fermion_operator(
+        FermionOperator.number(40) + FermionOperator.identity()
+    )
+    before = (list(original.terms()), fingerprint_operator(original))
+    masks, coeffs = original.bitmasks()
+    kept = original.simplify(1.0)
+    assert kept is not original and len(kept) == 1
+    assert (list(original.terms()), fingerprint_operator(original)) == before
+    assert original.bitmasks()[0] is masks
+    for array in (masks, coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert not hasattr(original, "add_term") and not hasattr(original, "copy")
+
+
+# ----------------------------------------------------------------------
+# Row arithmetic vs the dict algebra it replaced
+# ----------------------------------------------------------------------
+#: Canonical monomials: subsets of a few low indices (they collide often)
+#: and of indices past 64 (a second mask word).
+_INDEX_POOL = (0, 1, 2, 3, 4, 5, 62, 63, 64, 65)
+_MONOMIALS = st.integers(0, (1 << len(_INDEX_POOL)) - 1).map(
+    lambda bits: tuple(i for k, i in enumerate(_INDEX_POOL) if bits >> k & 1)
+)
+_TERM_DICTS = st.lists(st.tuples(_MONOMIALS, _COEFFS), max_size=8).map(dict)
+
+
+@st.composite
+def _term_dict_pairs(draw):
+    """Two ``{monomial: c}`` dicts; ``b`` repeats some of ``a``'s monomials
+    with ``±`` the same coefficient, so ``a + b`` or ``a - b`` cancels them
+    exactly."""
+    a, b = draw(_TERM_DICTS), draw(_TERM_DICTS)
+    signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(a), max_size=len(a)))
+    b.update({key: sign * c for (key, c), sign in zip(a.items(), signs) if sign})
+    return a, b
+
+
+def _both_algebras(pair):
+    """The packed operators of a dict pair and the dict oracle on the
+    same (packed, so ``0.0 + c``-normalized) coefficients."""
+    ops = [MajoranaOperator(terms) for terms in pair]
+    return ops, [DictMajoranaSum.from_operator(op) for op in ops]
+
+
+@given(_term_dict_pairs(), _COEFFS)
+@settings(max_examples=150, deadline=None)
+def test_sum_difference_and_product_match_the_dict_algebra(pair, scalar):
+    """Same monomials, same order, same coefficient bits; the same
+    ``is_hermitian`` and ``==`` answers.  A scaled operator is compared
+    after one sum, which stores its coefficients as the packed form does."""
+    (left, right), (dleft, dright) = _both_algebras(pair)
+    assert _exactly_equal(right + left * scalar, dright + dleft * scalar)
+    assert left.is_hermitian() is dleft.is_hermitian()
+    assert (left == right) is (dleft == dright)
+    assert _exactly_equal(left + right, dleft + dright)
+    assert _exactly_equal(left - right, dleft - dright)
+    assert _exactly_equal(left * right, dleft * dright)
+    assert _exactly_equal((left + right) * left - right, (dleft + dright) * dleft - dright)
+
+
+def test_products_of_commuting_terms_cancel_exactly():
+    """``c·d - d·c`` is exact zero, as in the dict algebra; NumPy's fused
+    complex multiply would leave ``5.6e-17``."""
+    c, d = 0.4335004675872959 - 1j, 1 + 1.5j
+    a = MajoranaOperator({(): c, (0,): d})
+    assert len(a * MajoranaOperator({(): c, (0,): -d})) == 1
+
+
+@given(st.lists(st.one_of(st.integers(0, 6), st.integers(63, 66)), max_size=8), _COEFFS)
+@settings(max_examples=100, deadline=None)
+def test_from_term_matches_the_dict_product_chain(indices, coeff):
+    """Equal bits once both are packed (``0.0 + c``, exact zeros dropped)."""
+    got = MajoranaOperator.from_term(indices, coeff)
+    want = DictMajoranaSum.from_term(indices, coeff).to_operator()
+    assert _bits(got.terms()) == _bits(want.terms())
 
 
 # ----------------------------------------------------------------------
@@ -314,14 +393,17 @@ def test_majorana_form_memoized_until_add_term():
     assert second.coefficient((2, 3)) == pytest.approx(1.0j)
 
 
+@pytest.mark.parametrize(
+    "entry", [majorana_form, hatt_mapping, fermihedral_mapping], ids=lambda f: f.__name__
+)
+def test_entry_points_reject_a_non_operator_with_type_error(entry):
+    with pytest.raises(TypeError, match="no Majorana form for int"):
+        entry(5)
+
+
 def test_public_conversion_returns_a_fresh_operator():
     h = FermionOperator.number(0) + FermionOperator.hopping(0, 1, 0.3)
     shared = majorana_form(h)
     out = MajoranaOperator.from_fermion_operator(h)
     assert out is not shared
-    before = list(out.terms())
-    out.add_term((0, 1), 5.0)
-    out.add_term((7,), 1.0)
-    again = MajoranaOperator.from_fermion_operator(h)
-    assert list(again.terms()) == before
-    assert list(majorana_form(h).terms()) == before
+    assert list(out.terms()) == list(shared.terms())

@@ -14,6 +14,7 @@ from repro.mappings import balanced_ternary_tree, jordan_wigner
 from repro.mappings.apply import map_majorana_operator
 from repro.paulis import PauliString, PauliTable, QubitOperator
 
+from reference.majorana import DictMajoranaSum
 from reference.mapping import scalar_map_majorana_operator
 from reference.pauli_sum import DictPauliSum
 
@@ -119,10 +120,10 @@ def majorana_operators(draw, n_modes):
             max_size=20,
         )
     )
-    op = MajoranaOperator()
+    op = DictMajoranaSum()
     for mono in monomials:
         op.add_term(tuple(sorted(mono)), draw(st.integers(-3, 3)) + 0.5)
-    return op
+    return op.to_operator()
 
 
 @pytest.mark.parametrize("n_modes", [3, 33, 65])
@@ -167,12 +168,14 @@ def test_map_majorana_rejects_empty_strings():
 
 
 def test_packed_terms_cache_invalidation():
-    op = MajoranaOperator({(0, 1): 1.0})
-    idx, coeffs = op.packed_terms()
-    assert op.packed_terms()[0] is idx  # cached
-    op.add_term((2, 3), 2.0)
+    """The plan is cached per operator; a sum is a new operator with its own."""
+    first = MajoranaOperator({(0, 1): 1.0})
+    idx, coeffs = first.packed_terms()
+    assert first.packed_terms()[0] is idx  # cached
+    op = first + MajoranaOperator({(2, 3): 2.0})
     idx2, coeffs2 = op.packed_terms()
     assert idx2.shape[0] == 2 and len(coeffs2) == 2
+    assert first.packed_terms()[0] is idx and len(first) == 1
     jw = jordan_wigner(2)
     assert map_majorana_operator(op, jw.strings, 2) == scalar_map_majorana_operator(
         op, jw.strings, 2

