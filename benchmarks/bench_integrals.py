@@ -61,8 +61,9 @@ def _oracle_engine():
     """Patch the scalar engine into the SCF's integral calls."""
     return mock.patch.multiple(
         scf_module,
-        overlap_matrix=oracle.overlap_matrix,
-        core_hamiltonian=oracle.core_hamiltonian,
+        overlap_and_core=lambda basis, atoms: (
+            oracle.overlap_matrix(basis), oracle.core_hamiltonian(basis, atoms)
+        ),
         eri_tensor=oracle.eri_tensor,
     )
 

@@ -26,7 +26,7 @@ from .mappings import (
 )
 from .paulis import PauliString, QubitOperator
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "PauliString",

@@ -43,6 +43,7 @@ __all__ = [
     "nuclear_attraction_matrix",
     "eri_tensor",
     "core_hamiltonian",
+    "overlap_and_core",
     "nuclear_repulsion",
 ]
 
@@ -211,19 +212,22 @@ def _pair_batches(basis: list[BasisFunction], pairs, reach: int = 0) -> list[_Pa
 # ----------------------------------------------------------------------
 # One-electron matrices
 # ----------------------------------------------------------------------
-def _contract_pairwise(basis: list[BasisFunction], prim_fn, reach: int = 0) -> np.ndarray:
-    """Symmetric matrix of contractions; ``prim_fn(batch)`` gives primitive values."""
+def _contract_pairwise(basis: list[BasisFunction], *prim_fns) -> list[np.ndarray]:
+    """One symmetric matrix of contractions per ``prim_fn(batch)`` (primitive
+    values), all over one set of pair batches with E tables to the kinetic
+    ladder's ``l2 + 2`` (an entry does not depend on the table's extent)."""
     n = len(basis)
-    out = np.zeros((n, n))
+    outs = [np.zeros((n, n)) for _ in prim_fns]
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    for batch in _pair_batches(basis, upper, reach):
-        prims = prim_fn(batch)
-        val = np.zeros(len(batch.rows))
-        for k in range(prims.shape[1]):
-            val = val + batch.coeff[:, k] * prims[:, k]
-        out[batch.rows, batch.cols] = val
-        out[batch.cols, batch.rows] = val
-    return out
+    for batch in _pair_batches(basis, upper, reach=2):
+        for out, prim_fn in zip(outs, prim_fns):
+            prims = prim_fn(batch)
+            val = np.zeros(len(batch.rows))
+            for k in range(prims.shape[1]):
+                val = val + batch.coeff[:, k] * prims[:, k]
+            out[batch.rows, batch.cols] = val
+            out[batch.cols, batch.rows] = val
+    return outs
 
 
 def _e0(batch: _PairBatch, d: int, shift: int = 0):
@@ -257,18 +261,8 @@ def _kinetic_prims(batch: _PairBatch) -> np.ndarray:
     return pref * (dims[0] * s[1] * s[2] + s[0] * dims[1] * s[2] + s[0] * s[1] * dims[2])
 
 
-def overlap_matrix(basis: list[BasisFunction]) -> np.ndarray:
-    return _contract_pairwise(basis, _overlap_prims)
-
-
-def kinetic_matrix(basis: list[BasisFunction]) -> np.ndarray:
-    return _contract_pairwise(basis, _kinetic_prims, reach=2)
-
-
-def nuclear_attraction_matrix(
-    basis: list[BasisFunction], atoms: list[tuple[int, np.ndarray]]
-) -> np.ndarray:
-    """``V_{μν} = -Σ_C Z_C ⟨μ| 1/|r-C| |ν⟩``; atoms are (Z, coords-Bohr)."""
+def _nuclear_prims(atoms: list[tuple[int, np.ndarray]]):
+    """Primitive values of ``-Σ_C Z_C ⟨g1| 1/|r-C| |g2⟩`` per batch."""
     charges = [z for z, _ in atoms]
     centers = np.array([np.asarray(rc, dtype=float) for _, rc in atoms]).reshape(-1, 3)
 
@@ -296,13 +290,37 @@ def nuclear_attraction_matrix(
             out[sl] = prim
         return out
 
-    return _contract_pairwise(basis, prims)
+    return prims
+
+
+def overlap_matrix(basis: list[BasisFunction]) -> np.ndarray:
+    return _contract_pairwise(basis, _overlap_prims)[0]
+
+
+def kinetic_matrix(basis: list[BasisFunction]) -> np.ndarray:
+    return _contract_pairwise(basis, _kinetic_prims)[0]
+
+
+def nuclear_attraction_matrix(
+    basis: list[BasisFunction], atoms: list[tuple[int, np.ndarray]]
+) -> np.ndarray:
+    """``V_{μν} = -Σ_C Z_C ⟨μ| 1/|r-C| |ν⟩``; atoms are (Z, coords-Bohr)."""
+    return _contract_pairwise(basis, _nuclear_prims(atoms))[0]
 
 
 def core_hamiltonian(
     basis: list[BasisFunction], atoms: list[tuple[int, np.ndarray]]
 ) -> np.ndarray:
-    return kinetic_matrix(basis) + nuclear_attraction_matrix(basis, atoms)
+    t, v = _contract_pairwise(basis, _kinetic_prims, _nuclear_prims(atoms))
+    return t + v
+
+
+def overlap_and_core(
+    basis: list[BasisFunction], atoms: list[tuple[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(overlap_matrix, core_hamiltonian)`` from one set of pair batches."""
+    s, t, v = _contract_pairwise(basis, _overlap_prims, _kinetic_prims, _nuclear_prims(atoms))
+    return s, t + v
 
 
 def nuclear_repulsion(atoms: list[tuple[int, np.ndarray]]) -> float:

@@ -6,17 +6,12 @@ paper obtains from PySCF before second quantization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisFunction
-from .integrals import (
-    core_hamiltonian,
-    eri_tensor,
-    nuclear_repulsion,
-    overlap_matrix,
-)
+from .integrals import eri_tensor, nuclear_repulsion, overlap_and_core
 
 __all__ = ["SCFResult", "restricted_hartree_fock", "mo_integrals"]
 
@@ -74,8 +69,7 @@ def restricted_hartree_fock(
     if n_occ > len(basis):
         raise ValueError("more electron pairs than basis functions")
 
-    s = overlap_matrix(basis)
-    h = core_hamiltonian(basis, atoms)
+    s, h = overlap_and_core(basis, atoms)
     eri = eri_tensor(basis)
     e_nuc = nuclear_repulsion(atoms)
 

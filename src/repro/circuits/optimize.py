@@ -14,16 +14,21 @@ no :class:`Gate`.  One stable sort of the gate slots by wire gives every
 gate its neighbours; Python then touches only what can change.
 Cancellation visits the gates whose neighbour matches them (under 2% of a
 Trotter or routed circuit) and those a cancellation blocks.  Fusion
-evaluates each distinct 1q run once, with the scalar complex arithmetic
-below (NumPy's ``arctan2``/``abs``/``angle`` differ from ``math``/``cmath``
-in the last bits).  The Gate-list passes these replaced are the test
-oracles in ``tests/reference/peephole.py``; outputs match them bit for bit.
+multiplies out every 1q run in one NumPy batch and takes the ZYZ angles of
+all products at once; a run that is one u3 (nearly every run of a routed
+circuit) is passed through.
+
+The Gate-list passes these replaced are the test oracles in
+``tests/reference/peephole.py``.  Cancellation and the cz/swap rewrite
+match them bit for bit.  Fusion matches their gate names, qubits and order
+exactly, so CX count and depth too, but u3 parameters are no longer kept
+bit for bit: a fused u3 equals the oracle's as a unitary up to global phase
+(within 1e-12), and may differ in the last bits or by 2π in φ and λ.  A
+run that is one u3 keeps its parameter bits (the oracle re-derives them),
+so fusing twice gives the same circuit as fusing once.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .gates import GATE_NAMES, OP_CODE, gate_matrix
 
 __all__ = ["cancel_adjacent", "fuse_single_qubit", "optimize", "to_cx_u3", "zyz_angles"]
 
-_H, _RX, _RY, _U3, _CX, _CZ, _SWAP = map(OP_CODE.get, "h rx ry u3 cx cz swap".split())
+_H, _RX, _RY, _RZ, _U3, _CX, _CZ, _SWAP = map(OP_CODE.get, "h rx ry rz u3 cx cz swap".split())
 
 _INVERSE_PAIRS = {
     ("h", "h"), ("x", "x"), ("y", "y"), ("z", "z"),
@@ -159,45 +164,51 @@ def cancel_adjacent(circuit: Circuit) -> Circuit:
     return Circuit.from_packed(circuit.n_qubits, *_cancel(*circuit.packed()))
 
 
-# 2x2 unitaries as row-major complex 4-tuples (a, b, c, d) = [[a, b], [c, d]]:
-# plain Python arithmetic beats numpy's per-call overhead at this size.
-_FIXED = {
-    OP_CODE[name]: tuple(complex(v) for v in gate_matrix(name).ravel())
-    for name in ("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg")
-}
+#: ``[[a, b], [c, d]]`` of each one-qubit gate by op code as ``(a, b, c, d)``;
+#: the rows of rx, ry, rz and u3 are zeros, filled in per gate.
+_FIXED = np.array(
+    [gate_matrix(name).ravel() for name in GATE_NAMES[:_RX]] + [np.zeros(4)] * 4, dtype=complex
+)
 
 
-def _matrix(op: int, params: list[float]) -> tuple[complex, complex, complex, complex]:
-    """``gate_matrix`` of a one-qubit gate as a 4-tuple."""
-    fixed = _FIXED.get(op)
-    if fixed is not None:
-        return fixed
-    if op == _U3:
-        theta, phi, lam = params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return (c, -cmath.exp(1j * lam) * s, cmath.exp(1j * phi) * s,
-                cmath.exp(1j * (phi + lam)) * c)
-    t = params[0]
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    if op == _RX:
-        return (c, -1j * s, -1j * s, c)
-    if op == _RY:
-        return (c, -s, s, c)
-    return (cmath.exp(-0.5j * t), 0, 0, cmath.exp(0.5j * t))  # rz
+def _matrices(ops: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """``(4, n)``: the entries ``a, b, c, d`` of each one-qubit gate's
+    matrix ``[[a, b], [c, d]]``, by the formulas of ``gate_matrix``."""
+    m = _FIXED[ops]
+    rot = np.flatnonzero(ops >= _RX)
+    if len(rot):
+        kind = ops[rot]
+        theta, phi, lam = params[rot].T
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        # Real and imaginary parts of a, b, c, d side by side.
+        parts = np.zeros((len(rot), 8))
+        parts[:, 0] = parts[:, 6] = c
+        rx, ry, rz, u3 = (kind == code for code in (_RX, _RY, _RZ, _U3))
+        parts[rx, 3] = parts[rx, 5] = -s[rx]
+        parts[ry, 2], parts[ry, 4] = -s[ry], s[ry]
+        parts[rz, 1], parts[rz, 7] = -s[rz], s[rz]
+        phi, lam, s, c = phi[u3], lam[u3], s[u3], c[u3]
+        parts[u3, 2:] = np.column_stack([
+            -np.cos(lam) * s, -np.sin(lam) * s, np.cos(phi) * s, np.sin(phi) * s,
+            np.cos(phi + lam) * c, np.sin(phi + lam) * c,
+        ])
+        m[rot] = parts.view(complex)
+    return m.T.copy()
 
 
-def _zyz(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, float]:
-    root = cmath.sqrt(a * d - b * c)
+def _zyz(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZYZ angles ``(θ, φ, λ)`` of each ``[[a, b], [c, d]]``, global phase
+    dropped."""
+    root = np.sqrt(a * d - b * c)
     a, c, d = a / root, c / root, d / root
-    theta = 2.0 * math.atan2(abs(c), abs(a))
-    if abs(a) < 1e-12:
-        # Pure off-diagonal: only φ - λ is defined.
-        return theta, 2.0 * cmath.phase(c), 0.0
-    if abs(c) < 1e-12:
-        return theta, 2.0 * cmath.phase(d), 0.0
-    plus = 2.0 * cmath.phase(d)
-    minus = 2.0 * cmath.phase(c)
-    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0
+    abs_a, abs_c = np.abs(a), np.abs(c)
+    theta = 2.0 * np.arctan2(abs_c, abs_a)
+    plus, minus = 2.0 * np.angle(d), 2.0 * np.angle(c)
+    # Pure off-diagonal: only φ - λ is defined; diagonal: only φ + λ.
+    off, diagonal = abs_a < 1e-12, abs_c < 1e-12
+    phi = np.where(off, minus, np.where(diagonal, plus, (plus + minus) / 2.0))
+    lam = np.where(off | diagonal, 0.0, (plus - minus) / 2.0)
+    return theta, phi, lam
 
 
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -205,31 +216,20 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
 
     Global phase is discarded — u3(θ, φ, λ) then equals ``u`` up to phase.
     """
-    return _zyz(complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
+    theta, phi, lam = _zyz(*np.asarray(u, dtype=complex).reshape(4, 1))
+    return float(theta[0]), float(phi[0]), float(lam[0])
 
 
-def _is_identity(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """Identity up to global phase ``a`` (see :data:`_IDENTITY_RTOL`)."""
-    if abs(abs(a) - 1.0) > _IDENTITY_ATOL:
-        return False
+def _identities(a, b, c, d) -> np.ndarray:
+    """Which ``[[a, b], [c, d]]`` are the identity up to global phase ``a``
+    (see :data:`_IDENTITY_RTOL`)."""
+    abs_a = np.abs(a)
     return (
-        abs(b) <= _IDENTITY_ATOL
-        and abs(c) <= _IDENTITY_ATOL
-        and abs(d - a) <= _IDENTITY_ATOL + _IDENTITY_RTOL * abs(a)
+        (np.abs(abs_a - 1.0) <= _IDENTITY_ATOL)
+        & (np.abs(b) <= _IDENTITY_ATOL)
+        & (np.abs(c) <= _IDENTITY_ATOL)
+        & (np.abs(d - a) <= _IDENTITY_ATOL + _IDENTITY_RTOL * abs_a)
     )
-
-
-def _fused(run: list[tuple[int, list[float]]]) -> tuple[float, float, float] | None:
-    """u3 angles of a run's product (``(op, params)`` in circuit order), or
-    None when the product is the identity."""
-    u = None
-    for op, params in run:
-        a, b, c, d = _matrix(op, params)
-        if u is not None:
-            e, f, g, h = u
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        u = (a, b, c, d)
-    return None if _is_identity(*u) else _zyz(*u)
 
 
 def _run_angles(
@@ -238,28 +238,40 @@ def _run_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep mask and u3 angles of each run ``gates[first : first + length]``.
 
-    Runs repeat, so each distinct one is fused once: a lone gate is keyed
-    on its op code and parameter bits, a parameter-free run of up to 15
-    gates on its op sequence (4 bits per gate); any other run is its own
-    key.  Only the fused runs become Python objects.
+    A run that is one u3 keeps its parameter bits, which makes fusion
+    idempotent; it is dropped, as any run is, only when it is the identity,
+    which needs ``|cos(θ/2)|`` within the tolerance of 1.  The other runs
+    (and those u3s) are multiplied out in one batch, longest first and one
+    rank position at a time, so the runs still open at rank ``r`` are a
+    prefix and their gates one block.
     """
-    run_ops = ops[gates].astype(np.int64)
-    rank = np.arange(len(gates)) - np.repeat(first, length)
-    seq = np.add.reduceat((run_ops + 1) << 4 * np.minimum(rank, 14), first)
-    # Op codes below rx take no parameters.
-    shared = (length == 1) | np.logical_and.reduceat(run_ops < _RX, first) & (length <= 15)
-    seq[~shared] = -1 - np.flatnonzero(~shared)
-    lead = params[gates[first]].view(np.int64).T.tolist()
-    ids: dict[tuple[int, ...], int] = {}
-    inverse = np.array([ids.setdefault(k, len(ids)) for k in zip(seq.tolist(), *lead)])
-    pick = np.unique(inverse, return_index=True)[1]
-    lens = length[pick]
-    ends = np.cumsum(lens)
-    at = gates[np.repeat(first[pick] - (ends - lens), lens) + np.arange(ends[-1])]
-    flat = list(zip(ops[at].tolist(), params[at].tolist()))
-    rows = [_fused(flat[e - k : e]) for e, k in zip(ends.tolist(), lens.tolist())]
-    found = np.array([row is not None for row in rows])
-    return found[inverse], np.array([row or (0.0, 0.0, 0.0) for row in rows])[inverse]
+    run_ops = ops[gates]
+    angles = params[gates[first]]
+    lone = (length == 1) & (run_ops[first] == _U3)
+    near = lone & (np.abs(np.abs(np.cos(angles[:, 0] / 2)) - 1.0) <= _IDENTITY_ATOL)
+    fused = np.flatnonzero(~lone)
+    fused = fused[np.argsort(-length[fused], kind="stable")]
+    pick = np.concatenate([fused, np.flatnonzero(near)])
+    keep = np.ones(len(first), dtype=bool)
+    if not len(pick):
+        return keep, angles
+    # How many picked runs are longer than r, for each rank r.
+    n_open = np.searchsorted(-length[pick], -np.arange(length[pick[0]]))
+    at = np.concatenate([first[pick[:k]] + r for r, k in enumerate(n_open.tolist())])
+    m = _matrices(run_ops[at], params[gates[at]])
+    a, b, c, d = m[:, : n_open[0]]
+    lo = n_open[0]
+    for k in n_open[1:].tolist():
+        e, f, g, h = m[:, lo : lo + k]
+        lo += k
+        a[:k], b[:k], c[:k], d[:k] = (
+            e * a[:k] + f * c[:k], e * b[:k] + f * d[:k],
+            g * a[:k] + h * c[:k], g * b[:k] + h * d[:k],
+        )
+    keep[pick] = ~_identities(a, b, c, d)
+    n = len(fused)
+    angles[fused] = np.column_stack(_zyz(a[:n], b[:n], c[:n], d[:n]))
+    return keep, angles
 
 
 def _fuse(ops: np.ndarray, qubits: np.ndarray, params: np.ndarray) -> Packed:

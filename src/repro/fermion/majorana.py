@@ -55,7 +55,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..paulis.table import DUST_TOLERANCE, WORD_BITS, plan_from_masks, unpack_masks
+from ..paulis.table import (
+    DUST_TOLERANCE, WORD_BITS, complex_product, plan_from_masks, unpack_masks,
+)
 from .operators import FermionOperator
 
 __all__ = ["MajoranaOperator", "majorana_form"]
@@ -234,17 +236,6 @@ def _insertions(masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     values = values + 0.0
     keep = values != 0
     return masks[keep], values[keep]
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` elementwise with Python's complex product (each part a
-    rounded ``ar·br - ai·bi`` and ``ar·bi + ai·br``).  NumPy's own complex
-    multiply may fuse a multiply-add, so there ``d * c`` and ``c * d`` can
-    differ in the last bit and a commutator leaves dust."""
-    out = np.empty(len(a), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _expand(op: FermionOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -484,7 +475,7 @@ class MajoranaOperator:
 
     def __mul__(self, other) -> "MajoranaOperator":
         if isinstance(other, (int, float, complex)):
-            scaled = _product(self._coeffs, np.complex128(other))
+            scaled = complex_product(self._coeffs, np.complex128(other))
             return MajoranaOperator._from_masks(*_insertions(self._masks, scaled))
         if not isinstance(other, MajoranaOperator):
             return NotImplemented
@@ -500,7 +491,7 @@ class MajoranaOperator:
         odd = (passes.astype(np.intp) @ unpack_masks(b)[:, js].T.astype(np.intp)) % 2
         left = np.repeat(np.arange(len(a)), len(b))
         right = np.tile(np.arange(len(b)), len(a))
-        values = _product(self._coeffs[left], other._coeffs[right])
+        values = complex_product(self._coeffs[left], other._coeffs[right])
         np.negative(values, out=values, where=odd.reshape(-1).astype(bool))
         return MajoranaOperator._from_masks(
             *_sum_in_order(*_insertions(a[left] ^ b[right], values))

@@ -23,6 +23,7 @@ import numpy as np
 from .pauli import PauliString
 from .table import (
     DEFAULT_TOLERANCE, DUST_TOLERANCE, PauliTable, _masks_to_words, _words_to_masks,
+    complex_product,
 )
 
 __all__ = ["QubitOperator"]
@@ -173,7 +174,7 @@ class QubitOperator:
             left = np.repeat(np.arange(m1), m2)
             right = np.tile(np.arange(m2), m1)
             rows = self._table.take(left).mul_rows(other._table.take(right))
-            coeffs = self._coeffs[left] * other._coeffs[right]
+            coeffs = complex_product(self._coeffs[left], other._coeffs[right])
             return QubitOperator.from_table(rows, coeffs, tol=0.0)
         return NotImplemented
 

@@ -32,6 +32,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DUST_TOLERANCE",
     "PauliTable",
+    "complex_product",
     "incidence_from_masks",
     "plan_from_masks",
     "set_bits",
@@ -98,6 +99,17 @@ def _words_to_masks(words: np.ndarray) -> list[int]:
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
     """Total set bits per row (summed over words), as int64."""
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def complex_product(a: np.ndarray, b) -> np.ndarray:
+    """``a * b`` elementwise with Python's complex product (each part a
+    rounded ``ar·br - ai·bi`` and ``ar·bi + ai·br``).  NumPy's own complex
+    multiply may fuse a multiply-add, so there ``d * c`` and ``c * d`` can
+    differ in the last bit and a commutator leaves dust."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def unpack_masks(masks: np.ndarray) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 These are the cancellation, fusion and cz/swap rewrite passes as they ran
 on lists of :class:`~repro.circuits.Gate` before the circuit IR was packed
-into op/qubit/parameter arrays, kept unchanged.  The packed passes must
-give the same gates, every parameter bit included (compare with
-``reference.trotter.hex_gates``).  Both share the scalar ZYZ and identity
-tests of the package; the 2x2 gate matrices are computed here again.
+into op/qubit/parameter arrays, with the scalar complex arithmetic fusion
+ran on before it was batched: the 2x2 gate matrices, the run product, the
+identity test and the ZYZ decomposition.  The packed passes must give the
+same gate names, qubits and order, and cancellation every parameter bit
+(compare with ``reference.trotter.hex_gates``).  A fused u3 may differ from
+the oracle's in the last bits, and a lone u3 keeps its own parameters where
+the oracle re-derives them; :func:`assert_same_gates` compares each u3 as a
+unitary up to global phase.
 
 Tests import them as ``from reference.peephole import gate_cancel, ...``.
 """
@@ -15,16 +19,21 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from repro.circuits import Gate, gate_matrix
 from repro.circuits.optimize import (
     _ANGLE_EPS,
+    _IDENTITY_ATOL,
+    _IDENTITY_RTOL,
     _INVERSE_PAIRS,
     _ROTATIONS,
-    _is_identity,
-    _zyz,
 )
 
 __all__ = [
+    "U3_ATOL",
+    "assert_same_gates",
+    "u3_distance",
     "gate_cancel",
     "gate_fuse",
     "gate_expand_to_cx",
@@ -134,26 +143,58 @@ def _matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (cmath.exp(-0.5j * t), 0, 0, cmath.exp(0.5j * t))  # rz
 
 
+def _zyz(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, float]:
+    root = cmath.sqrt(a * d - b * c)
+    a, c, d = a / root, c / root, d / root
+    theta = 2.0 * math.atan2(abs(c), abs(a))
+    if abs(a) < 1e-12:
+        # Pure off-diagonal: only φ - λ is defined.
+        return theta, 2.0 * cmath.phase(c), 0.0
+    if abs(c) < 1e-12:
+        return theta, 2.0 * cmath.phase(d), 0.0
+    plus = 2.0 * cmath.phase(d)
+    minus = 2.0 * cmath.phase(c)
+    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0
+
+
+def _is_identity(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """Identity up to global phase ``a`` (see ``optimize._IDENTITY_RTOL``)."""
+    if abs(abs(a) - 1.0) > _IDENTITY_ATOL:
+        return False
+    return (
+        abs(b) <= _IDENTITY_ATOL
+        and abs(c) <= _IDENTITY_ATOL
+        and abs(d - a) <= _IDENTITY_ATOL + _IDENTITY_RTOL * abs(a)
+    )
+
+
+def _fused(run: list[Gate]) -> tuple[float, float, float] | None:
+    """u3 angles of a run's product (gates in circuit order), or None when
+    the product is the identity."""
+    u = None
+    for gate in run:
+        a, b, c, d = _matrix(gate)
+        if u is not None:
+            e, f, g, h = u
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        u = (a, b, c, d)
+    return None if _is_identity(*u) else _zyz(*u)
+
+
 def gate_fuse(gates: list[Gate]) -> list[Gate]:
-    """One sweep: each wire's pending 1q product is flushed as a u3 when a
+    """One sweep: each wire's pending 1q run is flushed as a u3 when a
     two-qubit gate touches the wire (and at the end, by ascending qubit)."""
-    pending: dict[int, tuple[complex, complex, complex, complex]] = {}
+    pending: dict[int, list[Gate]] = {}
     out: list[Gate] = []
 
     def flush(q: int) -> None:
-        u = pending.pop(q)
-        if not _is_identity(*u):
-            out.append(Gate("u3", (q,), _zyz(*u)))
+        angles = _fused(pending.pop(q))
+        if angles is not None:
+            out.append(Gate("u3", (q,), angles))
 
     for gate in gates:
         if len(gate.qubits) == 1:
-            q = gate.qubits[0]
-            a, b, c, d = _matrix(gate)
-            u = pending.get(q)
-            if u is not None:
-                e, f, g, h = u
-                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            pending[q] = (a, b, c, d)
+            pending.setdefault(gate.qubits[0], []).append(gate)
         else:
             for q in gate.qubits:
                 if q in pending:
@@ -162,6 +203,31 @@ def gate_fuse(gates: list[Gate]) -> list[Gate]:
     for q in sorted(pending):
         flush(q)
     return out
+
+
+#: How far a fused u3 may sit from the oracle's, as a unitary up to phase.
+U3_ATOL = 1e-12
+
+
+def u3_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Largest entry of ``u3(a) - e^{iα}·u3(b)``, with α the phase of
+    ``tr(u3(b)† u3(a))``."""
+    u, v = gate_matrix("u3", tuple(a)), gate_matrix("u3", tuple(b))
+    overlap = np.vdot(v, u)
+    return float(np.abs(u - overlap / abs(overlap) * v).max())
+
+
+def assert_same_gates(got, want, atol: float = U3_ATOL) -> None:
+    """``got`` is ``want`` gate for gate: names, qubits, and the parameter
+    bits of every gate but u3, whose parameters must give the same unitary
+    up to global phase within ``atol``."""
+    got, want = list(got), list(want)
+    assert [(g.name, g.qubits) for g in got] == [(g.name, g.qubits) for g in want]
+    for g, w in zip(got, want):
+        if g.name == "u3":
+            assert u3_distance(g.params, w.params) <= atol, (g.params, w.params)
+        else:
+            assert [p.hex() for p in g.params] == [p.hex() for p in w.params], (g, w)
 
 
 #: Gates :func:`gate_expand_to_cx` rewrites.

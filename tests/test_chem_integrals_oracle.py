@@ -24,7 +24,7 @@ from repro.chem import (
     nuclear_attraction_matrix,
     overlap_matrix,
 )
-from repro.chem.integrals import _hermite_r, hermite_e_table
+from repro.chem.integrals import _hermite_r, hermite_e_table, overlap_and_core
 
 
 def assert_bit_identical(got, want):
@@ -42,6 +42,10 @@ def assert_all_match(basis, atoms):
         oracle.nuclear_attraction_matrix(basis, atoms),
     )
     assert_bit_identical(eri_tensor(basis), oracle.eri_tensor(basis))
+    # The SCF's call: both matrices from one set of pair batches.
+    s, h = overlap_and_core(basis, atoms)
+    assert_bit_identical(s, oracle.overlap_matrix(basis))
+    assert_bit_identical(h, oracle.core_hamiltonian(basis, atoms))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The packed circuit IR against the Gate-list passes it replaced.
 
 Every peephole pass runs on op/qubit/parameter arrays; the Gate-list passes
-in ``tests/reference/peephole.py`` are the oracles, compared bit for bit
-(``hex_gates``).  The compile path (Trotter synthesis, peephole, routing,
-metrics) must build no :class:`Gate` at all.
+in ``tests/reference/peephole.py`` are the oracles.  Cancellation and the
+cz/swap rewrite are compared bit for bit (``hex_gates``); the passes that
+fuse are compared with ``assert_same_gates``: names, qubits and order
+exactly, each u3 as a unitary up to global phase.  The compile path
+(Trotter synthesis, peephole, routing, metrics) must build no
+:class:`Gate` at all.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.service import MappingSpec, compile_mapping
 from repro.sources import build_case
 
 from reference.peephole import (
+    assert_same_gates,
     gate_cancel,
     gate_expand_to_cx,
     gate_fuse,
@@ -96,7 +100,8 @@ def ir_circuits(draw):
 
 
 class TestCrossEngine:
-    """Each packed pass equals its Gate-list oracle, parameter bits included."""
+    """Each packed pass equals its Gate-list oracle: cancellation and the
+    rewrite bit for bit, fusion up to the u3 contract."""
 
     @given(ir_circuits())
     @settings(max_examples=150, deadline=None)
@@ -105,13 +110,13 @@ class TestCrossEngine:
         n = circuit.n_qubits
         expanded = Circuit.from_packed(n, *_expand_to_cx(*circuit.packed()))
         assert hex_gates(expanded.gates) == hex_gates(gate_expand_to_cx(gates))
+        assert hex_gates(cancel_adjacent(circuit).gates) == hex_gates(gate_cancel(gates))
         for packed, oracle in (
-            (cancel_adjacent, gate_cancel),
             (fuse_single_qubit, gate_fuse),
             (optimize, gate_optimize),
             (to_cx_u3, gate_to_cx_u3),
         ):
-            assert hex_gates(packed(circuit).gates) == hex_gates(oracle(gates)), oracle
+            assert_same_gates(packed(circuit).gates, oracle(gates))
 
     @given(ir_circuits())
     @settings(max_examples=100, deadline=None)
@@ -135,17 +140,21 @@ class TestCrossEngine:
         )
 
     def test_signed_zero_angles(self):
-        """Fusion keys a lone gate on its parameter bits, so ``0.0`` and
-        ``-0.0`` are evaluated apart; both must fuse as the oracle does."""
+        """Signed-zero angles fuse as the oracle does, and a lone u3 keeps
+        its own bits, signed zeros included."""
         c = Circuit(3).add("rz", 0, params=(0.0,)).add("rz", 1, params=(-0.0,))
         c.add("u3", 2, params=(0.5, -0.0, 0.0)).add("cx", 0, 1)
         c.add("u3", 0, params=(0.5, 0.0, -0.0)).add("ry", 1, params=(-0.0,))
-        assert hex_gates(fuse_single_qubit(c).gates) == hex_gates(gate_fuse(c.gates))
+        fused = fuse_single_qubit(c).gates
+        assert_same_gates(fused, gate_fuse(c.gates))
+        lone = [g.params for g in fused if g.name == "u3"]
+        assert [tuple(p.hex() for p in params) for params in lone] == [
+            tuple(p.hex() for p in params) for params in ((0.5, 0.0, -0.0), (0.5, -0.0, 0.0))
+        ]
 
     def test_long_parameter_free_runs(self):
-        """Runs longer than the op-sequence key holds are evaluated alone:
-        these two 16-gate runs differ only in their last two gates, which a
-        truncated key would fold together."""
+        """Long parameter-free runs: these two 16-gate runs differ only in
+        their last two gates, and must not fuse to the same u3."""
         c = Circuit(2)
         for q, tail in ((0, ("h", "s")), (1, ("s", "h"))):
             for name in ("h",) * 14 + tail:
@@ -154,8 +163,67 @@ class TestCrossEngine:
         for k in range(40):
             c.add(("h", "s", "t")[k % 3], 0)
         fused = fuse_single_qubit(c).gates
-        assert hex_gates(fused) == hex_gates(gate_fuse(c.gates))
+        assert_same_gates(fused, gate_fuse(c.gates))
         assert fused[0].params != fused[1].params
+
+
+#: The fusion contract's edge angles: signed zeros, ±π, ±π/2 and the small
+#: rotations on either side of the identity threshold.
+_FUSION_ANGLES = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e-6, 1e-4)
+_PARAMETER_FREE = ("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg")
+
+
+@st.composite
+def fusion_circuits(draw):
+    """Random 1q/2q circuits for the fusion contract: single gates with
+    edge or random angles, two-qubit gates, and long parameter-free runs."""
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    angle = st.one_of(st.sampled_from(_FUSION_ANGLES), st.floats(-7.0, 7.0, allow_nan=False))
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 20))):
+        block = draw(st.sampled_from(("1q", "1q", "2q", "long")))
+        if block == "1q":
+            name = draw(st.sampled_from(GATE_NAMES[:13]))
+            c.add(name, draw(qubit), params=tuple(draw(angle) for _ in range(N_PARAMS[name])))
+        elif block == "2q" and n > 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            c.add(draw(st.sampled_from(("cx", "cz", "swap"))), a, b)
+        elif block == "long":
+            q = draw(qubit)
+            for name in draw(st.lists(st.sampled_from(_PARAMETER_FREE), min_size=14, max_size=40)):
+                c.add(name, q)
+    return c
+
+
+class TestFusionContract:
+    """Fusion against the scalar oracle: gate names, qubits and order
+    exactly, each u3 the oracle's as a unitary up to global phase within
+    1e-12; fusing twice is fusing once, and a lone u3 keeps its bits."""
+
+    @given(fusion_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle_and_is_idempotent(self, circuit):
+        fused = fuse_single_qubit(circuit)
+        assert_same_gates(fused.gates, gate_fuse(list(circuit.gates)))
+        assert hex_gates(fuse_single_qubit(fused).gates) == hex_gates(fused.gates)
+
+    @given(
+        st.lists(st.tuples(*[st.sampled_from(_FUSION_ANGLES) | st.floats(-7.0, 7.0)] * 3),
+                 min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lone_u3_keeps_its_bits(self, params):
+        """Lone u3s between CXs come out with their own parameters, except
+        those the identity test drops."""
+        c = Circuit(2)
+        for p in params:
+            c.add("u3", 0, params=p).add("cx", 0, 1)
+        fused = fuse_single_qubit(c).gates
+        assert_same_gates(fused, gate_fuse(list(c.gates)))
+        kept = [g.params for g in fused if g.name == "u3"]
+        want = [p for p in params if gate_fuse([Gate("u3", (0,), p)])]
+        assert [[v.hex() for v in p] for p in kept] == [[v.hex() for v in p] for p in want]
 
 
 class TestMutation:
@@ -218,11 +286,11 @@ class TestNoGatesOnTheCompilePath:
         assert gate_constructions == []
 
         want_logical = reference_to_cx_u3(reference_trotter_gates(hq, order=order))
-        assert hex_gates(logical.gates) == hex_gates(want_logical)
+        assert_same_gates(logical.gates, want_logical)
         want_routed = scalar_route_circuit(Circuit(hq.n, want_logical), graph).circuit
-        assert hex_gates(routed.circuit.gates) == hex_gates(want_routed.gates)
+        assert_same_gates(routed.circuit.gates, want_routed.gates)
         want_final = Circuit(graph.number_of_nodes(), gate_to_cx_u3(want_routed.gates))
-        assert hex_gates(final.gates) == hex_gates(want_final.gates)
+        assert_same_gates(final.gates, want_final.gates)
         assert metrics == (
             Circuit(hq.n, want_logical).cx_count, Circuit(hq.n, want_logical).depth(),
             want_final.cx_count, want_routed.count("swap"), want_final.depth(),

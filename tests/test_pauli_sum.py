@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.paulis import PauliString, PauliTable, QubitOperator
+from repro.paulis import PauliString, PauliTable, QubitOperator, commutes
 
 from reference.pauli_sum import DictPauliSum
 
@@ -189,3 +189,47 @@ class TestAgainstTheDictOracle:
         assert op == QubitOperator.from_terms(left, n=n)
         for (x, z), c in ra.terms.items():
             assert op.coefficient(PauliString(n, x, z, 1)) == c * -1j
+
+
+@st.composite
+def lone_and_many(draw):
+    """A one-term operator and an operator of distinct strings, both with
+    arbitrary float coefficients (|c| > 1e-3, so no tolerance drops one):
+    each product string is distinct, so nothing combines and every product
+    coefficient is one rounded complex product."""
+    n = draw(st.integers(1, 70))
+    mask = st.integers(0, (1 << n) - 1)
+    part = st.floats(-8.0, 8.0, allow_nan=False)
+    coeff = st.builds(complex, part, part).filter(lambda c: abs(c) > 1e-3)
+
+    def term(x, z):
+        return PauliString(n, x, z, draw(st.integers(0, 3))), draw(coeff)
+
+    lone = [term(draw(mask), draw(mask))]
+    keys = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=8, unique=True))
+    return n, lone, [term(x, z) for x, z in keys]
+
+
+class TestProductRounding:
+    """Operator products multiply coefficients with Python's complex product,
+    which is commutative to the last bit (NumPy's complex ``*`` is not)."""
+
+    def test_commuting_terms_leave_no_dust(self):
+        x = QubitOperator.from_label_dict({"I": 0.4335004675872959 - 1j})
+        y = QubitOperator.from_label_dict({"Z": 1 + 1.5j})
+        assert len(x * y - y * x) == 0
+        assert _as_dict(x * y) == _as_dict(y * x)
+
+    @given(lone_and_many())
+    @settings(max_examples=120, deadline=None)
+    def test_products_match_the_dict_oracle_bit_for_bit(self, case):
+        n, lone, many = case
+        a, b = QubitOperator.from_terms(lone, n=n), QubitOperator.from_terms(many, n=n)
+        ra, rb = DictPauliSum.from_terms(n, lone), DictPauliSum.from_terms(n, many)
+        assert _as_dict(a * b) == (ra * rb).terms
+        assert _as_dict(b * a) == (rb * ra).terms
+        (x, z), = ra.terms
+        anticommuting = {
+            (x ^ x2, z ^ z2) for x2, z2 in rb.terms if not commutes(x, z, x2, z2)
+        }
+        assert set(_as_dict(a * b - b * a)) == anticommuting
